@@ -8,14 +8,20 @@ only the structure terms survive in the acceptance ratio.
 
 Acceptance for a proposal: min(1, exp(d_loglik + proposal + split_prior))
 where the three log terms are computed by `log_marginal_likelihood`,
-`proposal_log_ratio`, and `split_prior_log_ratio`.
+`proposal_log_ratio`, and `split_prior_log_ratio` (on trees), or by their
+shared cores on the chain state's counts.
+
+The chain keeps one mutable `ChainState`; a proposal touches only the
+subtree it edits, and a `DecisionTree` is built only when one is read.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +32,6 @@ from .tree import (
     DecisionTree,
     Leaf,
     Split,
-    collapse_split,
     fit_partition,
     leaf_predictive,
     prunable_splits,
@@ -34,7 +39,6 @@ from .tree import (
     single_leaf_tree,
     summarize,
     tree_predictive,
-    with_split_params,
 )
 
 MOVE_BIRTH = "birth"
@@ -151,14 +155,6 @@ class MoveCounters:
             self.accepted[k] += other.accepted[k]
 
 
-@dataclass
-class ChainState:
-    tree: DecisionTree
-    log_lik: float
-    rows_by_node: dict
-    counters: MoveCounters = field(default_factory=MoveCounters)
-
-
 @dataclass(frozen=True)
 class PosteriorSample:
     tree: DecisionTree
@@ -184,15 +180,6 @@ class ChainResult:
     warnings: tuple = ()
 
 
-@dataclass(frozen=True)
-class Proposal:
-    kind: str
-    valid: bool
-    tree: DecisionTree | None = None
-    rows_by_node: dict | None = None
-    log_proposal_ratio: float = 0.0
-
-
 # ---------------------------------------------------------------------------
 # Closed-form pieces
 # ---------------------------------------------------------------------------
@@ -205,30 +192,330 @@ def log_catalan(k: int) -> float:
     return float(gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - math.log(k + 1))
 
 
+class DirichletTerms(NamedTuple):
+    """The prior-only parts of the marginal likelihood, computed once per alpha."""
+
+    alpha: np.ndarray
+    alpha_sum: np.float64
+    log_norm: np.float64  # log Gamma(sum alpha) - sum log Gamma(alpha)
+
+    @classmethod
+    def of(cls, alpha) -> "DirichletTerms":
+        alpha = np.asarray(alpha, dtype=np.float64)
+        alpha_sum = alpha.sum()
+        return cls(alpha, alpha_sum, gammaln(alpha_sum) - gammaln(alpha).sum())
+
+
+def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
+    """Dirichlet-multinomial log marginal likelihood of a (leaves x classes)
+    float64 count matrix, leaves in pre-order.
+
+    The one evaluation used by the sampler and by `log_marginal_likelihood`:
+    the same matrix gives the same bits, which the accept decisions and the
+    reported log-likelihoods rely on.
+    """
+    normalizer = counts.shape[0] * terms.log_norm
+    leaf_terms = gammaln(counts + terms.alpha).sum() - gammaln(counts.sum(axis=1) + terms.alpha_sum).sum()
+    return float(normalizer + leaf_terms)
+
+
 def log_marginal_likelihood(tree: DecisionTree, alpha) -> float:
     """Log probability of the attached leaf counts with class probabilities
     integrated out under a per-leaf Dirichlet(alpha) prior."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     counts = []
     for nid in tree.leaf_ids:
         leaf = tree.nodes[nid]
         if leaf.counts is None:
             raise ValueError("leaf counts not fitted")
         counts.append(leaf.counts)
-    counts = np.asarray(counts, dtype=np.float64)
-    k = counts.shape[0]
-    alpha_sum = alpha.sum()
-    normalizer = k * (gammaln(alpha_sum) - gammaln(alpha).sum())
-    leaf_terms = gammaln(counts + alpha).sum() - gammaln(counts.sum(axis=1) + alpha_sum).sum()
-    return float(normalizer + leaf_terms)
+    return log_marginal_of_counts(np.asarray(counts, dtype=np.float64), DirichletTerms.of(alpha))
 
 
 def valid_rules(values: np.ndarray) -> np.ndarray:
     """Sorted distinct observed values; their count is the rule-prior support size."""
-    values = np.asarray(values)
+    values = np.sort(values)  # np.unique's algorithm, without its overhead; data is finite
     if values.size == 0:
         raise ValueError("no rows at node")
-    return np.unique(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _structure_log_ratio(kind: str, k_old: int, q: int, cfg: McmcConfig) -> float:
+    """Log proposal-times-structure-prior ratio of a move from a tree of
+    k_old leaves; q is the prunable-split count of the larger of the two
+    trees (the proposed one for a birth, the current one for a death)."""
+    if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
+        return 0.0
+    birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
+    if birth_p == 0 or death_p == 0:
+        raise ValueError("birth/death ratio undefined with zero move probability")
+    if kind == MOVE_BIRTH:
+        return (
+            math.log(death_p / birth_p)
+            + math.log(k_old / q)
+            + log_catalan(k_old)
+            - log_catalan(k_old + 1)
+        )
+    if kind == MOVE_DEATH:
+        return (
+            math.log(birth_p / death_p)
+            + math.log(q / (k_old - 1))
+            + log_catalan(k_old)
+            - log_catalan(k_old - 1)
+        )
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+def _split_prior_term(kind: str, depth: int, prior) -> float:
+    """Depth-penalized split-prior log ratio of a birth or death at a node
+    of the given depth (the leaf that grows, or the split that is pruned)."""
+    if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
+        return 0.0
+    p_here = prior.split_probability(depth)
+    p_child = prior.split_probability(depth + 1)
+    term = math.log(p_here) + 2.0 * math.log(1.0 - p_child) - math.log(1.0 - p_here)
+    if kind == MOVE_BIRTH:
+        return term
+    if kind == MOVE_DEATH:
+        return -term
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Chain state
+# ---------------------------------------------------------------------------
+
+
+class ChainState:
+    """The chain's current tree as per-node arrays that accepted moves edit
+    in place.
+
+    Node ids index the per-node lists (split feature, -1 for a leaf;
+    threshold; children; parent; depth; indices of the training rows that
+    reach the node) and stay fixed while the node lives; a death frees two
+    ids for later births.  `order` lists the live ids in pre-order, the
+    numbering of the `DecisionTree` that `tree` freezes.  `leaf_counts`
+    holds the leaves' class counts, one row per leaf in pre-order, as the
+    float64 matrix the marginal likelihood is evaluated on.
+
+    `tree` is built when read and cached until the next edit, so the
+    samples of a run of rejected steps share one object.  Assigning `tree`
+    (fitted, numbered in pre-order) reloads the arrays; assign
+    `rows_by_node` after it.
+    """
+
+    def __init__(self, tree: DecisionTree, log_lik: float, rows_by_node: dict, counters: MoveCounters | None = None):
+        self.log_lik = log_lik
+        self.counters = MoveCounters() if counters is None else counters
+        self._version = 0
+        self._alpha_key = None
+        self.tree = tree
+        self.rows_by_node = rows_by_node
+
+    @property
+    def tree(self) -> DecisionTree:
+        if self._tree is None:
+            self._tree = self._freeze()
+        return self._tree
+
+    @tree.setter
+    def tree(self, tree: DecisionTree) -> None:
+        nodes = tree.nodes
+        preorder, stack = [], [tree.root]
+        while stack:
+            nid = stack.pop()
+            preorder.append(nid)
+            if isinstance(nodes[nid], Split):
+                stack += (nodes[nid].right, nodes[nid].left)
+        if preorder != list(range(len(nodes))):
+            raise ValueError("chain state needs a tree numbered in pre-order from root 0")
+        n = len(nodes)
+        self.feature, self.threshold = [-1] * n, [0.0] * n
+        self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
+        for nid, node in enumerate(nodes):
+            if isinstance(node, Split):
+                self.feature[nid], self.threshold[nid] = node.feature, node.threshold
+                self.left[nid], self.right[nid] = node.left, node.right
+                for child in (node.left, node.right):
+                    self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
+            elif node.counts is None:
+                raise ValueError("leaf counts not fitted")
+        self.rows = [None] * n
+        self.order = list(range(n))
+        self._free = []
+        self.leaf_counts = np.asarray([nodes[i].counts for i in tree.leaf_ids], dtype=np.float64)
+        self._index_structure()
+        self.leaf_sizes = None  # set with rows_by_node
+        self._tree = tree
+        self._version += 1
+
+    @property
+    def rows_by_node(self) -> dict:
+        """Row indices reaching each node, keyed by the ids of `tree`."""
+        return {i: self.rows[nid] for i, nid in enumerate(self.order)}
+
+    @rows_by_node.setter
+    def rows_by_node(self, parts: dict) -> None:
+        for i, nid in enumerate(self.order):
+            self.rows[nid] = parts[i]
+        self._index_sizes()
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaf_ids)
+
+    @property
+    def split_count(self) -> int:
+        return len(self.split_ids)
+
+    def copy(self) -> "ChainState":
+        """An independent state at the same tree (counters shared)."""
+        other = copy.copy(self)
+        for name in ("feature", "threshold", "left", "right", "parent", "depth", "rows", "order", "_free"):
+            setattr(other, name, list(getattr(self, name)))
+        return other
+
+    def _index_structure(self) -> None:
+        """Pre-order leaf and split ids, death candidates and leaf positions."""
+        feature, left, right = self.feature, self.left, self.right
+        self.leaf_ids = [nid for nid in self.order if feature[nid] < 0]
+        self.split_ids = [nid for nid in self.order if feature[nid] >= 0]
+        self.prunable = [nid for nid in self.split_ids if feature[left[nid]] < 0 and feature[right[nid]] < 0]
+        self.leaf_pos = {nid: i for i, nid in enumerate(self.leaf_ids)}
+
+    def _index_sizes(self) -> None:
+        self.leaf_sizes = [len(self.rows[nid]) for nid in self.leaf_ids]
+
+    def _dirichlet(self, alpha, class_count: int) -> DirichletTerms:
+        """The resolved prior terms, kept while alpha and class_count hold."""
+        key = (alpha, class_count)
+        if self._alpha_key != key:
+            self._terms, self._alpha_key = DirichletTerms.of(resolve_alpha(alpha, class_count)), key
+        return self._terms
+
+    def _new_node(self, parent: int, rows: np.ndarray) -> int:
+        fields = (-1, 0.0, -1, -1, parent, self.depth[parent] + 1, rows)
+        lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.rows)
+        if self._free:
+            nid = self._free.pop()
+            for values, value in zip(lists, fields):
+                values[nid] = value
+        else:
+            nid = len(self.feature)
+            for values, value in zip(lists, fields):
+                values.append(value)
+        return nid
+
+    def reroute(self, node: int, feature: int, threshold: float, X: np.ndarray, y: np.ndarray,
+                class_count: int, min_rows: int):
+        """Route the rows reaching `node` down its subtree with the node's
+        rule set to (feature, threshold).
+
+        Returns the new rows of every node below `node`, the subtree's leaf
+        ids in pre-order and their class counts, or None as soon as a node
+        holds fewer than min_rows rows (some leaf below it would too).
+        """
+        features, thresholds, left, right = self.feature, self.threshold, self.left, self.right
+        moved, leaves, counts = [], [], []
+        f, t = feature, threshold
+        stack = [(node, self.rows[node])]
+        while stack:
+            nid, idx = stack.pop()
+            if len(idx) < min_rows:
+                return None
+            if nid != node:
+                f = features[nid]
+                if f < 0:
+                    leaves.append(nid)
+                    counts.append(np.bincount(y[idx], minlength=class_count))
+                    continue
+                t = thresholds[nid]
+            goes_left = X[:, f][idx] <= t
+            below = ((left[nid], idx[goes_left]), (right[nid], idx[~goes_left]))
+            moved += below
+            stack += (below[1], below[0])
+        return moved, leaves, counts
+
+    def apply(self, proposal: "Proposal") -> None:
+        """Make the proposed tree current, editing the arrays in place."""
+        node, kind = proposal.node, proposal.kind
+        if kind == MOVE_BIRTH:
+            children = [self._new_node(node, rows) for rows in proposal.rows]
+            self.feature[node], self.threshold[node] = proposal.feature, proposal.threshold
+            self.left[node], self.right[node] = children
+            at = self.order.index(node) + 1
+            self.order[at:at] = children
+        elif kind == MOVE_DEATH:
+            for child in (self.left[node], self.right[node]):
+                self.rows[child] = None
+                self._free.append(child)
+            self.feature[node] = self.left[node] = self.right[node] = -1
+            at = self.order.index(node) + 1
+            del self.order[at : at + 2]
+        else:
+            self.feature[node], self.threshold[node] = proposal.feature, proposal.threshold
+            for nid, rows in proposal.rows:
+                self.rows[nid] = rows
+        self.leaf_counts = proposal.leaf_counts
+        if kind in (MOVE_BIRTH, MOVE_DEATH):
+            self._index_structure()
+        self._index_sizes()
+        self._tree = None
+        self._version += 1
+
+    def _freeze(self) -> DecisionTree:
+        position = {nid: i for i, nid in enumerate(self.order)}
+        counts = iter(self.leaf_counts.astype(np.int64).tolist())
+        nodes = []
+        for nid in self.order:
+            f = self.feature[nid]
+            if f < 0:
+                nodes.append(Leaf(counts=tuple(next(counts))))
+            else:
+                nodes.append(
+                    Split(feature=f, threshold=self.threshold[nid],
+                          left=position[self.left[nid]], right=position[self.right[nid]])
+                )
+        return DecisionTree(nodes=tuple(nodes))
+
+
+class Proposal:
+    """One drawn move.
+
+    A valid proposal holds the edit: the node it acts on, the new rule, the
+    new rows (birth: the two children's; change: every node below the
+    changed one), the proposed leaf-count matrix and the depth the split
+    prior term needs.  `tree` and `rows_by_node` of the proposed state are
+    built only when read, from the unchanged state the move was drawn on.
+    """
+
+    def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, state: ChainState | None = None,
+                 node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(),
+                 leaf_counts: np.ndarray | None = None, depth: int = 0):
+        self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
+        self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
+        self.leaf_counts, self.depth = leaf_counts, depth
+        self._state = state
+        self._drawn_at = state._version if state is not None else None
+        self._after = None
+
+    @property
+    def tree(self) -> DecisionTree | None:
+        return self._proposed_state().tree if self.valid else None
+
+    @property
+    def rows_by_node(self) -> dict | None:
+        return self._proposed_state().rows_by_node if self.valid else None
+
+    def _proposed_state(self) -> ChainState:
+        if self._after is None:
+            if self._state._version != self._drawn_at:
+                raise RuntimeError("the chain state changed after this proposal was drawn")
+            self._after = self._state.copy()
+            self._after.apply(self)
+        return self._after
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +542,11 @@ def _draw_kind(rng: np.random.Generator, move_probs) -> str:
     return MOVE_KINDS[-1]
 
 
+def _others_fit(sizes: list, lo: int, hi: int, min_rows: int) -> bool:
+    """Whether the leaves outside pre-order positions [lo, hi) keep min_rows rows."""
+    return min(sizes[:lo] + sizes[hi:], default=min_rows) >= min_rows
+
+
 def propose_move(
     state: ChainState,
     X: np.ndarray,
@@ -263,71 +555,98 @@ def propose_move(
     cfg: McmcConfig,
     rng: np.random.Generator,
 ) -> Proposal:
-    """Draw a move kind and build the refitted proposal tree.
+    """Draw a move kind and evaluate the proposal on the touched subtree.
 
-    A proposal is invalid (to be rejected, still counted as proposed) when a
-    resulting leaf would hold fewer than min_leaf_rows rows, a birth would
-    exceed the leaf cap, or a structural move has no candidate node.
+    A birth splits one leaf's rows, a death merges two sibling leaves, and a
+    change re-routes only the rows reaching the changed node, down its
+    subtree.  A proposal is invalid (to be rejected, still counted as
+    proposed) when a resulting leaf would hold fewer than min_leaf_rows
+    rows, a birth would exceed the leaf cap, or a structural move has no
+    candidate node.  The state is left unchanged.
     """
     kind = _draw_kind(rng, cfg.move_probs)
-    tree = state.tree
+    min_rows, sizes, counts = cfg.min_leaf_rows, state.leaf_sizes, state.leaf_counts
 
     if kind == MOVE_BIRTH:
-        if tree.leaf_count + 1 > _effective_max_leaves(cfg, len(y)):
-            return Proposal(kind=kind, valid=False)
-        leaf_id = _pick(rng, tree.leaf_ids)
-        rows = state.rows_by_node[leaf_id]
+        if state.leaf_count + 1 > _effective_max_leaves(cfg, len(y)):
+            return Proposal(kind, False)
+        leaf = _pick(rng, state.leaf_ids)
+        rows = state.rows[leaf]
         feature = int(rng.integers(X.shape[1]))
-        rules = valid_rules(X[rows, feature])
-        threshold = float(_pick(rng, rules))
-        new_tree = replace_leaf(tree, leaf_id, feature, threshold)
-    elif kind == MOVE_DEATH:
-        candidates = [
-            nid
-            for nid in tree.split_ids
-            if isinstance(tree.nodes[tree.nodes[nid].left], Leaf)
-            and isinstance(tree.nodes[tree.nodes[nid].right], Leaf)
-        ]
+        values = X[:, feature][rows]
+        threshold = float(_pick(rng, valid_rules(values)))
+        goes_left = values <= threshold
+        children = (rows[goes_left], rows[~goes_left])
+        at = state.leaf_pos[leaf]
+        if min(len(children[0]), len(children[1])) < min_rows or not _others_fit(sizes, at, at + 1, min_rows):
+            return Proposal(kind, False)
+        grown = np.array([np.bincount(y[c], minlength=class_count) for c in children], dtype=np.float64)
+        # the new split is prunable, and its parent no longer is
+        q = len(state.prunable) + 1 - (state.parent[leaf] in state.prunable)
+        return Proposal(
+            kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), state=state,
+            node=leaf, feature=feature, threshold=threshold, rows=children,
+            leaf_counts=np.concatenate((counts[:at], grown, counts[at + 1 :])), depth=state.depth[leaf],
+        )
+
+    if kind == MOVE_DEATH:
+        candidates = state.prunable
         if not candidates:
-            return Proposal(kind=kind, valid=False)
-        new_tree = collapse_split(tree, _pick(rng, candidates))
+            return Proposal(kind, False)
+        node = _pick(rng, candidates)
+        at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
+        if sizes[at] + sizes[at + 1] < min_rows or not _others_fit(sizes, at, at + 2, min_rows):
+            return Proposal(kind, False)
+        merged = counts[at : at + 1] + counts[at + 1 : at + 2]
+        return Proposal(
+            kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), state=state,
+            node=node, leaf_counts=np.concatenate((counts[:at], merged, counts[at + 2 :])), depth=state.depth[node],
+        )
+
+    if not state.split_ids:
+        return Proposal(kind, False)
+    node = _pick(rng, state.split_ids)
+    rows = state.rows[node]
+    if kind == MOVE_CHANGE_SPLIT:
+        feature = int(rng.integers(X.shape[1]))
+        rules = valid_rules(X[:, feature][rows])
+        threshold = float(_pick(rng, rules))
     else:
-        if not tree.split_ids:
-            return Proposal(kind=kind, valid=False)
-        node_id = _pick(rng, tree.split_ids)
-        rows = state.rows_by_node[node_id]
-        if kind == MOVE_CHANGE_SPLIT:
-            feature = int(rng.integers(X.shape[1]))
-            rules = valid_rules(X[rows, feature])
+        feature = state.feature[node]
+        rules = valid_rules(X[:, feature][rows])
+        if cfg.change_rule_window is None:
             threshold = float(_pick(rng, rules))
         else:
-            feature = tree.nodes[node_id].feature
-            rules = valid_rules(X[rows, feature])
-            if cfg.change_rule_window is None:
-                threshold = float(_pick(rng, rules))
-            else:
-                # Local symmetric step on the node's observed-value grid.  The
-                # rows reaching the node (hence the grid) are unchanged by the
-                # move, so forward and reverse steps have equal probability;
-                # a step off the grid, or a current rule that upstream moves
-                # pushed off the grid (reverse impossible), is invalid.
-                w = cfg.change_rule_window
-                here = np.nonzero(rules == tree.nodes[node_id].threshold)[0]
-                offset = int(rng.integers(2 * w))
-                offset = offset - w if offset < w else offset - w + 1
-                if len(here) == 0:
-                    return Proposal(kind=kind, valid=False)
-                j = int(here[0]) + offset
-                if not 0 <= j < len(rules):
-                    return Proposal(kind=kind, valid=False)
-                threshold = float(rules[j])
-        new_tree = with_split_params(tree, node_id, feature, threshold)
-
-    fitted, parts = fit_partition(new_tree, X, y, class_count)
-    if any(fitted.nodes[nid].n < cfg.min_leaf_rows for nid in fitted.leaf_ids):
-        return Proposal(kind=kind, valid=False)
-    ratio = proposal_log_ratio(kind, tree, fitted, cfg)
-    return Proposal(kind=kind, valid=True, tree=fitted, rows_by_node=parts, log_proposal_ratio=ratio)
+            # Local symmetric step on the node's observed-value grid.  The
+            # rows reaching the node (hence the grid) are unchanged by the
+            # move, so forward and reverse steps have equal probability;
+            # a step off the grid, or a current rule that upstream moves
+            # pushed off the grid (reverse impossible), is invalid.
+            w = cfg.change_rule_window
+            current = state.threshold[node]
+            here = int(np.searchsorted(rules, current))
+            offset = int(rng.integers(2 * w))
+            offset = offset - w if offset < w else offset - w + 1
+            if here == len(rules) or rules[here] != current:
+                return Proposal(kind, False)
+            j = here + offset
+            if not 0 <= j < len(rules):
+                return Proposal(kind, False)
+            threshold = float(rules[j])
+    routed = state.reroute(node, feature, threshold, X, y, class_count, min_rows)
+    if routed is None:
+        return Proposal(kind, False)
+    moved, leaves, leaf_counts = routed
+    lo = state.leaf_pos[leaves[0]]
+    hi = lo + len(leaves)
+    if not _others_fit(sizes, lo, hi, min_rows):
+        return Proposal(kind, False)
+    new_counts = counts.copy()
+    new_counts[lo:hi] = leaf_counts
+    return Proposal(
+        kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), state=state,
+        node=node, feature=feature, threshold=threshold, rows=moved, leaf_counts=new_counts,
+    )
 
 
 def proposal_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree, cfg: McmcConfig) -> float:
@@ -340,31 +659,14 @@ def proposal_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree
     local rule step is symmetric on a grid the move cannot alter.
     """
     k_old, k_new = old_tree.leaf_count, new_tree.leaf_count
-    birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
     if kind == MOVE_BIRTH:
         if k_new != k_old + 1:
             raise ValueError("birth must add exactly one leaf")
-        if birth_p == 0 or death_p == 0:
-            raise ValueError("birth/death ratio undefined with zero move probability")
-        q = prunable_splits(new_tree)
-        return (
-            math.log(death_p / birth_p)
-            + math.log(k_old / q)
-            + log_catalan(k_old)
-            - log_catalan(k_old + 1)
-        )
+        return _structure_log_ratio(kind, k_old, prunable_splits(new_tree), cfg)
     if kind == MOVE_DEATH:
         if k_new != k_old - 1:
             raise ValueError("death must remove exactly one leaf")
-        if birth_p == 0 or death_p == 0:
-            raise ValueError("birth/death ratio undefined with zero move probability")
-        q = prunable_splits(old_tree)
-        return (
-            math.log(birth_p / death_p)
-            + math.log(q / (k_old - 1))
-            + log_catalan(k_old)
-            - log_catalan(k_old - 1)
-        )
+        return _structure_log_ratio(kind, k_old, prunable_splits(old_tree), cfg)
     if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
         if k_new != k_old:
             raise ValueError("change moves must preserve the leaf count")
@@ -399,16 +701,10 @@ def split_prior_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionT
     prior = cfg.split_prior
     if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
         return 0.0
-
-    def birth_term(depth: int) -> float:
-        p_here = prior.split_probability(depth)
-        p_child = prior.split_probability(depth + 1)
-        return math.log(p_here) + 2.0 * math.log(1.0 - p_child) - math.log(1.0 - p_here)
-
     if kind == MOVE_BIRTH:
-        return birth_term(_growth_depth(old_tree, new_tree))
+        return _split_prior_term(kind, _growth_depth(old_tree, new_tree), prior)
     if kind == MOVE_DEATH:
-        return -birth_term(_growth_depth(new_tree, old_tree))
+        return _split_prior_term(kind, _growth_depth(new_tree, old_tree), prior)
     raise ValueError(f"unknown move kind {kind!r}")
 
 
@@ -425,21 +721,18 @@ def mh_step(
     state.counters.proposed[proposal.kind] += 1
     if not proposal.valid:
         return proposal.kind, False
-    alpha = resolve_alpha(cfg.dirichlet_alpha, class_count)
-    new_log_lik = log_marginal_likelihood(proposal.tree, alpha)
+    new_log_lik = log_marginal_of_counts(proposal.leaf_counts, state._dirichlet(cfg.dirichlet_alpha, class_count))
     total = (
         (new_log_lik - state.log_lik)
         + proposal.log_proposal_ratio
-        + split_prior_log_ratio(proposal.kind, state.tree, proposal.tree, cfg)
+        + _split_prior_term(proposal.kind, proposal.depth, cfg.split_prior)
     )
     if total >= 0.0 or rng.random() < math.exp(total):
-        state.tree = proposal.tree
+        state.apply(proposal)
         state.log_lik = new_log_lik
-        state.rows_by_node = proposal.rows_by_node
         state.counters.accepted[proposal.kind] += 1
         return proposal.kind, True
     return proposal.kind, False
-
 
 # ---------------------------------------------------------------------------
 # Chains
@@ -510,7 +803,7 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
                 iteration=i,
                 phase=phase,
                 log_lik=state.log_lik,
-                split_count=state.tree.split_count,
+                split_count=state.split_count,
                 move=kind,
                 accepted=accepted,
             )
@@ -560,6 +853,14 @@ class PredictionSummary:
     votes: np.ndarray  # (n, C) hard-label histogram over samples
 
 
+def _runs(samples):
+    """(tree, length) of each run of consecutive samples that hold one tree
+    object: a chain's rejected steps repeat the current tree."""
+    for _, run in groupby(samples, key=lambda s: id(s.tree)):
+        run = list(run)
+        yield run[0].tree, len(run)
+
+
 def predict_average(samples, X: np.ndarray, alpha) -> PredictionSummary:
     """Average the per-tree class probabilities and tally hard votes."""
     if not samples:
@@ -572,10 +873,11 @@ def predict_average(samples, X: np.ndarray, alpha) -> PredictionSummary:
     probs = np.zeros((n, class_count))
     votes = np.zeros((n, class_count), dtype=np.int64)
     rows = np.arange(n)
-    for s in samples:
-        p = tree_predictive(s.tree, X, alpha)
-        probs += p
-        votes[rows, np.argmax(p, axis=1)] += 1
+    for tree, repeats in _runs(samples):
+        p = tree_predictive(tree, X, alpha)
+        for _ in range(repeats):
+            probs += p  # once per sample, in sample order: p * repeats would change the bits
+        votes[rows, np.argmax(p, axis=1)] += repeats
     probs /= len(samples)
     return PredictionSummary(probabilities=probs, votes=votes)
 
@@ -597,10 +899,10 @@ def posterior_path_summary(samples) -> tuple[list[PathRow], dict[int, int]]:
         raise ValueError("no posterior samples to summarize")
     groups: dict[tuple, int] = {}
     histogram: dict[int, int] = {}
-    for s in samples:
-        summary = summarize(s.tree)
-        groups[summary.feature_path] = groups.get(summary.feature_path, 0) + 1
-        histogram[summary.split_count] = histogram.get(summary.split_count, 0) + 1
+    for tree, repeats in _runs(samples):
+        summary = summarize(tree)
+        groups[summary.feature_path] = groups.get(summary.feature_path, 0) + repeats
+        histogram[summary.split_count] = histogram.get(summary.split_count, 0) + repeats
     total = len(samples)
     rows = [
         PathRow(feature_path=path, split_count=len(path), weight=count / total, count=count)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -36,11 +37,13 @@ from treeuq.tree import (
     DecisionTree,
     Leaf,
     Split,
+    collapse_split,
     fit_partition,
     leaf_predictive,
     replace_leaf,
     serialize,
     single_leaf_tree,
+    with_split_params,
 )
 
 ALPHA2 = np.ones(2)
@@ -388,17 +391,84 @@ class TestMhStep:
         alpha = resolve_alpha(cfg.dirichlet_alpha, 2)
         state = make_state(ds, cfg)
         rng = np.random.default_rng(7)
+        outcomes = set()
         for _ in range(300):
-            mh_step(state, ds.features, ds.labels, 2, cfg, rng)
-            assert state.log_lik == pytest.approx(
-                log_marginal_likelihood(state.tree, alpha), abs=1e-9
-            )
+            _, accepted = mh_step(state, ds.features, ds.labels, 2, cfg, rng)
+            outcomes.add(accepted)
+            assert state.log_lik == log_marginal_likelihood(state.tree, alpha)
+            fitted, parts = fit_partition(state.tree, ds.features, ds.labels, 2)
+            assert fitted == state.tree  # leaf counts
+            rows = state.rows_by_node
+            assert rows.keys() == parts.keys()
+            assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
+        assert outcomes == {True, False}
 
     def test_acceptance_components_are_separable(self):
         # with the likelihood delta zeroed and a uniform prior, acceptance is
         # driven by the proposal ratio alone
         assert 0.0 + math.log(0.5) + 0.0 == pytest.approx(math.log(0.5))
         assert math.exp(0.0 + 0.0 + 0.0) == 1.0
+
+
+class TestIncrementalKernel:
+    """The in-place kernel against the tree-level edits and formulas."""
+
+    def test_proposals_match_tree_edits(self):
+        ds = small_dataset(n=70, seed=12, m=3)
+        X, y = ds.features, ds.labels
+        cfg = McmcConfig(
+            move_probs=(0.25, 0.25, 0.2, 0.3),
+            min_leaf_rows=3,
+            split_prior=DepthPenaltySplitPrior(base=0.8, decay=0.5),
+            seed=0,
+        )
+        terms = mcmc.DirichletTerms.of(ALPHA2)
+        state = make_state(ds, cfg)
+        rng = np.random.default_rng(5)
+        checked = {k: 0 for k in mcmc.MOVE_KINDS}
+        for _ in range(800):
+            prop = propose_move(state, X, y, 2, cfg, rng)
+            if not prop.valid:
+                continue
+            tree, at = state.tree, state.order.index(prop.node)
+            if prop.kind == MOVE_BIRTH:
+                edited = replace_leaf(tree, at, prop.feature, prop.threshold)
+            elif prop.kind == MOVE_DEATH:
+                edited = collapse_split(tree, at)
+            else:
+                edited = with_split_params(tree, at, prop.feature, prop.threshold)
+            want, parts = fit_partition(edited, X, y, 2)
+            assert prop.tree == want
+            rows = prop.rows_by_node
+            assert rows.keys() == parts.keys()
+            assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
+            assert mcmc.log_marginal_of_counts(prop.leaf_counts, terms) == log_marginal_likelihood(want, ALPHA2)
+            assert prop.log_proposal_ratio == proposal_log_ratio(prop.kind, tree, want, cfg)
+            assert mcmc._split_prior_term(prop.kind, prop.depth, cfg.split_prior) == split_prior_log_ratio(
+                prop.kind, tree, want, cfg
+            )
+            checked[prop.kind] += 1
+            if rng.random() < 0.5:
+                state.apply(prop)
+                assert state.tree == want
+        assert min(checked.values()) >= 20
+
+    def test_stale_proposal_refuses_to_build(self):
+        ds = small_dataset(n=40, seed=3)
+        cfg = McmcConfig(min_leaf_rows=3, seed=0)
+        state = make_state(ds, cfg)
+        rng = FakeRng(randoms=[0.05, 0.05], integers=[0, 0, 20, 0, 1, 20])  # two births
+        first = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+        second = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+        assert first.valid and second.valid
+        state.apply(first)
+        with pytest.raises(RuntimeError, match="changed"):
+            second.tree
+
+    def test_state_needs_pre_order_numbering(self):
+        shuffled = DecisionTree(nodes=(Split(0, 0.0, 2, 1), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
+        with pytest.raises(ValueError, match="pre-order"):
+            ChainState(tree=shuffled, log_lik=0.0, rows_by_node={})
 
 
 class TestRunChain:
@@ -451,6 +521,70 @@ class TestRunChain:
             left = int(np.sum(ds.features[:, feature] <= threshold))
             assert left >= 5 and 30 - left >= 5
         assert draw_initial_split(ds.features[:4], ds.labels[:4], 5, rng) is None
+
+
+def three_class_dataset(n=90, seed=11):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 3)), 2)
+    y = np.digitize(X[:, 0] + 0.4 * rng.normal(size=n), [-0.4, 0.4]).astype(np.int64)
+    return Dataset(X, y, 3, ("a", "b", "c"))
+
+
+# Sampler configurations whose chains are pinned byte for byte.  Between them
+# they reach all four move kinds, both valid and invalid.
+GOLDEN_CONFIGS = {
+    "window2": (lambda: small_dataset(n=80, seed=21), dict(min_leaf_rows=3, seed=1)),
+    "global_rule": (lambda: small_dataset(n=80, seed=21), dict(min_leaf_rows=3, change_rule_window=None, seed=2)),
+    "depth_prior": (
+        lambda: small_dataset(n=80, seed=22, m=3),
+        dict(move_probs=(0.3, 0.3, 0.1, 0.3), min_leaf_rows=2,
+             split_prior=DepthPenaltySplitPrior(base=0.8, decay=0.5), seed=3),
+    ),
+    "max_leaves": (lambda: small_dataset(n=80, seed=23), dict(min_leaf_rows=2, max_leaves=3, seed=4)),
+    "root_only": (lambda: small_dataset(n=8, seed=1), dict(min_leaf_rows=5, seed=5)),
+    "three_class": (three_class_dataset, dict(min_leaf_rows=3, dirichlet_alpha=(0.5, 1.0, 2.0), seed=6)),
+}
+
+# SHA-256 of each chain's samples and trace, recorded from the
+# copy-the-tree-per-proposal kernel that the incremental one replaced.
+GOLDEN_DIGESTS = {
+    "window2": "328572d7516afd0aebb15eaadc1adc49378fa60411d5d295df751d3bb0638d71",
+    "global_rule": "3315f3b1f0c78e08356c9eb610e37f318f5f37d6c3973fc2d306df2a0c51b281",
+    "depth_prior": "4297477e86df5c9ac7f5b5d8d716e43849536b77f261703bc7454e1b00df248b",
+    "max_leaves": "78acf23cb4653ed3891a94e934930497a06bd71711fe7a1745193fce52645bfe",
+    "root_only": "11a2cb34ebbd08a6217840366f0613cd625eecb23724eec1926ca95fa83bb764",
+    "three_class": "f6c0b93b9e9070cc843f66f623845d51aa7e1e6e129e6f4e4f2633cbd693aa5e",
+}
+
+
+def chain_digest(ds, cfg) -> str:
+    result = run_chain(ds, cfg)
+    h = hashlib.sha256()
+    for s in result.samples:
+        h.update(f"{s.run_index} {s.iteration}\n{serialize(s.tree)}\n".encode())
+    for r in result.trace:
+        h.update(f"{r.iteration},{r.move},{int(r.accepted)},{r.split_count},{r.log_lik:.10g}\n".encode())
+    return h.hexdigest()
+
+
+def test_golden_chains(monkeypatch):
+    """RNG-draw order, node numbering and every log-likelihood bit of the
+    sampler, pinned on small chains."""
+    seen = set()
+    original = mcmc.propose_move
+
+    def recording(*args):
+        proposal = original(*args)
+        seen.add((proposal.kind, proposal.valid))
+        return proposal
+
+    monkeypatch.setattr(mcmc, "propose_move", recording)
+    digests = {}
+    for name, (make, settings_) in GOLDEN_CONFIGS.items():
+        cfg = McmcConfig(burn_in=400, post_burn_in=400, **settings_)
+        digests[name] = chain_digest(make(), cfg)
+    assert seen == {(kind, valid) for kind in mcmc.MOVE_KINDS for valid in (True, False)}
+    assert digests == GOLDEN_DIGESTS
 
 
 class TestRunRestarts:
