@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, split_validation
-from .tree import DecisionTree, Leaf, Split, hard_labels, tree_predictive
+from .tree import DecisionTree, Leaf, Split, ensemble_average, predict_trees
 
 
 @dataclass(frozen=True)
@@ -233,17 +233,15 @@ def build_forest(
     else:
         trees = [_tree_job(job) for job in jobs]
 
-    alpha_vec = np.full(ds.class_count, float(alpha)) if np.isscalar(alpha) else np.asarray(alpha)
     val_X, val_y = ds.features[validation], ds.labels[validation]
-    validation_acc = tuple(_accuracy(hard_labels(t, val_X, alpha_vec), val_y) for t in trees)
+    validation_acc = tuple(_accuracy(labels, val_y) for _, labels in predict_trees(trees, val_X, alpha))
 
     ensemble_acc = np.empty(cfg.tree_count)
     single_acc = np.empty(cfg.tree_count)
     prob_sum = np.zeros((len(eval_labels), ds.class_count))
-    for t, tree in enumerate(trees):
-        p = tree_predictive(tree, eval_points, alpha_vec)
+    for t, (p, labels) in enumerate(predict_trees(trees, eval_points, alpha)):
         prob_sum += p
-        single_acc[t] = _accuracy(np.argmax(p, axis=1), eval_labels)
+        single_acc[t] = _accuracy(labels, eval_labels)
         ensemble_acc[t] = _accuracy(np.argmax(prob_sum, axis=1), eval_labels)
 
     best = int(np.argmax(validation_acc))
@@ -258,26 +256,9 @@ def build_forest(
 
 def forest_predictive(forest: Forest, X: np.ndarray, alpha) -> np.ndarray:
     """Arithmetic mean of the per-tree class probabilities."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    first = forest.trees[0]
-    class_count = len(first.nodes[first.leaf_ids[0]].counts)
-    alpha_vec = np.full(class_count, float(alpha)) if np.isscalar(alpha) else np.asarray(alpha)
-    total = np.zeros((X.shape[0], class_count))
-    for tree in forest.trees:
-        total += tree_predictive(tree, X, alpha_vec)
-    return total / len(forest.trees)
+    return ensemble_average(forest.trees, [1] * len(forest.trees), X, alpha)[0]
 
 
 def forest_votes(forest: Forest, X: np.ndarray, alpha) -> np.ndarray:
     """Histogram of per-tree hard labels; rows sum to the tree count."""
-    if not forest.trees:
-        raise ValueError("forest is empty")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    first = forest.trees[0]
-    class_count = len(first.nodes[first.leaf_ids[0]].counts)
-    alpha_vec = np.full(class_count, float(alpha)) if np.isscalar(alpha) else np.asarray(alpha)
-    votes = np.zeros((X.shape[0], class_count), dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    for tree in forest.trees:
-        votes[rows, hard_labels(tree, X, alpha_vec)] += 1
-    return votes
+    return ensemble_average(forest.trees, [1] * len(forest.trees), X, alpha)[1]

@@ -32,13 +32,14 @@ from .tree import (
     DecisionTree,
     Leaf,
     Split,
+    ensemble_average,
     fit_partition,
     leaf_predictive,
     prunable_splits,
     replace_leaf,
+    resolve_alpha,
     single_leaf_tree,
     summarize,
-    tree_predictive,
 )
 
 MOVE_BIRTH = "birth"
@@ -116,18 +117,6 @@ class McmcConfig:
                 raise ValueError("dirichlet_alpha entries must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-
-def resolve_alpha(alpha, class_count: int) -> np.ndarray:
-    if isinstance(alpha, (int, float)):
-        out = np.full(class_count, float(alpha))
-    else:
-        out = np.asarray(alpha, dtype=np.float64)
-        if out.shape != (class_count,):
-            raise ValueError(f"alpha must have {class_count} entries, got shape {out.shape}")
-    if np.any(out <= 0):
-        raise ValueError("alpha entries must be positive")
-    return out
 
 
 @dataclass
@@ -865,20 +854,8 @@ def predict_average(samples, X: np.ndarray, alpha) -> PredictionSummary:
     """Average the per-tree class probabilities and tally hard votes."""
     if not samples:
         raise ValueError("no posterior samples to average")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    first = samples[0].tree
-    class_count = len(first.nodes[first.leaf_ids[0]].counts)
-    alpha = resolve_alpha(alpha, class_count)
-    n = X.shape[0]
-    probs = np.zeros((n, class_count))
-    votes = np.zeros((n, class_count), dtype=np.int64)
-    rows = np.arange(n)
-    for tree, repeats in _runs(samples):
-        p = tree_predictive(tree, X, alpha)
-        for _ in range(repeats):
-            probs += p  # once per sample, in sample order: p * repeats would change the bits
-        votes[rows, np.argmax(p, axis=1)] += repeats
-    probs /= len(samples)
+    trees, repeats = zip(*_runs(samples))
+    probs, votes = ensemble_average(trees, repeats, X, alpha)
     return PredictionSummary(probabilities=probs, votes=votes)
 
 

@@ -5,6 +5,14 @@ left subtree before right).  Structural edits return new trees with a fresh
 pre-order numbering, so serialization and summaries are canonical.
 
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
+
+Prediction has one path, `predict_trees`, shared by the posterior average
+and the forest.  It stacks PREDICT_BLOCK trees' arenas into one flat node
+table (feature, threshold, child pair, leaf posterior-mean row) and routes
+every (tree, row) pair of the block at once, one level per step, for as
+many levels as the block's deepest tree.  A block is thrown away before
+the next is built, so memory stays O(PREDICT_BLOCK x rows) however many
+trees are predicted.
 """
 
 from __future__ import annotations
@@ -13,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+PREDICT_BLOCK = 16  # trees routed together; memory is O(PREDICT_BLOCK x rows)
 
 
 @dataclass(frozen=True)
@@ -164,23 +174,6 @@ def route(tree: DecisionTree, point) -> int:
     return nid
 
 
-def route_rows(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Leaf id per row of X, vectorized over the tree's partition."""
-    n = X.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    stack = [(tree.root, np.arange(n))]
-    while stack:
-        nid, idx = stack.pop()
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            out[idx] = nid
-        else:
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-    return out
-
-
 def partition_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
     """Row indices reaching every node (splits included)."""
     n = X.shape[0]
@@ -233,18 +226,100 @@ def leaf_predictive(counts, alpha) -> np.ndarray:
     return (counts + alpha) / (counts.sum() + alpha.sum())
 
 
+def resolve_alpha(alpha, class_count: int) -> np.ndarray:
+    """The Dirichlet prior as a vector of class_count positive pseudo-counts."""
+    if isinstance(alpha, (int, float)):
+        out = np.full(class_count, float(alpha))
+    else:
+        out = np.asarray(alpha, dtype=np.float64)
+        if out.shape != (class_count,):
+            raise ValueError(f"alpha must have {class_count} entries, one per class, got shape {out.shape}")
+    if np.any(out <= 0):
+        raise ValueError(f"alpha entries must be positive, got {out.tolist()} for {class_count} classes")
+    return out
+
+
+def _node_table(trees, alpha: np.ndarray):
+    """Stack pre-order arenas into flat arrays (node i of tree k sits at its
+    tree's offset + i): feature, threshold, a child pair per node taken as
+    pair[x <= threshold] (a leaf points to itself), the Dirichlet posterior-mean
+    row of every node, each tree's root and the deepest tree's depth."""
+    feature, threshold, pairs, counts, roots = [], [], [], [], []
+    no_counts = (0,) * len(alpha)
+    levels = 0
+    for tree in trees:
+        base = len(feature)
+        roots.append(base + tree.root)
+        depth = [0] * len(tree.nodes)
+        for i, node in enumerate(tree.nodes):
+            if isinstance(node, Split):
+                if min(node.left, node.right) <= i:
+                    raise ValueError("tree is not numbered in pre-order")
+                depth[node.left] = depth[node.right] = depth[i] + 1
+                feature.append(node.feature)
+                threshold.append(node.threshold)
+                pairs += (base + node.right, base + node.left)
+                counts.append(no_counts)
+            else:
+                feature.append(0)
+                threshold.append(0.0)
+                pairs += (base + i, base + i)
+                counts.append(node.counts)
+        levels = max(levels, max(depth))
+    counts = np.array(counts, dtype=np.float64)
+    table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha.sum())
+    return np.array(feature), np.array(threshold), np.array(pairs), table, np.array(roots), levels
+
+
+def predict_trees(trees, X: np.ndarray, alpha):
+    """Yield (class probabilities (n, C), hard labels (n,)) for each tree, in order.
+
+    Rows are the Dirichlet posterior mean of the routed leaf, bit for bit
+    what `leaf_predictive` gives; labels are their argmax.  Trees are routed
+    PREDICT_BLOCK at a time over one flat node table, one level per step.
+    """
+    if not trees:
+        raise ValueError("no trees to predict with")
+    first = trees[0]
+    alpha = resolve_alpha(alpha, len(first.nodes[first.leaf_ids[0]].counts))
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    flat = X.ravel()
+    row_starts = np.arange(X.shape[0]) * X.shape[1]
+    for start in range(0, len(trees), PREDICT_BLOCK):
+        feature, threshold, pairs, table, roots, levels = _node_table(trees[start : start + PREDICT_BLOCK], alpha)
+        if feature.max() >= X.shape[1]:  # the flat gather below would read a neighbouring row
+            raise ValueError(f"X has too few columns ({X.shape[1]}) for a split on feature {feature.max()}")
+        labels = np.argmax(table, axis=1)
+        at = np.repeat(roots[:, None], X.shape[0], axis=1)  # (block, n) node per tree and row
+        for _ in range(levels):
+            goes_left = flat[row_starts + feature[at]] <= threshold[at]
+            at = pairs[2 * at + goes_left]
+        for leaves in at:
+            yield table.take(leaves, axis=0), labels.take(leaves)
+
+
+def ensemble_average(trees, repeats, X: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Mean class probabilities (n, C) and hard-vote histogram (n, C) over
+    trees, tree t counted repeats[t] times."""
+    probs = votes = None
+    for (p, labels), count in zip(predict_trees(trees, X, alpha), repeats):
+        if probs is None:
+            probs, votes = np.zeros_like(p), np.zeros(p.size, dtype=np.int64)
+            row_starts = np.arange(0, p.size, p.shape[1])  # each row's first cell in the flat histogram
+        for _ in range(count):
+            probs += p  # once per count, in order: p * count would change the bits
+        votes[row_starts + labels] += count
+    return probs / sum(repeats), votes.reshape(probs.shape)
+
+
 def tree_predictive(tree: DecisionTree, X: np.ndarray, alpha) -> np.ndarray:
     """Per-row class probabilities from the routed leaf of each row."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    table = np.zeros((len(tree.nodes), alpha.shape[0]))
-    for nid in tree.leaf_ids:
-        table[nid] = leaf_predictive(tree.nodes[nid].counts, alpha)
-    return table[route_rows(tree, X)]
+    return next(predict_trees((tree,), X, alpha))[0]
 
 
 def hard_labels(tree: DecisionTree, X: np.ndarray, alpha) -> np.ndarray:
     """Majority class per row (ties break to the lowest class index)."""
-    return np.argmax(tree_predictive(tree, X, alpha), axis=1)
+    return next(predict_trees((tree,), X, alpha))[1]
 
 
 def hard_label(tree: DecisionTree, point, alpha) -> int:

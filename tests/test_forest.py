@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -193,6 +194,19 @@ class TestForestVotes:
         assert votes[0].tolist() == [2, 198]
         assert votes[0].max() / votes[0].sum() == pytest.approx(0.99)
 
+    def test_empty_forest_rejected(self):
+        empty = Forest(trees=(), validation_acc=())
+        for predict in (forest_predictive, forest_votes):
+            with pytest.raises(ValueError):
+                predict(empty, np.zeros((1, 1)), 1.0)
+
+    @pytest.mark.parametrize("predict", [forest_predictive, forest_votes])
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (1.0, 0.0), -1.0])
+    def test_bad_alpha_names_class_count(self, predict, alpha):
+        built = self._forest_of_leaves([(0, 5), (5, 0)])
+        with pytest.raises(ValueError, match=r"\b2 (entries|classes)"):
+            predict(built, np.zeros((1, 1)), alpha)
+
     def test_votes_sum_to_tree_count(self, canonical_data):
         train, test = canonical_data
         cfg = ForestConfig(tree_count=11, min_leaf_rows=5, seed=6)
@@ -200,3 +214,32 @@ class TestForestVotes:
         votes = forest_votes(built, test.features[:30], 1.0)
         assert (votes.sum(axis=1) == 11).all()
         assert (votes.max(axis=1) / 11 >= 1 / 2).all()
+
+
+# SHA-256 of every forest output on a 70-tree forest (more than one routing
+# block) with a vector prior, recorded from the predictor that routed one
+# tree at a time.
+GOLDEN_FOREST = {
+    "forest_predictive": "2b53c77e2f80fd54699872503c78efb7a48955c381ba621e9bcfe63694d142a2",
+    "forest_votes": "c6e4322408dbf06d25b724752605985a8170ff7fa5fd7c3ea5cfdb57ad4c771d",
+    "ensemble_acc": "0469111eb17957d82586e2bb31f4dbd9f986e9758c159c6982551027aafa2a3e",
+    "single_acc": "fb5043abcad528ac21870568604333d549dd5f30920dc436d319b7aa679bc9f6",
+    "validation_acc": "0edcd6a22dd9d89fc54eae13905b9ccb4fa5bf2ed64ff9711d5b373cf0b800f6",
+}
+
+
+def test_golden_forest_outputs(canonical_data):
+    train, test = canonical_data
+    alpha = (0.7, 1.3)
+    X, y = test.features[:200], test.labels[:200]
+    cfg = ForestConfig(tree_count=70, min_leaf_rows=5, seed=8)
+    built, trace = build_forest(train, np.arange(120), X, y, cfg, alpha=alpha)
+    outputs = {
+        "forest_predictive": forest_predictive(built, X, alpha),
+        "forest_votes": forest_votes(built, X, alpha),
+        "ensemble_acc": trace.ensemble_acc,
+        "single_acc": trace.single_acc,
+        "validation_acc": np.array(built.validation_acc + (trace.best_validation_acc,)),
+    }
+    digests = {name: hashlib.sha256(value.tobytes()).hexdigest() for name, value in outputs.items()}
+    assert digests == GOLDEN_FOREST

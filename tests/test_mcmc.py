@@ -587,6 +587,28 @@ def test_golden_chains(monkeypatch):
     assert digests == GOLDEN_DIGESTS
 
 
+# SHA-256 of the posterior-averaged probabilities and votes of a pooled
+# three-class chain with repeated samples, recorded from the predictor that
+# routed one tree at a time.
+GOLDEN_PREDICTION = {
+    "probabilities": "5fdc2bb53c822135b1ef1612a825ad283f0ede00246f207041c7eff5388ed4d3",
+    "votes": "5ae0b41687e49cc35547da58bd123c7bd5b2a64a0337a4ee546d87f1d70cf86b",
+}
+
+
+def test_golden_predict_average():
+    ds = three_class_dataset()
+    test_X = three_class_dataset(n=60, seed=12).features
+    cfg = McmcConfig(burn_in=200, post_burn_in=300, restarts=2, min_leaf_rows=3,
+                     dirichlet_alpha=(0.5, 1.0, 2.0), seed=7)
+    samples = run_restarts(ds, cfg).samples
+    distinct_runs = len(list(mcmc._runs(samples)))
+    assert 64 < distinct_runs < len(samples)  # repeats, and more than one routing block
+    pred = predict_average(samples, test_X, cfg.dirichlet_alpha)
+    digests = {name: hashlib.sha256(getattr(pred, name).tobytes()).hexdigest() for name in GOLDEN_PREDICTION}
+    assert digests == GOLDEN_PREDICTION
+
+
 class TestRunRestarts:
     def test_restart_count_and_ordering(self):
         ds = small_dataset(n=50, seed=3)
@@ -635,6 +657,12 @@ class TestPredictAverage:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             predict_average([], np.zeros((1, 1)), 1.0)
+
+    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (1.0, 0.0), -1.0])
+    def test_bad_alpha_names_class_count(self, alpha):
+        sample = mcmc.PosteriorSample(tree=single_leaf_tree(counts=(3, 1)), run_index=0, iteration=1)
+        with pytest.raises(ValueError, match=r"\b2 (entries|classes)"):
+            predict_average([sample], np.zeros((1, 1)), alpha)
 
 
 class TestPathSummary:

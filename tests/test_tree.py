@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeuq.tree import (
+    PREDICT_BLOCK,
     DecisionTree,
     Leaf,
     Split,
@@ -14,12 +15,13 @@ from treeuq.tree import (
     hard_label,
     hard_labels,
     leaf_predictive,
+    predict_trees,
     prunable_splits,
     read_tree_file,
     refit_counts,
     replace_leaf,
+    resolve_alpha,
     route,
-    route_rows,
     serialize,
     single_leaf_tree,
     summarize,
@@ -62,16 +64,18 @@ class TestRouting:
         expected = [2, 3, 4, 2]
         for p, want in zip(points, expected):
             assert route(tree, p) == want
-        assert route_rows(tree, points).tolist() == expected
+        want_rows = [leaf_predictive(tree.nodes[i].counts, ALPHA) for i in expected]
+        assert np.array_equal(tree_predictive(tree, points, ALPHA), want_rows)
 
     def test_every_point_reaches_exactly_one_leaf(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 2))
         tree = two_level_tree()
-        ids = route_rows(tree, X)
-        assert set(ids.tolist()) <= set(tree.leaf_ids)
+        probs = tree_predictive(tree, X, ALPHA)
         for i in range(len(X)):
-            assert route(tree, X[i]) == ids[i]
+            leaf = route(tree, X[i])
+            assert leaf in tree.leaf_ids
+            assert np.array_equal(probs[i], leaf_predictive(tree.nodes[leaf].counts, ALPHA))
 
 
 class TestRefitCounts:
@@ -142,6 +146,45 @@ class TestHardLabel:
         tree = random_tree_factory(train.features, train.labels, 2, 8, rng, min_leaf_rows=5)
         probs = tree_predictive(tree, test.features, ALPHA)
         assert np.array_equal(hard_labels(tree, test.features, ALPHA), np.argmax(probs, axis=1))
+
+
+class TestPredictTrees:
+    @given(
+        seed=st.integers(0, 2**16),
+        tree_count=st.sampled_from([1, PREDICT_BLOCK, PREDICT_BLOCK + 1]),
+        class_count=st.integers(2, 3),
+        vector_alpha=st.booleans(),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_route_oracle(self, random_tree_factory, seed, tree_count, class_count, vector_alpha):
+        """Each tree's rows equal leaf_predictive at the routed leaf, bit for bit."""
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 5, size=(40, 3)).astype(np.float64)
+        y = rng.integers(0, class_count, size=40)
+        budgets = rng.integers(0, 8, size=tree_count)  # mixed depths within one block
+        if tree_count > 1:
+            budgets[0] = 0  # a root-only leaf among deeper trees
+        trees = [random_tree_factory(X, y, class_count, int(b), rng) for b in budgets]
+        alpha = tuple(rng.uniform(0.1, 3.0, class_count)) if vector_alpha else 1.0
+        # Thresholds are observed values of X, so its rows sit exactly on
+        # every split's threshold; the extra rows fall outside the grid.
+        points = np.vstack([X, rng.integers(-1, 6, size=(20, 3))])
+        alpha_vec = resolve_alpha(alpha, class_count)
+        got = list(predict_trees(trees, points, alpha))
+        assert len(got) == len(trees)
+        for tree, (probs, labels) in zip(trees, got):
+            want = np.array([leaf_predictive(tree.nodes[route(tree, x)].counts, alpha_vec) for x in points])
+            assert probs.tobytes() == want.tobytes()
+            assert np.array_equal(labels, np.argmax(want, axis=1))
+
+    def test_feature_beyond_columns_refused(self):
+        with pytest.raises(ValueError, match="split on feature 1"):
+            tree_predictive(two_level_tree(), np.zeros((3, 1)), ALPHA)
+
+    def test_tree_not_in_pre_order_refused(self):
+        tree = DecisionTree(nodes=(Leaf(counts=(1, 0)), Leaf(counts=(0, 1)), Split(0, 0.5, 0, 1)), root=2)
+        with pytest.raises(ValueError, match="pre-order"):
+            tree_predictive(tree, np.zeros((1, 1)), ALPHA)
 
 
 class TestSummarize:
