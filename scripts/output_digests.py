@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SHA-256 of every output file of the three treeuq commands, per seed.
+"""SHA-256 of every output file of the treeuq commands below, per seed.
 
     python3 scripts/output_digests.py --seeds 1-3 --out FILE [--workers N]
 
@@ -8,7 +8,9 @@ this script:
   - `treeuq bench synthetic --sweep`;
   - `treeuq synth`, then `treeuq bayes` on its CSVs: 4 restarts x
     (2000 + 2000), sample rate 1;
-  - `treeuq forest --test` on the same CSVs.
+  - `treeuq forest --test` on the same CSVs;
+  - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
+    deep trees, and a tree count that no worker count divides evenly.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
 file.  manifest.json is left out: it records wall-clock times, so it
@@ -52,6 +54,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq("bayes", *csvs, "--restarts", "4", "--burn-in", "2000", "--post-burn-in", "2000",
            "--sample-rate", "1", *common, "--out", str(work / "bayes"))
     treeuq("forest", *csvs, *common, "--out", str(work / "forest"))
+    treeuq("forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1",
+           "--out", str(work / "forest_deep"))
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file() and path.name != "manifest.json":

@@ -224,17 +224,14 @@ def run_forest_fold(
     built, trace = forest.build_forest(
         full_ds, train_rows, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers
     )
-    votes = forest.forest_votes(built, test_X, 1.0)
-    vm = envelope.VoteMatrix.build(votes, test_y)
+    vm = envelope.VoteMatrix.build(trace.votes, test_y)
     sizes = np.array([t.split_count for t in built.trees])
     report = dataclasses.replace(
         envelope.evaluate(vm, cfg.confidence),
         tree_size_mean=float(sizes.mean()),
         tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
     )
-    soft = float(
-        np.mean(np.argmax(forest.forest_predictive(built, test_X, 1.0), axis=1) == test_y)
-    )
+    soft = float(np.mean(np.argmax(trace.probabilities, axis=1) == test_y))
     extras = {
         "ensemble_acc_final": float(trace.ensemble_acc[-1]),
         "best_validation_acc": trace.best_validation_acc,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bench, envelope, forest, mcmc, synth
 from .bench import ConfigError
-from .data import DataError, load_csv, write_csv
+from .data import Dataset, DataError, load_csv, write_csv
 from .tree import format_feature_path, write_tree_file
 
 
@@ -152,8 +152,22 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _load_test(args, train: Dataset) -> Dataset | None:
+    """The --test CSV, refused unless it has the training data's feature count."""
+    if not args.test:
+        return None
+    test = load_csv(args.test, schema=args.schema)
+    if test.feature_count != train.feature_count:
+        raise DataError(
+            f"{args.test} has {test.feature_count} feature columns, "
+            f"but the training data {args.train} has {train.feature_count}"
+        )
+    return test
+
+
 def _cmd_bayes(args) -> int:
     train = load_csv(args.train, schema=args.schema)
+    test = _load_test(args, train)
     cfg = _mcmc_config(args, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -193,8 +207,7 @@ def _cmd_bayes(args) -> int:
         "proposed": result.counters.proposed,
         "accepted": result.counters.accepted,
     }
-    if args.test:
-        test = load_csv(args.test, schema=args.schema)
+    if test is not None:
         pred = mcmc.predict_average(result.samples, test.features, cfg.dirichlet_alpha)
         vm = envelope.VoteMatrix.build(pred.votes, test.labels)
         envelope.write_votes_csv(vm, out / "votes.csv")
@@ -209,11 +222,11 @@ def _cmd_bayes(args) -> int:
 
 def _cmd_forest(args) -> int:
     train = load_csv(args.train, schema=args.schema)
+    test = _load_test(args, train)
     cfg = _forest_config(args, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.test:
-        test = load_csv(args.test, schema=args.schema)
+    if test is not None:
         eval_X, eval_y = test.features, test.labels
     else:
         eval_X, eval_y = train.features, train.labels
@@ -240,9 +253,8 @@ def _cmd_forest(args) -> int:
         "best_validation_acc": trace.best_validation_acc,
         "size_mean": float(np.mean([t.split_count for t in built.trees])),
     }
-    if args.test:
-        votes = forest.forest_votes(built, eval_X, 1.0)
-        vm = envelope.VoteMatrix.build(votes, eval_y)
+    if test is not None:
+        vm = envelope.VoteMatrix.build(trace.votes, eval_y)
         envelope.write_votes_csv(vm, out / "votes.csv")
         summary["vote_accuracy"] = envelope.evaluate(vm, args.confidence).accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

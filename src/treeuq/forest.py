@@ -5,6 +5,16 @@ candidate splits (ranked by information gain) is chosen uniformly at
 random, which supplies the classifier diversity the ensemble needs.
 Candidate thresholds are midpoints of consecutive distinct feature values;
 candidates leaving a child below the pruning factor are dropped.
+
+A forest's trees grow in lockstep (`grow_trees`).  Each tree keeps its own
+pre-order stack and its own generator.  Per step, every unfinished tree
+pops nodes until one needs candidates (small and pure nodes become leaves
+on the spot), and one segmented pass computes the candidates of all those
+nodes together.  Nodes of different trees that hold the same rows, such as
+every root at the first step, share one segment, so a step never computes
+a row set twice.  Each tree then draws its split from its own generator,
+in the same pre-order as growing it alone, so the forest does not depend
+on how many trees grow together or on the worker count.
 """
 
 from __future__ import annotations
@@ -52,12 +62,16 @@ class ConvergenceTrace:
 
     ensemble_acc[t] averages trees 0..t; single_acc[t] is tree t alone;
     best_validation_acc is the evaluation accuracy of the tree that scored
-    highest on the validation subset.
+    highest on the validation subset.  votes and probabilities are what
+    `forest_votes` and `forest_predictive` give on the evaluation points,
+    bit for bit.
     """
 
     ensemble_acc: np.ndarray
     single_acc: np.ndarray
     best_validation_acc: float
+    votes: np.ndarray  # (n, C) hard-vote histogram of all trees
+    probabilities: np.ndarray  # (n, C) mean class probabilities of all trees
 
 
 class SplitCandidate(NamedTuple):
@@ -80,53 +94,71 @@ def _candidate_arrays(
     X: np.ndarray,
     y: np.ndarray,
     class_count: int,
-    rows: np.ndarray,
+    row_sets: list[np.ndarray],
     min_leaf_rows: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unsorted (features, thresholds, gains) arrays of valid candidates."""
-    rows = np.asarray(rows, dtype=np.int64)
-    n = len(rows)
-    empty = (np.empty(0, np.int64), np.empty(0), np.empty(0))
-    if n < 2:
-        return empty
-    sub_y = y[rows]
-    parent_counts = np.bincount(sub_y, minlength=class_count)
-    if np.count_nonzero(parent_counts) < 2:
-        return empty
-    parent_entropy = float(_entropy(parent_counts))
+    top_k: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Valid candidates of every row set, in one segmented pass.
 
-    feature_chunks, threshold_chunks, gain_chunks = [], [], []
-    onehot = np.zeros((n, class_count))
+    Returns (features, thresholds, gains, bounds).  The candidates of
+    row_sets[s] sit at positions bounds[s]:bounds[s + 1], best gain first,
+    ties broken by (feature, threshold) ascending; with top_k, only the
+    first top_k of them.  A row set that is pure, has fewer than two rows,
+    or has no threshold leaving both children with at least min_leaf_rows
+    rows has none.  Each segment's class counts are its slice of one
+    cumulative sum less the sum before the segment; the 0/1 counts are
+    whole numbers in float64, so this is exact and every gain has the bits
+    a pass over that row set alone would give.
+    """
+    sizes = np.array([len(r) for r in row_sets], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    rows = np.concatenate(row_sets)
+    seg = np.repeat(np.arange(len(row_sets)), sizes)
+    sub_y = y[rows]
+    parent_counts = np.bincount(seg * class_count + sub_y, minlength=len(row_sets) * class_count)
+    parent_counts = parent_counts.reshape(len(row_sets), class_count)
+    parent_entropy = _entropy(parent_counts)
+    impure = np.count_nonzero(parent_counts, axis=1) >= 2
+    # a boundary between sorted positions i and i + 1 needs both in one impure segment
+    inner = (seg[:-1] == seg[1:]) & impure[seg[:-1]]
+
+    # (segment, feature, threshold, gain) of the candidates kept so far, in final order;
+    # merging feature by feature keeps at most top_k per segment alive
+    kept = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), np.empty(0))
+    onehot = np.zeros((len(rows) + 1, class_count))  # row 0 stays zero: cum[i] sums sorted rows < i
     for f in range(X.shape[1]):
         vals = X[rows, f]
-        order = np.argsort(vals, kind="stable")
+        order = np.lexsort((vals, seg))  # segments keep their places; values ascend within each
         sorted_vals = vals[order]
-        onehot[:] = 0.0
-        onehot[np.arange(n), sub_y[order]] = 1.0
+        onehot[1:] = 0.0
+        onehot[np.arange(1, len(rows) + 1), sub_y[order]] = 1.0
         cum = np.cumsum(onehot, axis=0)
-        boundaries = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]
-        if boundaries.size == 0:
-            continue
-        left_n = boundaries + 1
-        right_n = n - left_n
+        boundaries = np.nonzero(inner & (sorted_vals[:-1] < sorted_vals[1:]))[0]
+        b_seg = seg[boundaries]
+        left_n = boundaries + 1 - starts[b_seg]
+        right_n = sizes[b_seg] - left_n
         valid = (left_n >= min_leaf_rows) & (right_n >= min_leaf_rows)
-        if not valid.any():
-            continue
-        boundaries = boundaries[valid]
+        boundaries, b_seg = boundaries[valid], b_seg[valid]
         left_n, right_n = left_n[valid], right_n[valid]
-        left_counts = cum[boundaries]
-        right_counts = parent_counts - left_counts
-        child = (left_n * _entropy(left_counts) + right_n * _entropy(right_counts)) / n
-        feature_chunks.append(np.full(len(boundaries), f, dtype=np.int64))
-        threshold_chunks.append((sorted_vals[boundaries] + sorted_vals[boundaries + 1]) / 2.0)
-        gain_chunks.append(parent_entropy - child)
-    if not feature_chunks:
-        return empty
-    return (
-        np.concatenate(feature_chunks),
-        np.concatenate(threshold_chunks),
-        np.concatenate(gain_chunks),
-    )
+        left_counts = cum[boundaries + 1] - cum[starts[b_seg]]
+        right_counts = parent_counts[b_seg] - left_counts
+        child = (left_n * _entropy(left_counts) + right_n * _entropy(right_counts)) / sizes[b_seg]
+        found = (
+            b_seg,
+            np.full(len(boundaries), f, dtype=np.int64),
+            (sorted_vals[boundaries] + sorted_vals[boundaries + 1]) / 2.0,
+            parent_entropy[b_seg] - child,
+        )
+        segments, features, thresholds, gains = (np.concatenate(pair) for pair in zip(kept, found))
+        # stable, and earlier features come first: the order one sort of everything gives
+        order = np.lexsort((thresholds, features, -gains, segments))
+        kept = tuple(a[order] for a in (segments, features, thresholds, gains))
+        if top_k is not None:
+            rank = np.arange(len(order)) - np.searchsorted(kept[0], kept[0])
+            kept = tuple(a[rank < top_k] for a in kept)
+    segments, features, thresholds, gains = kept
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(segments, minlength=len(row_sets)))))
+    return features, thresholds, gains, bounds
 
 
 def candidate_splits(
@@ -142,10 +174,85 @@ def candidate_splits(
     leaves both children with at least min_leaf_rows rows.  Ties in gain
     break by (feature, threshold) ascending.
     """
-    features, thresholds, gains = _candidate_arrays(X, y, class_count, rows, min_leaf_rows)
-    order = np.lexsort((thresholds, features, -gains))
+    rows = np.asarray(rows, dtype=np.int64)
+    features, thresholds, gains, _ = _candidate_arrays(X, y, class_count, [rows], min_leaf_rows)
     return [
-        SplitCandidate(int(features[i]), float(thresholds[i]), float(gains[i])) for i in order
+        SplitCandidate(int(f), float(t), float(g)) for f, t, g in zip(features, thresholds, gains)
+    ]
+
+
+def grow_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    class_count: int,
+    rows: np.ndarray,
+    cfg: ForestConfig,
+    rngs: list[np.random.Generator],
+) -> list[DecisionTree]:
+    """Grow one tree per generator from the same rows, all trees in lockstep.
+
+    Each node chooses uniformly among its top-k gain splits.  Growth stops
+    at pure nodes, nodes below 2 * min_leaf_rows rows (no valid child split
+    can exist), or nodes without candidates.  Tree t draws only from
+    rngs[t], in pre-order, so it is the tree it would be if grown alone.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("cannot grow a tree from zero rows")
+    # per tree: nodes in pre-order, a split as [feature, threshold, right child id]
+    # until it is frozen; its left child is always the next node
+    nodes: list[list] = [[] for _ in rngs]
+    # per tree: (rows, id of the split whose right child this is, or None)
+    stacks = [[(rows, None)] for _ in rngs]
+    active = list(range(len(rngs)))
+    while active:
+        pending = []  # (tree, node id, rows, class counts) of the nodes that need candidates
+        for t in active:
+            stack, tree_nodes = stacks[t], nodes[t]
+            while stack:
+                node_rows, parent = stack.pop()
+                if parent is not None:
+                    tree_nodes[parent][2] = len(tree_nodes)
+                counts = np.bincount(y[node_rows], minlength=class_count)
+                if len(node_rows) < 2 * cfg.min_leaf_rows or np.count_nonzero(counts) < 2:
+                    tree_nodes.append(Leaf(counts=tuple(int(c) for c in counts)))
+                    continue
+                pending.append((t, len(tree_nodes), node_rows, counts))
+                tree_nodes.append(None)
+                break
+        if pending:
+            segment_of: dict[bytes, int] = {}
+            row_sets, node_segments = [], []
+            for _, _, node_rows, _ in pending:
+                # a node's rows keep the order of `rows`, so equal row sets have equal bytes
+                key = node_rows.tobytes()
+                if key not in segment_of:
+                    segment_of[key] = len(row_sets)
+                    row_sets.append(node_rows)
+                node_segments.append(segment_of[key])
+            features, thresholds, _, bounds = _candidate_arrays(
+                X, y, class_count, row_sets, cfg.min_leaf_rows, cfg.top_k
+            )
+            for (t, node_id, node_rows, counts), s in zip(pending, node_segments):
+                first, count = int(bounds[s]), int(bounds[s + 1] - bounds[s])
+                if count == 0:
+                    nodes[t][node_id] = Leaf(counts=tuple(int(c) for c in counts))
+                    continue
+                pick = first + int(rngs[t].integers(count))
+                feature, threshold = int(features[pick]), float(thresholds[pick])
+                mask = X[node_rows, feature] <= threshold
+                nodes[t][node_id] = [feature, threshold, None]
+                stacks[t].append((node_rows[~mask], node_id))
+                stacks[t].append((node_rows[mask], None))
+        active = [t for t in active if stacks[t]]
+    return [
+        DecisionTree(
+            nodes=tuple(
+                nd if isinstance(nd, Leaf) else Split(feature=nd[0], threshold=nd[1], left=i + 1, right=nd[2])
+                for i, nd in enumerate(tree_nodes)
+            )
+        )
+        for tree_nodes in nodes
     ]
 
 
@@ -157,48 +264,18 @@ def grow_randomized_tree(
     cfg: ForestConfig,
     rng: np.random.Generator,
 ) -> DecisionTree:
-    """Recursive induction choosing uniformly among the top-k gain splits.
-
-    Growth stops at pure nodes, nodes below 2 * min_leaf_rows rows (no valid
-    child split can exist), or nodes without candidates.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise ValueError("cannot grow a tree from zero rows")
-    nodes: list = []
-
-    def build(node_rows: np.ndarray) -> int:
-        my_id = len(nodes)
-        nodes.append(None)
-        counts = np.bincount(y[node_rows], minlength=class_count)
-        if len(node_rows) < 2 * cfg.min_leaf_rows or np.count_nonzero(counts) < 2:
-            nodes[my_id] = Leaf(counts=tuple(int(c) for c in counts))
-            return my_id
-        features, thresholds, gains = _candidate_arrays(X, y, class_count, node_rows, cfg.min_leaf_rows)
-        if features.size == 0:
-            nodes[my_id] = Leaf(counts=tuple(int(c) for c in counts))
-            return my_id
-        order = np.lexsort((thresholds, features, -gains))[: min(cfg.top_k, features.size)]
-        pick = order[int(rng.integers(len(order)))]
-        feature, threshold = int(features[pick]), float(thresholds[pick])
-        mask = X[node_rows, feature] <= threshold
-        left_id = build(node_rows[mask])
-        right_id = build(node_rows[~mask])
-        nodes[my_id] = Split(feature=feature, threshold=threshold, left=left_id, right=right_id)
-        return my_id
-
-    build(rows)
-    return DecisionTree(nodes=tuple(nodes))
+    """One tree of `grow_trees`: induction choosing uniformly among the top-k gain splits."""
+    return grow_trees(X, y, class_count, rows, cfg, [rng])[0]
 
 
 def _accuracy(predicted: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(predicted == targets))
 
 
-def _tree_job(args) -> DecisionTree:
-    X, y, class_count, rows, cfg, seed, index = args
-    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-    return grow_randomized_tree(X, y, class_count, rows, cfg, rng)
+def _chunk_job(args) -> list[DecisionTree]:
+    X, y, class_count, rows, cfg, indices = args
+    rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, int(t)))) for t in indices]
+    return grow_trees(X, y, class_count, rows, cfg, rngs)
 
 
 def build_forest(
@@ -215,7 +292,8 @@ def build_forest(
     train_rows is split internally into an induction part and a validation
     holdout (used only to select the best single tree).  Per-tree PRNG
     streams derive from (seed, tree_index), so parallel and serial growth
-    produce identical forests.
+    produce identical forests.  With workers > 1, each worker grows one
+    contiguous chunk of tree indices in lockstep.
     """
     train_rows = np.asarray(train_rows, dtype=np.int64)
     eval_points = np.asarray(eval_points, dtype=np.float64)
@@ -223,15 +301,13 @@ def build_forest(
     split = split_validation(train_rows, ds.labels, cfg.validation_fraction, seed=cfg.seed)
     induction, validation = split.train, split.holdout
 
-    jobs = [
-        (ds.features, ds.labels, ds.class_count, induction, cfg, cfg.seed, t)
-        for t in range(cfg.tree_count)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(_tree_job, jobs))
+    chunks = [c for c in np.array_split(np.arange(cfg.tree_count), max(workers, 1)) if c.size]
+    jobs = [(ds.features, ds.labels, ds.class_count, induction, cfg, chunk) for chunk in chunks]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            trees = [tree for chunk_trees in pool.map(_chunk_job, jobs) for tree in chunk_trees]
     else:
-        trees = [_tree_job(job) for job in jobs]
+        trees = _chunk_job(jobs[0])
 
     val_X, val_y = ds.features[validation], ds.labels[validation]
     validation_acc = tuple(_accuracy(labels, val_y) for _, labels in predict_trees(trees, val_X, alpha))
@@ -239,8 +315,11 @@ def build_forest(
     ensemble_acc = np.empty(cfg.tree_count)
     single_acc = np.empty(cfg.tree_count)
     prob_sum = np.zeros((len(eval_labels), ds.class_count))
+    votes = np.zeros((len(eval_labels), ds.class_count), dtype=np.int64)
+    eval_rows = np.arange(len(eval_labels))
     for t, (p, labels) in enumerate(predict_trees(trees, eval_points, alpha)):
-        prob_sum += p
+        prob_sum += p  # in tree order from zeros, as `forest_predictive` sums
+        votes[eval_rows, labels] += 1
         single_acc[t] = _accuracy(labels, eval_labels)
         ensemble_acc[t] = _accuracy(np.argmax(prob_sum, axis=1), eval_labels)
 
@@ -250,6 +329,8 @@ def build_forest(
         ensemble_acc=ensemble_acc,
         single_acc=single_acc,
         best_validation_acc=float(single_acc[best]),
+        votes=votes,
+        probabilities=prob_sum / cfg.tree_count,
     )
     return forest, trace
 

@@ -236,6 +236,28 @@ class TestCli:
         rc = cli.main(["bayes", "--train", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "command", [["bayes", "--restarts", "1", "--burn-in", "5", "--post-burn-in", "5"], ["forest", "--tree-count", "2"]]
+    )
+    @pytest.mark.parametrize("change", ["extra_leading_column", "dropped_column"])
+    def test_test_csv_feature_count_must_match(self, tmp_path, capsys, command, change):
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "30", "--test-size", "20"])
+        lines = (tmp_path / "synthetic_test.csv").read_text().splitlines()
+        if change == "extra_leading_column":
+            lines = [f"{'extra' if i == 0 else i % 3},{line}" for i, line in enumerate(lines)]
+        else:
+            lines = [line.split(",", 1)[1] for line in lines]
+        bad = tmp_path / "bad_test.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        train = str(tmp_path / "synthetic_train.csv")
+        rc = cli.main([command[0], "--train", train, "--test", str(bad), "--out", str(tmp_path / "out"), *command[1:]])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"has {3 if change == 'extra_leading_column' else 1} feature columns" in err
+        assert err.rstrip().endswith("has 2")
+        assert not (tmp_path / "out").exists()  # refused before any work or output
+
     def test_bad_move_probs_is_config_error(self, tmp_path):
         cli.main(["synth", "--out", str(tmp_path), "--train-size", "30", "--test-size", "20"])
         rc = cli.main(

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -16,8 +18,139 @@ from treeuq.forest import (
     forest_predictive,
     forest_votes,
     grow_randomized_tree,
+    grow_trees,
 )
-from treeuq.tree import single_leaf_tree, tree_predictive
+from treeuq.tree import DecisionTree, Leaf, Split, serialize, single_leaf_tree, tree_predictive
+
+
+# The recursive per-tree grower that lockstep growth replaced, kept unchanged
+# but for its names as the reference `grow_trees` must reproduce tree for tree.
+
+
+def _oracle_entropy(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) of count rows; zero counts contribute zero."""
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(total > 0, counts / np.where(total > 0, total, 1.0), 0.0)
+        terms = np.where(p > 0, p * np.log2(p), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def _oracle_candidate_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    class_count: int,
+    rows: np.ndarray,
+    min_leaf_rows: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsorted (features, thresholds, gains) arrays of valid candidates."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = len(rows)
+    empty = (np.empty(0, np.int64), np.empty(0), np.empty(0))
+    if n < 2:
+        return empty
+    sub_y = y[rows]
+    parent_counts = np.bincount(sub_y, minlength=class_count)
+    if np.count_nonzero(parent_counts) < 2:
+        return empty
+    parent_entropy = float(_oracle_entropy(parent_counts))
+
+    feature_chunks, threshold_chunks, gain_chunks = [], [], []
+    onehot = np.zeros((n, class_count))
+    for f in range(X.shape[1]):
+        vals = X[rows, f]
+        order = np.argsort(vals, kind="stable")
+        sorted_vals = vals[order]
+        onehot[:] = 0.0
+        onehot[np.arange(n), sub_y[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        boundaries = np.nonzero(sorted_vals[:-1] < sorted_vals[1:])[0]
+        if boundaries.size == 0:
+            continue
+        left_n = boundaries + 1
+        right_n = n - left_n
+        valid = (left_n >= min_leaf_rows) & (right_n >= min_leaf_rows)
+        if not valid.any():
+            continue
+        boundaries = boundaries[valid]
+        left_n, right_n = left_n[valid], right_n[valid]
+        left_counts = cum[boundaries]
+        right_counts = parent_counts - left_counts
+        child = (left_n * _oracle_entropy(left_counts) + right_n * _oracle_entropy(right_counts)) / n
+        feature_chunks.append(np.full(len(boundaries), f, dtype=np.int64))
+        threshold_chunks.append((sorted_vals[boundaries] + sorted_vals[boundaries + 1]) / 2.0)
+        gain_chunks.append(parent_entropy - child)
+    if not feature_chunks:
+        return empty
+    return (
+        np.concatenate(feature_chunks),
+        np.concatenate(threshold_chunks),
+        np.concatenate(gain_chunks),
+    )
+
+
+def oracle_grow_randomized_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    class_count: int,
+    rows: np.ndarray,
+    cfg: ForestConfig,
+    rng: np.random.Generator,
+) -> DecisionTree:
+    """Recursive induction choosing uniformly among the top-k gain splits.
+
+    Growth stops at pure nodes, nodes below 2 * min_leaf_rows rows (no valid
+    child split can exist), or nodes without candidates.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ValueError("cannot grow a tree from zero rows")
+    nodes: list = []
+
+    def build(node_rows: np.ndarray) -> int:
+        my_id = len(nodes)
+        nodes.append(None)
+        counts = np.bincount(y[node_rows], minlength=class_count)
+        if len(node_rows) < 2 * cfg.min_leaf_rows or np.count_nonzero(counts) < 2:
+            nodes[my_id] = Leaf(counts=tuple(int(c) for c in counts))
+            return my_id
+        features, thresholds, gains = _oracle_candidate_arrays(X, y, class_count, node_rows, cfg.min_leaf_rows)
+        if features.size == 0:
+            nodes[my_id] = Leaf(counts=tuple(int(c) for c in counts))
+            return my_id
+        order = np.lexsort((thresholds, features, -gains))[: min(cfg.top_k, features.size)]
+        pick = order[int(rng.integers(len(order)))]
+        feature, threshold = int(features[pick]), float(thresholds[pick])
+        mask = X[node_rows, feature] <= threshold
+        left_id = build(node_rows[mask])
+        right_id = build(node_rows[~mask])
+        nodes[my_id] = Split(feature=feature, threshold=threshold, left=left_id, right=right_id)
+        return my_id
+
+    build(rows)
+    return DecisionTree(nodes=tuple(nodes))
+
+
+def seeded_generators(seed, count):
+    return [np.random.default_rng(np.random.SeedSequence((seed, t))) for t in range(count)]
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, not hang: a grower that splits on another node's candidate can
+    send all of a node's rows to one child, and then it never finishes."""
+
+    def fail(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def dataset_from(values, labels, second_feature=None):
@@ -137,6 +270,86 @@ class TestGrowRandomizedTree:
         assert a == b
 
 
+@st.composite
+def growth_problems(draw):
+    """Data on a coarse value grid (dense ties) and a forest config.
+
+    The root holds 2 * min_leaf_rows - 1 rows (a leaf at once),
+    2 * min_leaf_rows rows (at most one valid threshold per feature) or more.
+    """
+    class_count = draw(st.sampled_from([2, 3, 7]))
+    min_leaf_rows = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    root_rows = draw(
+        st.sampled_from([2 * min_leaf_rows - 1, 2 * min_leaf_rows]) | st.integers(2 * min_leaf_rows, 70)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = root_rows + int(rng.integers(0, 10))
+    X = rng.integers(0, draw(st.integers(1, 5)) + 1, size=(total, draw(st.integers(1, 3)))) * 0.5
+    y = rng.integers(0, class_count, size=total)
+    rows = np.sort(rng.choice(total, size=root_rows, replace=False))
+    cfg = ForestConfig(
+        tree_count=draw(st.sampled_from([1, 2, 6])),
+        top_k=draw(st.sampled_from([1, 2, 3, 1000])),  # 1000: more than any node's candidates
+        min_leaf_rows=min_leaf_rows,
+        seed=draw(st.integers(0, 1000)),
+    )
+    return X, y, class_count, rows, cfg
+
+
+class TestLockstepGrowth:
+    @given(problem=growth_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_recursive_oracle_tree_for_tree(self, problem):
+        X, y, class_count, rows, cfg = problem
+        rngs = seeded_generators(cfg.seed, cfg.tree_count)
+        oracle_rngs = seeded_generators(cfg.seed, cfg.tree_count)
+        with time_limit(10):
+            got = grow_trees(X, y, class_count, rows, cfg, rngs)
+        want = [oracle_grow_randomized_tree(X, y, class_count, rows, cfg, r) for r in oracle_rngs]
+        assert [serialize(t) for t in got] == [serialize(t) for t in want]
+        assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
+
+    def test_trees_sharing_row_sets_still_draw_their_own_splits(self, canonical_data):
+        # top_k 1: every tree holds the same rows at every node; top_k 3: roots and
+        # some deeper nodes are shared, with distinct row sets of equal size alongside
+        train, _ = canonical_data
+        rows = np.arange(150)
+        for top_k in (1, 3):
+            cfg = ForestConfig(tree_count=12, top_k=top_k, min_leaf_rows=2, seed=4)
+            with time_limit(10):
+                got = grow_trees(train.features, train.labels, 2, rows, cfg, seeded_generators(4, 12))
+            want = [
+                oracle_grow_randomized_tree(train.features, train.labels, 2, rows, cfg, r)
+                for r in seeded_generators(4, 12)
+            ]
+            assert [serialize(t) for t in got] == [serialize(t) for t in want]
+        assert len({serialize(t) for t in got}) > 1  # at top_k 3 the trees do differ
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        class_count=st.sampled_from([2, 3, 7]),
+        min_leaf_rows=st.integers(1, 4),
+        top_k=st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_segmented_candidates_are_bitwise_the_per_node_ones(self, seed, class_count, min_leaf_rows, top_k):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 6, size=(40, 3)) * 0.25
+        y = rng.integers(0, class_count, size=40)
+        row_sets = [np.sort(rng.choice(40, size=int(rng.integers(0, 41)), replace=False)) for _ in range(5)]
+        row_sets.append(row_sets[0])
+        features, thresholds, gains, bounds = forest._candidate_arrays(
+            X, y, class_count, row_sets, min_leaf_rows, top_k
+        )
+        for s, rows in enumerate(row_sets):
+            f, t, g = _oracle_candidate_arrays(X, y, class_count, rows, min_leaf_rows)
+            order = np.lexsort((t, f, -g))[:top_k]
+            part = slice(bounds[s], bounds[s + 1])
+            assert features[part].tobytes() == f[order].tobytes()
+            assert thresholds[part].tobytes() == t[order].tobytes()
+            assert gains[part].tobytes() == g[order].tobytes()
+
+
 class TestBuildForest:
     def test_single_tree_trace(self, canonical_data):
         train, test = canonical_data
@@ -169,13 +382,27 @@ class TestBuildForest:
         assert a.validation_acc == b.validation_acc
 
     def test_parallel_equals_serial(self, canonical_data):
-        from treeuq.tree import serialize
-
+        # 7 trees give uneven chunks at 2 and 3 workers; 3 trees at 4 workers leave one empty
         train, test = canonical_data
-        cfg = ForestConfig(tree_count=6, min_leaf_rows=5, seed=4)
-        a, _ = build_forest(train, np.arange(100), test.features[:20], test.labels[:20], cfg)
-        b, _ = build_forest(train, np.arange(100), test.features[:20], test.labels[:20], cfg, workers=2)
-        assert [serialize(t) for t in a.trees] == [serialize(t) for t in b.trees]
+        for tree_count, worker_counts in ((6, (2,)), (7, (2, 3)), (3, (4,))):
+            cfg = ForestConfig(tree_count=tree_count, min_leaf_rows=5, seed=4)
+            args = (train, np.arange(100), test.features[:20], test.labels[:20], cfg)
+            serial, serial_trace = build_forest(*args)
+            for workers in worker_counts:
+                pooled, pooled_trace = build_forest(*args, workers=workers)
+                assert [serialize(t) for t in pooled.trees] == [serialize(t) for t in serial.trees]
+                assert pooled.validation_acc == serial.validation_acc
+                for name in ("ensemble_acc", "single_acc", "best_validation_acc", "votes", "probabilities"):
+                    assert np.array_equal(getattr(pooled_trace, name), getattr(serial_trace, name))
+
+    def test_trace_holds_the_forest_predictions(self, canonical_data):
+        train, test = canonical_data
+        alpha = (0.7, 1.3)
+        X, y = test.features[:60], test.labels[:60]
+        cfg = ForestConfig(tree_count=20, min_leaf_rows=3, seed=5)  # more trees than one routing block
+        built, trace = build_forest(train, np.arange(120), X, y, cfg, alpha=alpha)
+        assert np.array_equal(trace.votes, forest_votes(built, X, alpha))
+        assert np.array_equal(trace.probabilities, forest_predictive(built, X, alpha))
 
 
 class TestForestVotes:
