@@ -8,6 +8,9 @@ this script:
   - `treeuq bench synthetic --sweep`;
   - `treeuq synth`, then `treeuq bayes` on its CSVs: 4 restarts x
     (2000 + 2000), sample rate 1;
+  - `treeuq bayes --min-leaf-rows 1 --change-rule-window 1` on them too,
+    2 restarts x (1000 + 1000): trees of up to about 16 splits with
+    single-row leaves, and change-rule steps of one grid value;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly.
@@ -53,6 +56,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq("bench", "synthetic", "--sweep", *common, "--out", str(work / "bench"))
     treeuq("bayes", *csvs, "--restarts", "4", "--burn-in", "2000", "--post-burn-in", "2000",
            "--sample-rate", "1", *common, "--out", str(work / "bayes"))
+    treeuq("bayes", *csvs, "--min-leaf-rows", "1", "--change-rule-window", "1", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", str(work / "bayes_deep"))
     treeuq("forest", *csvs, *common, "--out", str(work / "forest"))
     treeuq("forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1",
            "--out", str(work / "forest_deep"))

@@ -153,10 +153,11 @@ def _cmd_synth(args) -> int:
 
 
 def _load_test(args, train: Dataset) -> Dataset | None:
-    """The --test CSV, refused unless it has the training data's feature count."""
+    """The --test CSV, its labels read as the training data's classes;
+    refused unless it has the training data's feature count."""
     if not args.test:
         return None
-    test = load_csv(args.test, schema=args.schema)
+    test = load_csv(args.test, schema=args.schema, classes_from=train)
     if test.feature_count != train.feature_count:
         raise DataError(
             f"{args.test} has {test.feature_count} feature columns, "

@@ -157,7 +157,7 @@ def _is_float_token(tok: str) -> bool:
         return False
 
 
-def load_csv(path, schema=None) -> Dataset:
+def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
     """Load a comma-separated dataset.
 
     Format: UTF-8, optional header row, one column per feature, label in the
@@ -167,6 +167,12 @@ def load_csv(path, schema=None) -> Dataset:
     ``label_names``.  Categorical features must be pre-encoded as integers;
     columns listed under the schema key ``categorical`` are validated as
     such.
+
+    With ``classes_from`` (a training set), the labels are read as that
+    set's classes instead: through its ``label_names``, or as integers
+    below its ``class_count``, so a test file may list the classes in any
+    order or lack some of them.  A label the training set does not have
+    raises DataError naming it.
 
     Schema keys: ``label_column`` (name or 0-based index), ``header``
     (``auto``/``true``/``false``), ``categorical`` (comma list of column
@@ -248,7 +254,10 @@ def load_csv(path, schema=None) -> Dataset:
 
     label_tokens = [row[label_col] for row in data_rows]
     label_names = None
-    if all(_is_int_token(tok) for tok in label_tokens):
+    if classes_from is not None:
+        labels = _labels_as_classes_of(label_tokens, classes_from)
+        class_count, label_names = classes_from.class_count, classes_from.label_names
+    elif all(_is_int_token(tok) for tok in label_tokens):
         labels = np.array([int(tok) for tok in label_tokens], dtype=np.int64)
         present = set(labels.tolist())
         expected = set(range(int(labels.max()) + 1)) if labels.min() >= 0 else None
@@ -277,6 +286,23 @@ def load_csv(path, schema=None) -> Dataset:
         feature_names=tuple(names[j] for j in feature_cols),
         label_names=label_names,
     )
+
+
+def _labels_as_classes_of(tokens: list, train: Dataset) -> np.ndarray:
+    """Class indices of label tokens under the classes of `train`."""
+    if train.label_names is not None:
+        index = {name: c for c, name in enumerate(train.label_names)}
+        known = ", ".join(train.label_names)
+    else:
+        index = {c: c for c in range(train.class_count)}
+        known = f"0..{train.class_count - 1}"
+    labels = np.empty(len(tokens), dtype=np.int64)
+    for i, tok in enumerate(tokens):
+        key = int(tok) if train.label_names is None and _is_int_token(tok) else tok
+        if key not in index:
+            raise DataError(f"label {tok!r} at row {i + 1} is not a class of the training data ({known})")
+        labels[i] = index[key]
+    return labels
 
 
 def write_csv(ds: Dataset, path) -> None:

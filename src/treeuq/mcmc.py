@@ -13,15 +13,29 @@ shared cores on the chain state's counts.
 
 The chain keeps one mutable `ChainState`; a proposal touches only the
 subtree it edits, and a `DecisionTree` is built only when one is read.
+Each node's training rows are one Python-int bitset (bit r set iff row r
+reaches the node).  `RowTables`, built once per dataset and prior, hold per
+feature the sorted distinct values and the bitsets of the rows at and below
+each value, one bitset per class, and the gammaln terms for every count
+0..n.  A split is then `rows & below` and `rows ^ left`, counts are
+`int.bit_count`, a change keeps every subtree whose rows it does not move,
+and the windowed change-rule step walks the per-value bitsets without a
+numpy call.  The log-likelihood of a proposal adds the table terms with the
+same numpy reductions, over arrays of the same shape and order, as
+`log_marginal_of_counts`, so every bit and every accept decision is the
+same as evaluating the count matrix directly.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import operator
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import lru_cache
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +188,7 @@ class ChainResult:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def log_catalan(k: int) -> float:
     """log of binom(2k, k) / (k + 1), via log-gamma (safe for large k)."""
     if k < 1:
@@ -231,6 +246,17 @@ def valid_rules(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _indexed_grid_step(values: np.ndarray, current: float, offset: int) -> float | None:
+    """The window step on the sorted distinct `values` of a node's rows, for
+    features whose zeros carry both signs (see `RowTables`)."""
+    rules = valid_rules(values)
+    here = int(np.searchsorted(rules, current))
+    if here == len(rules) or rules[here] != current:
+        return None
+    j = here + offset
+    return float(rules[j]) if 0 <= j < len(rules) else None
+
+
 def _structure_log_ratio(kind: str, k_old: int, q: int, cfg: McmcConfig) -> float:
     """Log proposal-times-structure-prior ratio of a move from a tree of
     k_old leaves; q is the prunable-split count of the larger of the two
@@ -273,25 +299,173 @@ def _split_prior_term(kind: str, depth: int, prior) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Row sets
+# ---------------------------------------------------------------------------
+
+
+def bits_of(rows: np.ndarray) -> int:
+    """The row set of an index array as an int: bit r set iff row r is in it."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return 0
+    mask = np.zeros(int(rows.max()) + 1, dtype=bool)
+    mask[rows] = True
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def rows_of(bits: int) -> np.ndarray:
+    """The ascending row indices of a row set."""
+    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0]
+
+
+class RowTables:
+    """Lookup tables of one training set and prior, shared by every chain on it.
+
+    Per feature f: `columns[f]`, the column, contiguous; `values[f]`, its
+    sorted distinct values; `rank[f]`, a value -> position dict; `eq[f][j]`,
+    the rows whose value is values[f][j]; `le[f][j]`, the rows whose value
+    is at most that.  `class_bits[c]` holds the rows of class c.
+    `lg_class[c][k]` = gammaln(k + alpha_c) and `lg_total[k]` =
+    gammaln(k + sum(alpha)) for k = 0..n come from the same scipy call on
+    the same float64 inputs as `log_marginal_of_counts`, so sums over them
+    reproduce its bits.
+
+    `mixed_zero[f]` flags a column holding both -0.0 and 0.0.  np.unique
+    keeps one sign for the two, while the sign `valid_rules` keeps for a
+    node depends on the node's rows, so the window step on such a feature
+    sorts the node's values instead of walking `eq`.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha):
+        self.X, self.y, self.class_count, self.alpha = X, y, class_count, alpha
+        n, m = X.shape
+        self.n = n
+        self.columns = [np.ascontiguousarray(X[:, f]) for f in range(m)]
+        self.values, self.rank, self.eq, self.le, self.mixed_zero = [], [], [], [], []
+        for f in range(m):
+            column = X[:, f]
+            values, inverse = np.unique(column, return_inverse=True)
+            eq = [0] * len(values)
+            for r, j in enumerate(inverse.tolist()):
+                eq[j] |= 1 << r
+            self.values.append(values.tolist())
+            self.rank.append({v: j for j, v in enumerate(self.values[f])})
+            self.eq.append(eq)
+            self.le.append(list(accumulate(eq, operator.or_)))
+            zeros = column[column == 0.0]
+            self.mixed_zero.append(bool(np.signbit(zeros).any() and not np.signbit(zeros).all()))
+        self.class_bits = [bits_of(np.flatnonzero(y == c)) for c in range(class_count)]
+        terms = DirichletTerms.of(resolve_alpha(alpha, class_count))
+        k = np.arange(n + 1, dtype=np.float64)
+        self.lg_class = gammaln(k[:, None] + terms.alpha).T.tolist()
+        self.lg_total = gammaln(k + terms.alpha_sum).tolist()
+        self.log_norm = terms.log_norm
+
+    def holds(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> bool:
+        """Whether these tables belong to (X, y, class_count, alpha).  Arrays
+        with the same bytes as the tables' own (a dataset unpickled in a pool
+        worker) are adopted, so the check is one identity test per step."""
+        if class_count != self.class_count or alpha != self.alpha:
+            return False
+        if X is self.X and y is self.y:
+            return True
+        if all(a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in ((X, self.X), (y, self.y))):
+            self.X, self.y = X, y
+            return True
+        return False
+
+    def column_at(self, feature: int, rows: int) -> np.ndarray:
+        """The feature's values on a row set, in ascending row order."""
+        raw = np.frombuffer(rows.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        return self.columns[feature][np.unpackbits(raw, count=self.n, bitorder="little").view(bool)]
+
+    def below(self, feature: int, threshold: float) -> int:
+        """The rows with x_feature <= threshold."""
+        j = self.rank[feature].get(threshold)
+        if j is None:
+            j = bisect_right(self.values[feature], threshold) - 1
+            if j < 0:
+                return 0
+        return self.le[feature][j]
+
+    def step(self, feature: int, rows: int, current: float, offset: int) -> float | None:
+        """The change-rule window step: the value `offset` distinct values
+        of the feature among `rows` away from `current` (negative:
+        downwards), found by walking `eq` from the rank of `current`.  None
+        if `current` is not a value of those rows or the step leaves them."""
+        if self.mixed_zero[feature]:
+            return _indexed_grid_step(self.column_at(feature, rows), current, offset)
+        eq = self.eq[feature]
+        at = self.rank[feature].get(current)
+        if at is None or not rows & eq[at]:
+            return None
+        step, end = (1, len(eq)) if offset > 0 else (-1, -1)
+        remaining = abs(offset)
+        while remaining:
+            at += step
+            if at == end:
+                return None
+            if rows & eq[at]:
+                remaining -= 1
+        return self.values[feature][at]
+
+    def terms(self, counts: tuple) -> list:
+        """The per-class gammaln terms of a leaf's class counts."""
+        return [lg[k] for lg, k in zip(self.lg_class, counts)]
+
+    def leaf(self, bits: int) -> tuple:
+        """(size, class counts, per-class gammaln terms, total term) of a leaf."""
+        size = bits.bit_count()
+        counts = tuple([(bits & c).bit_count() for c in self.class_bits])
+        return size, counts, self.terms(counts), self.lg_total[size]
+
+
+_TABLES: RowTables | None = None
+
+
+def row_tables(X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> RowTables:
+    """The tables of (X, y, class_count, alpha), built once and kept while
+    the same data is sampled (every restart of a run, in each process)."""
+    global _TABLES
+    if _TABLES is None or not _TABLES.holds(X, y, class_count, alpha):
+        _TABLES = RowTables(X, y, class_count, alpha)
+    return _TABLES
+
+
+# ---------------------------------------------------------------------------
 # Chain state
 # ---------------------------------------------------------------------------
 
 
 class ChainState:
-    """The chain's current tree as per-node arrays that accepted moves edit
+    """The chain's current tree as per-node lists that accepted moves edit
     in place.
 
     Node ids index the per-node lists (split feature, -1 for a leaf;
-    threshold; children; parent; depth; indices of the training rows that
-    reach the node) and stay fixed while the node lives; a death frees two
-    ids for later births.  `order` lists the live ids in pre-order, the
-    numbering of the `DecisionTree` that `tree` freezes.  `leaf_counts`
-    holds the leaves' class counts, one row per leaf in pre-order, as the
-    float64 matrix the marginal likelihood is evaluated on.
+    threshold; children; parent; depth; `bits`, the set of training rows
+    that reach the node as an int with bit r set for row r) and stay fixed
+    while the node lives; a death frees two ids for later births.  `order`
+    lists the live ids in pre-order, the numbering of the `DecisionTree`
+    that `tree` freezes.  Per leaf, in pre-order, `leaf_sizes` holds the
+    row count and `leaf_class` the class counts; once `bind` has tied the
+    state to a `RowTables`, `leaf_terms` (flat, class_count per leaf) and
+    `leaf_totals` hold the leaves' gammaln terms of the marginal
+    likelihood.  `leaf_counts` is the float64 count matrix, built when
+    read.  These lists are replaced, never edited, so a state copy and a
+    proposal may share them.
+
+    A split routes its row set with two integer operations (left =
+    rows & below, right = rows ^ left) and counts with `int.bit_count`, so
+    a proposal costs a few big-integer operations per touched node; a
+    change keeps every subtree whose row set it does not alter.  A node's
+    distinct values of a feature, should a move need their count, are
+    the `RowTables.eq` sets that meet its row set.
 
     `tree` is built when read and cached until the next edit, so the
     samples of a run of rejected steps share one object.  Assigning `tree`
-    (fitted, numbered in pre-order) reloads the arrays; assign
+    (fitted, numbered in pre-order) reloads the lists; assign
     `rows_by_node` after it.
     """
 
@@ -299,7 +473,6 @@ class ChainState:
         self.log_lik = log_lik
         self.counters = MoveCounters() if counters is None else counters
         self._version = 0
-        self._alpha_key = None
         self.tree = tree
         self.rows_by_node = rows_by_node
 
@@ -331,25 +504,31 @@ class ChainState:
                     self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
             elif node.counts is None:
                 raise ValueError("leaf counts not fitted")
-        self.rows = [None] * n
+        self.bits = [0] * n
         self.order = list(range(n))
         self._free = []
-        self.leaf_counts = np.asarray([nodes[i].counts for i in tree.leaf_ids], dtype=np.float64)
+        self.leaf_class = [tuple(int(c) for c in nodes[i].counts) for i in tree.leaf_ids]
         self._index_structure()
         self.leaf_sizes = None  # set with rows_by_node
+        self.tables = None  # set by bind
         self._tree = tree
         self._version += 1
 
     @property
     def rows_by_node(self) -> dict:
-        """Row indices reaching each node, keyed by the ids of `tree`."""
-        return {i: self.rows[nid] for i, nid in enumerate(self.order)}
+        """Ascending row indices reaching each node, keyed by the ids of `tree`."""
+        return {i: rows_of(self.bits[nid]) for i, nid in enumerate(self.order)}
 
     @rows_by_node.setter
     def rows_by_node(self, parts: dict) -> None:
         for i, nid in enumerate(self.order):
-            self.rows[nid] = parts[i]
-        self._index_sizes()
+            self.bits[nid] = bits_of(parts[i])
+        self.leaf_sizes = [self.bits[nid].bit_count() for nid in self.leaf_ids]
+
+    @property
+    def leaf_counts(self) -> np.ndarray:
+        """The leaves' class counts, one row per leaf in pre-order."""
+        return np.asarray(self.leaf_class, dtype=np.float64)
 
     @property
     def leaf_count(self) -> int:
@@ -362,9 +541,21 @@ class ChainState:
     def copy(self) -> "ChainState":
         """An independent state at the same tree (counters shared)."""
         other = copy.copy(self)
-        for name in ("feature", "threshold", "left", "right", "parent", "depth", "rows", "order", "_free"):
+        for name in ("feature", "threshold", "left", "right", "parent", "depth", "bits", "order", "_free"):
             setattr(other, name, list(getattr(self, name)))
         return other
+
+    def bind(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> RowTables:
+        """The tables of the data and prior being sampled; the leaves' terms
+        are re-read from them when they change."""
+        tables = self.tables
+        if tables is None or not tables.holds(X, y, class_count, alpha):
+            tables = row_tables(X, y, class_count, alpha)
+        if tables is not self.tables:
+            self.tables = tables
+            self.leaf_terms = [t for counts in self.leaf_class for t in tables.terms(counts)]
+            self.leaf_totals = [tables.lg_total[sum(counts)] for counts in self.leaf_class]
+        return tables
 
     def _index_structure(self) -> None:
         """Pre-order leaf and split ids, death candidates and leaf positions."""
@@ -374,19 +565,9 @@ class ChainState:
         self.prunable = [nid for nid in self.split_ids if feature[left[nid]] < 0 and feature[right[nid]] < 0]
         self.leaf_pos = {nid: i for i, nid in enumerate(self.leaf_ids)}
 
-    def _index_sizes(self) -> None:
-        self.leaf_sizes = [len(self.rows[nid]) for nid in self.leaf_ids]
-
-    def _dirichlet(self, alpha, class_count: int) -> DirichletTerms:
-        """The resolved prior terms, kept while alpha and class_count hold."""
-        key = (alpha, class_count)
-        if self._alpha_key != key:
-            self._terms, self._alpha_key = DirichletTerms.of(resolve_alpha(alpha, class_count)), key
-        return self._terms
-
-    def _new_node(self, parent: int, rows: np.ndarray) -> int:
-        fields = (-1, 0.0, -1, -1, parent, self.depth[parent] + 1, rows)
-        lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.rows)
+    def _new_node(self, parent: int, bits: int) -> int:
+        fields = (-1, 0.0, -1, -1, parent, self.depth[parent] + 1, bits)
+        lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.bits)
         if self._free:
             nid = self._free.pop()
             for values, value in zip(lists, fields):
@@ -397,38 +578,53 @@ class ChainState:
                 values.append(value)
         return nid
 
-    def reroute(self, node: int, feature: int, threshold: float, X: np.ndarray, y: np.ndarray,
-                class_count: int, min_rows: int):
+    def reroute(self, node: int, feature: int, threshold: float, tables: RowTables, min_rows: int):
         """Route the rows reaching `node` down its subtree with the node's
         rule set to (feature, threshold).
 
-        Returns the new rows of every node below `node`, the subtree's leaf
-        ids in pre-order and their class counts, or None as soon as a node
-        holds fewer than min_rows rows (some leaf below it would too).
+        Returns the (node, row set) pairs of the nodes below `node` whose
+        row set changes, the subtree's leaf ids in pre-order, and the
+        (leaf, `RowTables.leaf` entry) pairs of its changed leaves; or None
+        if a node holds fewer than min_rows rows (some leaf below it would
+        too).  A subtree whose row set is unchanged is kept whole, after
+        its leaves' sizes are checked.
         """
-        features, thresholds, left, right = self.feature, self.threshold, self.left, self.right
-        moved, leaves, counts = [], [], []
-        f, t = feature, threshold
-        stack = [(node, self.rows[node])]
+        features, thresholds, left, right, bits = self.feature, self.threshold, self.left, self.right, self.bits
+        sizes, leaf_pos = self.leaf_sizes, self.leaf_pos
+        moved, leaves, fresh = [], [], []
+        stack = [(node, bits[node], True)]
         while stack:
-            nid, idx = stack.pop()
-            if len(idx) < min_rows:
+            nid, rows, changed = stack.pop()
+            f = features[nid]
+            if not changed:
+                if f < 0:
+                    if sizes[leaf_pos[nid]] < min_rows:
+                        return None
+                    leaves.append(nid)
+                else:
+                    stack += ((right[nid], 0, False), (left[nid], 0, False))
+                continue
+            if rows.bit_count() < min_rows:
                 return None
-            if nid != node:
-                f = features[nid]
+            if nid == node:
+                f, t = feature, threshold
+            else:
+                moved.append((nid, rows))
                 if f < 0:
                     leaves.append(nid)
-                    counts.append(np.bincount(y[idx], minlength=class_count))
+                    fresh.append((nid, tables.leaf(rows)))
                     continue
                 t = thresholds[nid]
-            goes_left = X[:, f][idx] <= t
-            below = ((left[nid], idx[goes_left]), (right[nid], idx[~goes_left]))
-            moved += below
-            stack += (below[1], below[0])
-        return moved, leaves, counts
+            goes_left = rows & tables.below(f, t)
+            goes_right = rows ^ goes_left
+            stack += (
+                (right[nid], goes_right, goes_right != bits[right[nid]]),
+                (left[nid], goes_left, goes_left != bits[left[nid]]),
+            )
+        return moved, leaves, fresh
 
     def apply(self, proposal: "Proposal") -> None:
-        """Make the proposed tree current, editing the arrays in place."""
+        """Make the proposed tree current, editing the lists in place."""
         node, kind = proposal.node, proposal.kind
         if kind == MOVE_BIRTH:
             children = [self._new_node(node, rows) for rows in proposal.rows]
@@ -438,7 +634,7 @@ class ChainState:
             self.order[at:at] = children
         elif kind == MOVE_DEATH:
             for child in (self.left[node], self.right[node]):
-                self.rows[child] = None
+                self.bits[child] = 0
                 self._free.append(child)
             self.feature[node] = self.left[node] = self.right[node] = -1
             at = self.order.index(node) + 1
@@ -446,22 +642,22 @@ class ChainState:
         else:
             self.feature[node], self.threshold[node] = proposal.feature, proposal.threshold
             for nid, rows in proposal.rows:
-                self.rows[nid] = rows
-        self.leaf_counts = proposal.leaf_counts
+                self.bits[nid] = rows
+        self.leaf_sizes, self.leaf_class = proposal.leaf_sizes, proposal.leaf_class
+        self.leaf_terms, self.leaf_totals = proposal.leaf_terms, proposal.leaf_totals
         if kind in (MOVE_BIRTH, MOVE_DEATH):
             self._index_structure()
-        self._index_sizes()
         self._tree = None
         self._version += 1
 
     def _freeze(self) -> DecisionTree:
         position = {nid: i for i, nid in enumerate(self.order)}
-        counts = iter(self.leaf_counts.astype(np.int64).tolist())
+        counts = iter(self.leaf_class)
         nodes = []
         for nid in self.order:
             f = self.feature[nid]
             if f < 0:
-                nodes.append(Leaf(counts=tuple(next(counts))))
+                nodes.append(Leaf(counts=next(counts)))
             else:
                 nodes.append(
                     Split(feature=f, threshold=self.threshold[nid],
@@ -474,21 +670,35 @@ class Proposal:
     """One drawn move.
 
     A valid proposal holds the edit: the node it acts on, the new rule, the
-    new rows (birth: the two children's; change: every node below the
-    changed one), the proposed leaf-count matrix and the depth the split
-    prior term needs.  `tree` and `rows_by_node` of the proposed state are
-    built only when read, from the unchanged state the move was drawn on.
+    new row sets (birth: the two children's; change: those of the nodes
+    below the changed one whose rows move), the proposed per-leaf lists
+    (sizes, class counts, gammaln terms) and the depth the split prior term
+    needs.  `leaf_counts`, `tree` and `rows_by_node` of the proposed state
+    are built only when read, the latter two from the unchanged state the
+    move was drawn on.
     """
 
     def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, state: ChainState | None = None,
-                 node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(),
-                 leaf_counts: np.ndarray | None = None, depth: int = 0):
+                 node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(), leaves=None, depth: int = 0):
         self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
         self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
-        self.leaf_counts, self.depth = leaf_counts, depth
+        self.leaf_sizes, self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 4
+        self.depth = depth
         self._state = state
         self._drawn_at = state._version if state is not None else None
         self._after = None
+
+    @property
+    def leaf_counts(self) -> np.ndarray | None:
+        """The proposed leaves' class counts as a float64 matrix."""
+        return np.asarray(self.leaf_class, dtype=np.float64) if self.valid else None
+
+    def log_lik(self, log_norm: np.float64) -> float:
+        """`log_marginal_of_counts` of `leaf_counts`, bit for bit, from the
+        leaves' table terms: the same values, reduced in the same shape."""
+        leaves = len(self.leaf_totals)
+        terms = np.add.reduce(np.array(self.leaf_terms).reshape(leaves, -1), axis=None)
+        return float(leaves * log_norm + (terms - np.add.reduce(np.array(self.leaf_totals))))
 
     @property
     def tree(self) -> DecisionTree | None:
@@ -536,6 +746,19 @@ def _others_fit(sizes: list, lo: int, hi: int, min_rows: int) -> bool:
     return min(sizes[:lo] + sizes[hi:], default=min_rows) >= min_rows
 
 
+def _spliced(state: ChainState, lo: int, hi: int, entries: list) -> tuple:
+    """The state's per-leaf lists with the leaves at pre-order positions
+    [lo, hi) replaced by `entries` (see `RowTables.leaf`)."""
+    width = state.tables.class_count
+    sizes, classes, terms, totals = zip(*entries)
+    return (
+        state.leaf_sizes[:lo] + list(sizes) + state.leaf_sizes[hi:],
+        state.leaf_class[:lo] + list(classes) + state.leaf_class[hi:],
+        state.leaf_terms[: lo * width] + [t for lg in terms for t in lg] + state.leaf_terms[hi * width :],
+        state.leaf_totals[:lo] + list(totals) + state.leaf_totals[hi:],
+    )
+
+
 def propose_move(
     state: ChainState,
     X: np.ndarray,
@@ -553,29 +776,29 @@ def propose_move(
     rows, a birth would exceed the leaf cap, or a structural move has no
     candidate node.  The state is left unchanged.
     """
+    tables = state.bind(X, y, class_count, cfg.dirichlet_alpha)
     kind = _draw_kind(rng, cfg.move_probs)
-    min_rows, sizes, counts = cfg.min_leaf_rows, state.leaf_sizes, state.leaf_counts
+    min_rows, sizes = cfg.min_leaf_rows, state.leaf_sizes
 
     if kind == MOVE_BIRTH:
         if state.leaf_count + 1 > _effective_max_leaves(cfg, len(y)):
             return Proposal(kind, False)
         leaf = _pick(rng, state.leaf_ids)
-        rows = state.rows[leaf]
+        rows = state.bits[leaf]
         feature = int(rng.integers(X.shape[1]))
-        values = X[:, feature][rows]
-        threshold = float(_pick(rng, valid_rules(values)))
-        goes_left = values <= threshold
-        children = (rows[goes_left], rows[~goes_left])
+        threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
+        goes_left = rows & tables.below(feature, threshold)
+        children = (goes_left, rows ^ goes_left)
         at = state.leaf_pos[leaf]
-        if min(len(children[0]), len(children[1])) < min_rows or not _others_fit(sizes, at, at + 1, min_rows):
+        if min(children[0].bit_count(), children[1].bit_count()) < min_rows \
+                or not _others_fit(sizes, at, at + 1, min_rows):
             return Proposal(kind, False)
-        grown = np.array([np.bincount(y[c], minlength=class_count) for c in children], dtype=np.float64)
         # the new split is prunable, and its parent no longer is
         q = len(state.prunable) + 1 - (state.parent[leaf] in state.prunable)
         return Proposal(
             kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), state=state,
             node=leaf, feature=feature, threshold=threshold, rows=children,
-            leaf_counts=np.concatenate((counts[:at], grown, counts[at + 1 :])), depth=state.depth[leaf],
+            leaves=_spliced(state, at, at + 1, [tables.leaf(c) for c in children]), depth=state.depth[leaf],
         )
 
     if kind == MOVE_DEATH:
@@ -586,25 +809,24 @@ def propose_move(
         at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
         if sizes[at] + sizes[at + 1] < min_rows or not _others_fit(sizes, at, at + 2, min_rows):
             return Proposal(kind, False)
-        merged = counts[at : at + 1] + counts[at + 1 : at + 2]
+        counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
+        merged = (state.bits[node].bit_count(), counts, tables.terms(counts), tables.lg_total[sum(counts)])
         return Proposal(
             kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), state=state,
-            node=node, leaf_counts=np.concatenate((counts[:at], merged, counts[at + 2 :])), depth=state.depth[node],
+            node=node, leaves=_spliced(state, at, at + 2, [merged]), depth=state.depth[node],
         )
 
     if not state.split_ids:
         return Proposal(kind, False)
     node = _pick(rng, state.split_ids)
-    rows = state.rows[node]
+    rows = state.bits[node]
     if kind == MOVE_CHANGE_SPLIT:
         feature = int(rng.integers(X.shape[1]))
-        rules = valid_rules(X[:, feature][rows])
-        threshold = float(_pick(rng, rules))
+        threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
     else:
         feature = state.feature[node]
-        rules = valid_rules(X[:, feature][rows])
         if cfg.change_rule_window is None:
-            threshold = float(_pick(rng, rules))
+            threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
         else:
             # Local symmetric step on the node's observed-value grid.  The
             # rows reaching the node (hence the grid) are unchanged by the
@@ -613,28 +835,29 @@ def propose_move(
             # pushed off the grid (reverse impossible), is invalid.
             w = cfg.change_rule_window
             current = state.threshold[node]
-            here = int(np.searchsorted(rules, current))
             offset = int(rng.integers(2 * w))
             offset = offset - w if offset < w else offset - w + 1
-            if here == len(rules) or rules[here] != current:
+            threshold = tables.step(feature, rows, current, offset)
+            if threshold is None:
                 return Proposal(kind, False)
-            j = here + offset
-            if not 0 <= j < len(rules):
-                return Proposal(kind, False)
-            threshold = float(rules[j])
-    routed = state.reroute(node, feature, threshold, X, y, class_count, min_rows)
+    routed = state.reroute(node, feature, threshold, tables, min_rows)
     if routed is None:
         return Proposal(kind, False)
-    moved, leaves, leaf_counts = routed
+    moved, leaves, fresh = routed
     lo = state.leaf_pos[leaves[0]]
-    hi = lo + len(leaves)
-    if not _others_fit(sizes, lo, hi, min_rows):
+    if not _others_fit(sizes, lo, lo + len(leaves), min_rows):
         return Proposal(kind, False)
-    new_counts = counts.copy()
-    new_counts[lo:hi] = leaf_counts
+    lists = (state.leaf_sizes, state.leaf_class, state.leaf_terms, state.leaf_totals)
+    if fresh:
+        lists = tuple(list(old) for old in lists)
+        new_sizes, new_class, new_terms, new_totals = lists
+        for leaf, (size, counts, terms, total) in fresh:
+            at = state.leaf_pos[leaf]
+            new_sizes[at], new_class[at], new_totals[at] = size, counts, total
+            new_terms[at * class_count : (at + 1) * class_count] = terms
     return Proposal(
         kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), state=state,
-        node=node, feature=feature, threshold=threshold, rows=moved, leaf_counts=new_counts,
+        node=node, feature=feature, threshold=threshold, rows=moved, leaves=lists,
     )
 
 
@@ -710,7 +933,7 @@ def mh_step(
     state.counters.proposed[proposal.kind] += 1
     if not proposal.valid:
         return proposal.kind, False
-    new_log_lik = log_marginal_of_counts(proposal.leaf_counts, state._dirichlet(cfg.dirichlet_alpha, class_count))
+    new_log_lik = proposal.log_lik(state.tables.log_norm)
     total = (
         (new_log_lik - state.log_lik)
         + proposal.log_proposal_ratio

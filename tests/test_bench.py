@@ -258,6 +258,40 @@ class TestCli:
         assert err.rstrip().endswith("has 2")
         assert not (tmp_path / "out").exists()  # refused before any work or output
 
+    def test_test_csv_labels_read_as_training_classes(self, tmp_path, capsys):
+        """A test file that lists the classes in another order is scored
+        against the same classes; a label the training file lacks is refused."""
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "60", "--test-size", "40", "--seed", "2"])
+
+        def relabelled(name):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            return header, [row[:-1] + ("no", "yes")[int(row[-1])] for row in rows]
+
+        def write(name, header, rows):
+            (tmp_path / name).write_text("\n".join([header, *rows]) + "\n")
+            return str(tmp_path / name)
+
+        header, rows = relabelled("synthetic_train.csv")
+        train = write("train.csv", header, rows)
+        first = rows[0].rsplit(",", 1)[1]  # the training file's first class
+        header, rows = relabelled("synthetic_test.csv")
+        accuracy = {}
+        for name, last in (("same_order", False), ("other_order", True)):
+            test = write(f"{name}.csv", header, sorted(rows, key=lambda row: row.endswith(first) == last))
+            out = tmp_path / name
+            rc = cli.main(["forest", "--train", train, "--test", test, "--tree-count", "3", "--seed", "1",
+                           "--out", str(out)])
+            assert rc == 0
+            accuracy[name] = json.loads((out / "summary.json").read_text())["ensemble_acc_final"]
+        assert accuracy["same_order"] == accuracy["other_order"] > 0.5
+
+        bad = write("bad.csv", header, [rows[0], rows[1].rsplit(",", 1)[0] + ",maybe"])
+        capsys.readouterr()
+        rc = cli.main(["bayes", "--train", train, "--test", bad, "--restarts", "1", "--burn-in", "5",
+                       "--post-burn-in", "5", "--out", str(tmp_path / "bad")])
+        assert rc == 3
+        assert "label 'maybe' at row 2 is not a class of the training data" in capsys.readouterr().err
+
     def test_bad_move_probs_is_config_error(self, tmp_path):
         cli.main(["synth", "--out", str(tmp_path), "--train-size", "30", "--test-size", "20"])
         rc = cli.main(

@@ -96,6 +96,41 @@ class TestLoadCsv:
         assert (ds.row_count, ds.feature_count, ds.class_count) == (768, 8, 2)
 
 
+class TestLabelsAgainstTraining:
+    """A test file's labels are read as the training file's classes."""
+
+    def test_string_classes_in_another_order(self, tmp_path):
+        train = load_csv(_write(tmp_path, "1,yes\n2,no\n3,yes\n", name="train.csv"))
+        test = load_csv(_write(tmp_path, "4,no\n5,yes\n", name="test.csv"), classes_from=train)
+        assert train.label_names == ("yes", "no")
+        assert test.label_names == ("yes", "no")
+        assert test.labels.tolist() == [1, 0]
+
+    def test_string_test_file_with_one_class(self, tmp_path):
+        train = load_csv(_write(tmp_path, "1,yes\n2,no\n", name="train.csv"))
+        test = load_csv(_write(tmp_path, "4,no\n5,no\n", name="test.csv"), classes_from=train)
+        assert (test.labels.tolist(), test.class_count) == ([1, 1], 2)
+
+    def test_integer_test_file_lacking_a_lower_class(self, tmp_path):
+        train = load_csv(_write(tmp_path, "1,0\n2,1\n3,2\n", name="train.csv"))
+        test = load_csv(_write(tmp_path, "4,2\n5,1\n6,2\n", name="test.csv"), classes_from=train)
+        assert (test.labels.tolist(), test.class_count, test.label_names) == ([2, 1, 2], 3, None)
+
+    @pytest.mark.parametrize(
+        "train_text, test_text, label",
+        [
+            ("1,yes\n2,no\n", "4,no\n5,maybe\n", "'maybe' at row 2"),
+            ("1,0\n2,1\n", "4,1\n5,2\n", "'2' at row 2"),
+            ("1,0\n2,1\n", "4,1\n5,no\n", "'no' at row 2"),
+            ("1,yes\n2,no\n", "4,0\n5,1\n", "'0' at row 1"),
+        ],
+    )
+    def test_unknown_label_is_named(self, tmp_path, train_text, test_text, label):
+        train = load_csv(_write(tmp_path, train_text, name="train.csv"))
+        with pytest.raises(DataError, match=f"label {label} is not a class of the training data"):
+            load_csv(_write(tmp_path, test_text, name="test.csv"), classes_from=train)
+
+
 class TestDatasetInvariants:
     def test_label_out_of_range(self):
         with pytest.raises(DataError):

@@ -2,11 +2,13 @@ import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from treeuq import mcmc
 from treeuq.data import DataError, Dataset
@@ -471,6 +473,122 @@ class TestIncrementalKernel:
             ChainState(tree=shuffled, log_lik=0.0, rows_by_node={})
 
 
+# The index-array kernel that the bitset one replaced, kept as oracles.
+
+
+def oracle_reroute(self, node, feature, threshold, X, y, class_count, min_rows):
+    """`ChainState.reroute` of the index-array kernel, body unchanged; `self`
+    holds per-node lists feature, threshold, left, right and rows (indices)."""
+    features, thresholds, left, right = self.feature, self.threshold, self.left, self.right
+    moved, leaves, counts = [], [], []
+    f, t = feature, threshold
+    stack = [(node, self.rows[node])]
+    while stack:
+        nid, idx = stack.pop()
+        if len(idx) < min_rows:
+            return None
+        if nid != node:
+            f = features[nid]
+            if f < 0:
+                leaves.append(nid)
+                counts.append(np.bincount(y[idx], minlength=class_count))
+                continue
+            t = thresholds[nid]
+        goes_left = X[:, f][idx] <= t
+        below = ((left[nid], idx[goes_left]), (right[nid], idx[~goes_left]))
+        moved += below
+        stack += (below[1], below[0])
+    return moved, leaves, counts
+
+
+def oracle_window_step(X, feature, rows, current, offset):
+    """The valid_rules + searchsorted change-rule step of the index-array
+    kernel: the new threshold, or None where that kernel's proposal was
+    invalid."""
+    rules = valid_rules(X[:, feature][rows])
+    here = int(np.searchsorted(rules, current))
+    if here == len(rules) or rules[here] != current:
+        return None
+    j = here + offset
+    if not 0 <= j < len(rules):
+        return None
+    return float(rules[j])
+
+
+def index_view(state):
+    """The state's nodes as the index-array kernel held them."""
+    return SimpleNamespace(feature=state.feature, threshold=state.threshold, left=state.left,
+                           right=state.right, rows=[mcmc.rows_of(b) for b in state.bits])
+
+
+tied_values = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tied_chains(draw):
+    n = draw(st.integers(6, 30))
+    m = draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 3))
+    X = np.array(draw(st.lists(st.lists(tied_values, min_size=m, max_size=m), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        X = X + 0.0  # no negative zeros
+    y = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    y[:classes] = np.arange(classes)  # every class present
+    cfg = McmcConfig(min_leaf_rows=draw(st.integers(1, 2)), change_rule_window=draw(st.integers(1, 3)),
+                     dirichlet_alpha=draw(st.sampled_from([1.0, 0.5, (0.5, 1.0, 2.0)[:classes]])),
+                     seed=draw(st.integers(0, 2**16)))
+    return Dataset(X, y, classes, tuple(f"f{i}" for i in range(m))), cfg
+
+
+@given(tied_chains())
+@settings(max_examples=80, deadline=None)
+def test_bitset_kernel_matches_index_oracle_property(chain):
+    """On data with many ties (and zeros of both signs), for every split of
+    states reached by real steps: the bitset reroute agrees with the
+    index-array one at every feature and threshold, and the window step with
+    the searchsorted one at every current value and offset of windows 1-3."""
+    ds, cfg = chain
+    X, y, classes = ds.features, ds.labels, ds.class_count
+    terms = mcmc.DirichletTerms.of(resolve_alpha(cfg.dirichlet_alpha, classes))
+    tree, parts = fit_partition(single_leaf_tree(), X, y, classes)
+    state = ChainState(tree=tree, log_lik=log_marginal_likelihood(tree, terms.alpha), rows_by_node=parts)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(4):
+        for _ in range(15):
+            mh_step(state, X, y, classes, cfg, rng)
+        tables, old = state.tables, index_view(state)
+        for node in state.split_ids:
+            for feature in range(X.shape[1]):
+                for threshold in tables.values[feature] + [-9.0, 0.25]:
+                    for min_rows in (1, 2, 3):
+                        want = oracle_reroute(old, node, feature, threshold, X, y, classes, min_rows)
+                        got = state.reroute(node, feature, threshold, tables, min_rows)
+                        assert (got is None) == (want is None)
+                        if got is None:
+                            continue
+                        moved, leaves, fresh = got
+                        assert leaves == want[1]
+                        rows = dict(moved)
+                        for nid, idx in want[0]:
+                            assert np.array_equal(mcmc.rows_of(rows.get(nid, state.bits[nid])), idx)
+                        fresh = dict(fresh)
+                        assert set(fresh) <= set(leaves)
+                        for nid, counts in zip(leaves, want[2]):
+                            if nid not in fresh:
+                                assert state.leaf_class[state.leaf_pos[nid]] == tuple(counts.tolist())
+                                continue
+                            size, got_counts, lg, total = fresh[nid]
+                            assert (size, got_counts) == (counts.sum(), tuple(counts.tolist()))
+                            assert lg == gammaln(counts.astype(np.float64) + terms.alpha).tolist()
+                            assert total == gammaln(counts.sum() + terms.alpha_sum)
+            rows = state.bits[node]
+            for current in {state.threshold[node], *tables.values[state.feature[node]]}:
+                for offset in (-3, -2, -1, 1, 2, 3):
+                    want = oracle_window_step(X, state.feature[node], old.rows[node], current, offset)
+                    got = tables.step(state.feature[node], rows, current, offset)
+                    assert repr(got) == repr(want)
+
+
 class TestRunChain:
     def test_sample_counts(self):
         ds = small_dataset(n=50, seed=2)
@@ -530,6 +648,14 @@ def three_class_dataset(n=90, seed=11):
     return Dataset(X, y, 3, ("a", "b", "c"))
 
 
+def ties_dataset(n=80, seed=24):
+    """Three features on a 0.5 grid: few distinct values, many tied rows."""
+    rng = np.random.default_rng(seed)
+    X = np.round(2.0 * rng.normal(size=(n, 3))) / 2.0
+    y = (X[:, 0] - 0.5 * X[:, 1] + 0.5 * rng.normal(size=n) > 0).astype(np.int64)
+    return Dataset(X, y, 2, ("a", "b", "c"))
+
+
 # Sampler configurations whose chains are pinned byte for byte.  Between them
 # they reach all four move kinds, both valid and invalid.
 GOLDEN_CONFIGS = {
@@ -543,6 +669,7 @@ GOLDEN_CONFIGS = {
     "max_leaves": (lambda: small_dataset(n=80, seed=23), dict(min_leaf_rows=2, max_leaves=3, seed=4)),
     "root_only": (lambda: small_dataset(n=8, seed=1), dict(min_leaf_rows=5, seed=5)),
     "three_class": (three_class_dataset, dict(min_leaf_rows=3, dirichlet_alpha=(0.5, 1.0, 2.0), seed=6)),
+    "ties_window1": (ties_dataset, dict(min_leaf_rows=1, change_rule_window=1, seed=8)),
 }
 
 # SHA-256 of each chain's samples and trace, recorded from the
@@ -554,6 +681,8 @@ GOLDEN_DIGESTS = {
     "max_leaves": "78acf23cb4653ed3891a94e934930497a06bd71711fe7a1745193fce52645bfe",
     "root_only": "11a2cb34ebbd08a6217840366f0613cd625eecb23724eec1926ca95fa83bb764",
     "three_class": "f6c0b93b9e9070cc843f66f623845d51aa7e1e6e129e6f4e4f2633cbd693aa5e",
+    # recorded from the index-array kernel that the bitset one replaced
+    "ties_window1": "6bba222769a8e877b91188477d713a42df139fe2f4ec31310406a506e2f53392",
 }
 
 
