@@ -11,6 +11,9 @@ this script:
   - `treeuq bayes --min-leaf-rows 1 --change-rule-window 1` on them too,
     2 restarts x (1000 + 1000): trees of up to about 16 splits with
     single-row leaves, and change-rule steps of one grid value;
+  - `treeuq bayes --alpha 0.37 --split-prior depth:0.95:1.5` on them too,
+    2 restarts x (1000 + 1000): log-gamma of non-integer arguments, and
+    the depth-penalty prior;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly.
@@ -58,6 +61,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--sample-rate", "1", *common, "--out", str(work / "bayes"))
     treeuq("bayes", *csvs, "--min-leaf-rows", "1", "--change-rule-window", "1", "--restarts", "2",
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", str(work / "bayes_deep"))
+    treeuq("bayes", *csvs, "--alpha", "0.37", "--split-prior", "depth:0.95:1.5", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", str(work / "bayes_alpha"))
     treeuq("forest", *csvs, *common, "--out", str(work / "forest"))
     treeuq("forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1",
            "--out", str(work / "forest_deep"))

@@ -203,13 +203,15 @@ def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
     elif header_mode == "false":
         has_header = False
     elif header_mode == "auto":
-        # A header row is assumed when any cell of the first row is
-        # non-numeric while the same cell parses on the second row.
-        has_header = any(not _is_float_token(tok) and not tok == "" for tok in rows[0][:-1]) or (
-            len(rows) > 1
-            and not _is_float_token(rows[0][-1])
-            and _is_float_token(rows[1][-1])
-        )
+        # A first row with a non-numeric feature cell is a header.  One whose
+        # features are all numbers but whose label is not, above a numeric
+        # label, may be a header of numeric names or a data row: ask.
+        has_header = any(not _is_float_token(tok) and not tok == "" for tok in rows[0][:-1])
+        if not has_header and len(rows) > 1 and not _is_float_token(rows[0][-1]) and _is_float_token(rows[1][-1]):
+            raise DataError(
+                f"{path}: cannot tell whether row 1 is a header (its feature cells are numbers, its label "
+                f"{rows[0][-1]!r} is not, and row 2's label is); set header=true or header=false in the schema"
+            )
     else:
         raise DataError(f"schema header must be auto/true/false, got {header_mode!r}")
 

@@ -16,14 +16,18 @@ subtree it edits, and a `DecisionTree` is built only when one is read.
 Each node's training rows are one Python-int bitset (bit r set iff row r
 reaches the node).  `RowTables`, built once per dataset and prior, hold per
 feature the sorted distinct values and the bitsets of the rows at and below
-each value, one bitset per class, and the gammaln terms for every count
+each value, one bitset per class, and the log-gamma terms for every count
 0..n.  A split is then `rows & below` and `rows ^ left`, counts are
 `int.bit_count`, a change keeps every subtree whose rows it does not move,
 and the windowed change-rule step walks the per-value bitsets without a
-numpy call.  The log-likelihood of a proposal adds the table terms with the
-same numpy reductions, over arrays of the same shape and order, as
-`log_marginal_of_counts`, so every bit and every accept decision is the
-same as evaluating the count matrix directly.
+numpy call.  The log-likelihood of a proposal adds the table terms with
+`pairwise_sum`, in the order numpy's reduction in `log_marginal_of_counts`
+adds them, so every bit and every accept decision is the same as evaluating
+the count matrix directly.
+
+Log-gamma is `lgam`, a port of the Cephes routine behind
+`scipy.special.gammaln` that gives the same bits, so the sampler needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from itertools import accumulate, groupby
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset, DataError
 from .tree import (
@@ -53,7 +56,6 @@ from .tree import (
     replace_leaf,
     resolve_alpha,
     single_leaf_tree,
-    summarize,
 )
 
 MOVE_BIRTH = "birth"
@@ -158,7 +160,7 @@ class MoveCounters:
             self.accepted[k] += other.accepted[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PosteriorSample:
     tree: DecisionTree
     run_index: int
@@ -187,27 +189,114 @@ class ChainResult:
 # Closed-form pieces
 # ---------------------------------------------------------------------------
 
+# Cephes lgam coefficients (Moshier 1989): the Stirling series (A) and the
+# rational approximation of log Gamma on [2, 3) (B over C, C monic).
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_LGAM_MAX = 2.556348e305  # above this log Gamma overflows
+
+
+def lgam(x: float) -> float:
+    """log Gamma(x) for x > 0: Cephes `lgam`, the routine behind
+    `scipy.special.gammaln`, operation for operation in float64, so the two
+    agree bit for bit (given the same libm `log`).  Below 13 the recurrence
+    shifts x into [2, 3) for the rational approximation; above, Stirling's
+    series, shortened from 1000 on and bare from 1e8 on."""
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"lgam needs x > 0, got {x!r}")
+    if x < 13.0:
+        # shift x into [2, 3) by the recurrence, collecting the factor in z
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        b, c = _LGAM_B[0], x + _LGAM_C[0]
+        for coef in _LGAM_B[1:]:
+            b = b * x + coef
+        for coef in _LGAM_C[1:]:
+            c = c * x + coef
+        return math.log(z) + x * b / c
+    if x > _LGAM_MAX:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    a = _LGAM_A[0]
+    for coef in _LGAM_A[1:]:
+        a = a * p + coef
+    return q + a / x
+
+
+def pairwise_sum(values: list) -> float:
+    """The float64 sum of `values` in the order `np.add.reduce` adds a
+    contiguous 1-d array, so the bits are the same: a plain loop from 0.0
+    below 8 items; up to 128, eight partial sums (item i goes to sum i % 8)
+    combined as a tree, then the items after the last multiple of 8; above
+    that, the sums of two halves split on a multiple of 8.  (The builtin
+    `sum` compensates its rounding from Python 3.12 on, so it is not used.)"""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        tail = n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+        for i in range(8, tail, 8):
+            a0, a1, a2, a3, a4, a5, a6, a7 = values[i : i + 8]
+            r0, r1, r2, r3, r4, r5, r6, r7 = r0 + a0, r1 + a1, r2 + a2, r3 + a3, r4 + a4, r5 + a5, r6 + a6, r7 + a7
+        # 0.0 + : the reduction's identity, which makes a -0.0 total 0.0
+        total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+        for v in values[tail:]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
 
 @lru_cache(maxsize=None)
 def log_catalan(k: int) -> float:
     """log of binom(2k, k) / (k + 1), via log-gamma (safe for large k)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return float(gammaln(2 * k + 1) - 2.0 * gammaln(k + 1) - math.log(k + 1))
+    return lgam(2 * k + 1) - 2.0 * lgam(k + 1) - math.log(k + 1)
+
+
+_lgam_array = np.vectorize(lgam, otypes=[np.float64])
 
 
 class DirichletTerms(NamedTuple):
     """The prior-only parts of the marginal likelihood, computed once per alpha."""
 
     alpha: np.ndarray
-    alpha_sum: np.float64
-    log_norm: np.float64  # log Gamma(sum alpha) - sum log Gamma(alpha)
+    alpha_sum: float
+    log_norm: float  # log Gamma(sum alpha) - sum log Gamma(alpha)
 
     @classmethod
     def of(cls, alpha) -> "DirichletTerms":
         alpha = np.asarray(alpha, dtype=np.float64)
-        alpha_sum = alpha.sum()
-        return cls(alpha, alpha_sum, gammaln(alpha_sum) - gammaln(alpha).sum())
+        alpha_sum = float(alpha.sum())
+        return cls(alpha, alpha_sum, lgam(alpha_sum) - pairwise_sum([lgam(a) for a in alpha.tolist()]))
 
 
 def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
@@ -219,7 +308,7 @@ def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
     reported log-likelihoods rely on.
     """
     normalizer = counts.shape[0] * terms.log_norm
-    leaf_terms = gammaln(counts + terms.alpha).sum() - gammaln(counts.sum(axis=1) + terms.alpha_sum).sum()
+    leaf_terms = _lgam_array(counts + terms.alpha).sum() - _lgam_array(counts.sum(axis=1) + terms.alpha_sum).sum()
     return float(normalizer + leaf_terms)
 
 
@@ -326,10 +415,10 @@ class RowTables:
     sorted distinct values; `rank[f]`, a value -> position dict; `eq[f][j]`,
     the rows whose value is values[f][j]; `le[f][j]`, the rows whose value
     is at most that.  `class_bits[c]` holds the rows of class c.
-    `lg_class[c][k]` = gammaln(k + alpha_c) and `lg_total[k]` =
-    gammaln(k + sum(alpha)) for k = 0..n come from the same scipy call on
-    the same float64 inputs as `log_marginal_of_counts`, so sums over them
-    reproduce its bits.
+    `lg_class[c][k]` = lgam(k + alpha_c) and `lg_total[k]` =
+    lgam(k + sum(alpha)) for k = 0..n are `lgam` of the same float64
+    inputs as `log_marginal_of_counts` evaluates, so sums over them in
+    numpy's order (`pairwise_sum`) reproduce its bits.
 
     `mixed_zero[f]` flags a column holding both -0.0 and 0.0.  np.unique
     keeps one sign for the two, while the sign `valid_rules` keeps for a
@@ -357,9 +446,8 @@ class RowTables:
             self.mixed_zero.append(bool(np.signbit(zeros).any() and not np.signbit(zeros).all()))
         self.class_bits = [bits_of(np.flatnonzero(y == c)) for c in range(class_count)]
         terms = DirichletTerms.of(resolve_alpha(alpha, class_count))
-        k = np.arange(n + 1, dtype=np.float64)
-        self.lg_class = gammaln(k[:, None] + terms.alpha).T.tolist()
-        self.lg_total = gammaln(k + terms.alpha_sum).tolist()
+        self.lg_class = [[lgam(k + a) for k in range(n + 1)] for a in terms.alpha.tolist()]
+        self.lg_total = [lgam(k + terms.alpha_sum) for k in range(n + 1)]
         self.log_norm = terms.log_norm
 
     def holds(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> bool:
@@ -412,11 +500,11 @@ class RowTables:
         return self.values[feature][at]
 
     def terms(self, counts: tuple) -> list:
-        """The per-class gammaln terms of a leaf's class counts."""
+        """The per-class log-gamma terms of a leaf's class counts."""
         return [lg[k] for lg, k in zip(self.lg_class, counts)]
 
     def leaf(self, bits: int) -> tuple:
-        """(size, class counts, per-class gammaln terms, total term) of a leaf."""
+        """(size, class counts, per-class log-gamma terms, total term) of a leaf."""
         size = bits.bit_count()
         counts = tuple([(bits & c).bit_count() for c in self.class_bits])
         return size, counts, self.terms(counts), self.lg_total[size]
@@ -451,7 +539,7 @@ class ChainState:
     that `tree` freezes.  Per leaf, in pre-order, `leaf_sizes` holds the
     row count and `leaf_class` the class counts; once `bind` has tied the
     state to a `RowTables`, `leaf_terms` (flat, class_count per leaf) and
-    `leaf_totals` hold the leaves' gammaln terms of the marginal
+    `leaf_totals` hold the leaves' log-gamma terms of the marginal
     likelihood.  `leaf_counts` is the float64 count matrix, built when
     read.  These lists are replaced, never edited, so a state copy and a
     proposal may share them.
@@ -672,7 +760,7 @@ class Proposal:
     A valid proposal holds the edit: the node it acts on, the new rule, the
     new row sets (birth: the two children's; change: those of the nodes
     below the changed one whose rows move), the proposed per-leaf lists
-    (sizes, class counts, gammaln terms) and the depth the split prior term
+    (sizes, class counts, log-gamma terms) and the depth the split prior term
     needs.  `leaf_counts`, `tree` and `rows_by_node` of the proposed state
     are built only when read, the latter two from the unchanged state the
     move was drawn on.
@@ -693,12 +781,11 @@ class Proposal:
         """The proposed leaves' class counts as a float64 matrix."""
         return np.asarray(self.leaf_class, dtype=np.float64) if self.valid else None
 
-    def log_lik(self, log_norm: np.float64) -> float:
+    def log_lik(self, log_norm: float) -> float:
         """`log_marginal_of_counts` of `leaf_counts`, bit for bit, from the
-        leaves' table terms: the same values, reduced in the same shape."""
+        leaves' table terms: the same values, summed in numpy's order."""
         leaves = len(self.leaf_totals)
-        terms = np.add.reduce(np.array(self.leaf_terms).reshape(leaves, -1), axis=None)
-        return float(leaves * log_norm + (terms - np.add.reduce(np.array(self.leaf_totals))))
+        return leaves * log_norm + (pairwise_sum(self.leaf_terms) - pairwise_sum(self.leaf_totals))
 
     @property
     def tree(self) -> DecisionTree | None:
@@ -1092,17 +1179,19 @@ class PathRow(NamedTuple):
 def posterior_path_summary(samples) -> tuple[list[PathRow], dict[int, int]]:
     """Group samples by their pre-order feature path.
 
-    Returns rows sorted by posterior weight (descending, ties by path) and
-    the histogram of split counts across samples.
+    The samples' trees must be numbered in pre-order (as the chain freezes
+    them): the path is read off the node arena in order.  Returns rows
+    sorted by posterior weight (descending, ties by path) and the histogram
+    of split counts across samples.
     """
     if not samples:
         raise ValueError("no posterior samples to summarize")
     groups: dict[tuple, int] = {}
     histogram: dict[int, int] = {}
     for tree, repeats in _runs(samples):
-        summary = summarize(tree)
-        groups[summary.feature_path] = groups.get(summary.feature_path, 0) + repeats
-        histogram[summary.split_count] = histogram.get(summary.split_count, 0) + repeats
+        path = tuple(nd.feature for nd in tree.nodes if isinstance(nd, Split))
+        groups[path] = groups.get(path, 0) + repeats
+        histogram[len(path)] = histogram.get(len(path), 0) + repeats
     total = len(samples)
     rows = [
         PathRow(feature_path=path, split_count=len(path), weight=count / total, count=count)

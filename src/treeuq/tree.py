@@ -25,7 +25,7 @@ import numpy as np
 PREDICT_BLOCK = 16  # trees routed together; memory is O(PREDICT_BLOCK x rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     feature: int
     threshold: float
@@ -33,7 +33,7 @@ class Split:
     right: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     counts: tuple[int, ...] | None = None  # per-class rows; None until fitted
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeuq import cli
 from treeuq.data import (
     DataError,
     Dataset,
@@ -31,6 +32,23 @@ class TestLoadCsv:
         ds = load_csv(_write(tmp_path, "x1,x2,label\n1.0,2.0,0\n3.5,4.0,1\n"))
         assert ds.feature_names == ("x1", "x2")
         assert ds.row_count == 2
+
+    def test_ambiguous_first_row_asks_for_header_key(self, tmp_path):
+        # numeric features and a non-numeric label above a numeric one: a
+        # header of numeric names, or a data row with a class named "no"
+        with pytest.raises(DataError, match="header=true or header=false"):
+            load_csv(_write(tmp_path, "4,no\n5,1\n6,0\n"))
+
+    @pytest.mark.parametrize("header, rows, names", [("true", 2, ("4",)), ("false", 3, ("col0",))])
+    def test_schema_header_settles_ambiguous_first_row(self, tmp_path, header, rows, names):
+        schema = _write(tmp_path, f"header={header}\n", name="schema.txt")
+        ds = load_csv(_write(tmp_path, "4,no\n5,1\n6,0\n"), schema=schema)
+        assert (ds.row_count, ds.feature_names) == (rows, names)
+
+    def test_ambiguous_first_row_exits_3(self, tmp_path, capsys):
+        train = _write(tmp_path, "4,no\n5,1\n6,0\n")
+        assert cli.main(["bayes", "--train", str(train), "--out", str(tmp_path / "out")]) == 3
+        assert "header=true or header=false" in capsys.readouterr().err
 
     def test_non_contiguous_integer_labels_rejected(self, tmp_path):
         with pytest.raises(DataError, match="non-contiguous"):

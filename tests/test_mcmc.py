@@ -45,6 +45,7 @@ from treeuq.tree import (
     replace_leaf,
     serialize,
     single_leaf_tree,
+    summarize,
     with_split_params,
 )
 
@@ -811,6 +812,44 @@ class TestPathSummary:
         rows, _ = posterior_path_summary(result.samples)
         assert sum(r.weight for r in rows) == pytest.approx(1.0, abs=1e-12)
         assert all(rows[i].weight >= rows[i + 1].weight for i in range(len(rows) - 1))
+
+
+@st.composite
+def edited_tree_samples(draw):
+    """Samples holding trees reached from one leaf by `replace_leaf`,
+    `collapse_split` and `with_split_params` edits, each tree held by a run
+    of 1-3 consecutive samples as a chain's rejected steps hold it."""
+    tree, samples = single_leaf_tree(), []
+    for i in range(draw(st.integers(1, 12))):
+        edit = draw(st.sampled_from(("grow", "prune", "change")))
+        feature, threshold = draw(st.integers(0, 3)), draw(st.floats(-1.0, 1.0))
+        nodes = tree.nodes
+        prunable = [s for s in tree.split_ids
+                    if isinstance(nodes[nodes[s].left], Leaf) and isinstance(nodes[nodes[s].right], Leaf)]
+        if edit == "prune" and prunable:
+            tree = collapse_split(tree, draw(st.sampled_from(prunable)))
+        elif edit == "change" and tree.split_ids:
+            tree = with_split_params(tree, draw(st.sampled_from(tree.split_ids)), feature, threshold)
+        else:
+            tree = replace_leaf(tree, draw(st.sampled_from(tree.leaf_ids)), feature, threshold)
+        samples += [mcmc.PosteriorSample(tree=tree, run_index=0, iteration=i)] * draw(st.integers(1, 3))
+    return samples
+
+
+@given(edited_tree_samples())
+@settings(max_examples=60, deadline=None)
+def test_path_summary_matches_summarize_property(samples):
+    """The arena-order path of each sample equals `summarize`'s recursive one."""
+    groups, histogram = {}, {}
+    for sample in samples:
+        summary = summarize(sample.tree)
+        groups[summary.feature_path] = groups.get(summary.feature_path, 0) + 1
+        histogram[summary.split_count] = histogram.get(summary.split_count, 0) + 1
+    want = sorted(
+        (mcmc.PathRow(path, len(path), count / len(samples), count) for path, count in groups.items()),
+        key=lambda r: (-r.weight, r.feature_path),
+    )
+    assert posterior_path_summary(samples) == (want, dict(sorted(histogram.items())))
 
 
 @given(
