@@ -16,19 +16,28 @@ this script:
     the depth-penalty prior;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
-    deep trees, and a tree count that no worker count divides evenly.
+    deep trees, and a tree count that no worker count divides evenly;
+  - `treeuq bench synthetic --config FILE`, the file setting move_probs,
+    alpha, split_prior=depth:0.95:1.5, min_leaf_rows, tree_count, top_k
+    and sweep=true: the config-file path into every kind of setting;
+  - `treeuq bench synthetic --manifest bench/manifest.json --out
+    bench_replay`: a rerun from the first bench run's manifest.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
-file.  manifest.json is left out: it records wall-clock times, so it
-differs between any two runs.  Run the script in two checkouts, or at two
-worker counts, and `diff` the two files: an empty diff means every output
-is byte-identical.
+file.  Each manifest.json is digested with its `stage_seconds` removed:
+those are wall-clock times, which differ between any two runs, while the
+rest (the config round-trip included) must not.  Commands run inside the
+temporary directory with relative output paths, so the `out_dir` that a
+manifest records is the same in every run.  Run the script in two
+checkouts, or at two worker counts, and `diff` the two files: an empty diff
+means every output is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -47,29 +56,51 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def treeuq(*args: str) -> None:
+# the --config run's file: one key of each kind that a config file can set
+CONFIG = """move_probs=0.2,0.2,0.1,0.5
+alpha=0.5
+split_prior=depth:0.95:1.5
+min_leaf_rows=3
+tree_count=50
+top_k=10
+sweep=true
+"""
+
+
+def treeuq(work: Path, *args: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run([sys.executable, "-m", "treeuq", *args], env=env, check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-m", "treeuq", *args], cwd=work, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def file_bytes(path: Path) -> bytes:
+    """The file's bytes; a manifest's without its wall-clock stage_seconds."""
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["stage_seconds"]
+    return json.dumps(payload, indent=2, sort_keys=True).encode()
 
 
 def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     common = ["--seed", str(seed), "--workers", str(workers)]
-    treeuq("synth", "--seed", str(seed), "--out", str(work / "synth"))
-    csvs = ["--train", str(work / "synth" / "synthetic_train.csv"), "--test", str(work / "synth" / "synthetic_test.csv")]
-    treeuq("bench", "synthetic", "--sweep", *common, "--out", str(work / "bench"))
-    treeuq("bayes", *csvs, "--restarts", "4", "--burn-in", "2000", "--post-burn-in", "2000",
-           "--sample-rate", "1", *common, "--out", str(work / "bayes"))
-    treeuq("bayes", *csvs, "--min-leaf-rows", "1", "--change-rule-window", "1", "--restarts", "2",
-           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", str(work / "bayes_deep"))
-    treeuq("bayes", *csvs, "--alpha", "0.37", "--split-prior", "depth:0.95:1.5", "--restarts", "2",
-           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", str(work / "bayes_alpha"))
-    treeuq("forest", *csvs, *common, "--out", str(work / "forest"))
-    treeuq("forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1",
-           "--out", str(work / "forest_deep"))
+    treeuq(work, "synth", "--seed", str(seed), "--out", "synth")
+    csvs = ["--train", "synth/synthetic_train.csv", "--test", "synth/synthetic_test.csv"]
+    treeuq(work, "bench", "synthetic", "--sweep", *common, "--out", "bench")
+    treeuq(work, "bayes", *csvs, "--restarts", "4", "--burn-in", "2000", "--post-burn-in", "2000",
+           "--sample-rate", "1", *common, "--out", "bayes")
+    treeuq(work, "bayes", *csvs, "--min-leaf-rows", "1", "--change-rule-window", "1", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_deep")
+    treeuq(work, "bayes", *csvs, "--alpha", "0.37", "--split-prior", "depth:0.95:1.5", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_alpha")
+    treeuq(work, "forest", *csvs, *common, "--out", "forest")
+    treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
+    (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")
+    treeuq(work, "bench", "synthetic", "--config", "bench.cfg", *common, "--out", "bench_config")
+    treeuq(work, "bench", "synthetic", "--manifest", "bench/manifest.json", "--out", "bench_replay")
     lines = []
     for path in sorted(work.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if path.is_file():
+            digest = hashlib.sha256(file_bytes(path)).hexdigest()
             lines.append(f"{seed} {path.relative_to(work).as_posix()} {digest}")
     return lines
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,6 +99,37 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown dataset names: {unknown} (known: {sorted(UCI_TABLE)})")
 
+    def to_dict(self) -> dict:
+        """JSON-ready snapshot: the fields as plain values, the split prior
+        as its class name (uniform) or a depth_penalty dict."""
+        snap = dataclasses.asdict(self)
+        prior = self.mcmc.split_prior
+        snap["mcmc"]["split_prior"] = type(prior).__name__
+        if isinstance(prior, mcmc.DepthPenaltySplitPrior):
+            snap["mcmc"]["split_prior"] = {"kind": "depth_penalty", "base": prior.base, "decay": prior.decay}
+        snap["out_dir"] = str(self.out_dir)
+        snap["data_dir"] = None if self.data_dir is None else str(self.data_dir)
+        return snap
+
+    @classmethod
+    def from_dict(cls, snap: dict) -> "ExperimentConfig":
+        """The config that `to_dict` gave ``snap``, also after a JSON round-trip."""
+        sampler = dict(snap["mcmc"])
+        prior = sampler["split_prior"]
+        sampler["split_prior"] = (
+            mcmc.DepthPenaltySplitPrior(base=prior["base"], decay=prior["decay"])
+            if isinstance(prior, dict)
+            else mcmc.UniformSplitPrior()
+        )
+        return cls(
+            **dict(
+                snap,
+                mcmc=mcmc.McmcConfig(**sampler),
+                forest=forest.ForestConfig(**snap["forest"]),
+                datasets=tuple(snap["datasets"]),
+            )
+        )
+
 
 @dataclass
 class RunManifest:
@@ -107,28 +139,7 @@ class RunManifest:
     stage_seconds: dict
 
     def write(self, path: Path) -> None:
-        payload = {
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "tool_version": self.tool_version,
-            "stage_seconds": self.stage_seconds,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _config_snapshot(cfg: ExperimentConfig, protocol: str) -> dict:
-    snap = dataclasses.asdict(cfg)
-    snap["mcmc"]["split_prior"] = type(cfg.mcmc.split_prior).__name__
-    if isinstance(cfg.mcmc.split_prior, mcmc.DepthPenaltySplitPrior):
-        snap["mcmc"]["split_prior"] = {
-            "kind": "depth_penalty",
-            "base": cfg.mcmc.split_prior.base,
-            "decay": cfg.mcmc.split_prior.decay,
-        }
-    snap["out_dir"] = str(cfg.out_dir)
-    snap["data_dir"] = None if cfg.data_dir is None else str(cfg.data_dir)
-    snap["protocol"] = protocol
-    return snap
+        path.write_text(json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _fmt(x) -> str:
@@ -140,6 +151,21 @@ def _write_csv(path: Path, header: list, rows) -> None:
     for row in rows:
         lines.append(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_sweep_csv(path: Path, curves: list) -> None:
+    """One sweep curve's rates per threshold, or the mean and 2-sigma width
+    of several."""
+    if len(curves) == 1:
+        c = curves[0]
+        _write_csv(path, ["gamma0", "u_rate", "ci_rate"], zip(c.thresholds, c.u_rates, c.ci_rates))
+    else:
+        agg = envelope.aggregate_sweeps(curves)
+        _write_csv(
+            path,
+            ["gamma0", "u_mean", "u_2sigma", "ci_mean", "ci_2sigma"],
+            zip(agg.thresholds, agg.u_mean, agg.u_width2, agg.ci_mean, agg.ci_width2),
+        )
 
 
 def _report_dict(rep: envelope.EnvelopeReport) -> dict:
@@ -278,23 +304,19 @@ def _emit_technique_artifacts(
     summary = envelope.aggregate([oc.report for oc in outcomes])
     part = {"per_fold": per_fold, "summary": _summary_dict(summary)}
     if outcomes[0].sweep_curve is not None:
-        agg = envelope.aggregate_sweeps([oc.sweep_curve for oc in outcomes])
         sweep_path = out_dir / f"{tag}_sweep.csv"
-        _write_csv(
-            sweep_path,
-            ["gamma0", "u_mean", "u_2sigma", "ci_mean", "ci_2sigma"],
-            zip(agg.thresholds, agg.u_mean, agg.u_width2, agg.ci_mean, agg.ci_width2),
-        )
+        _write_sweep_csv(sweep_path, [oc.sweep_curve for oc in outcomes])
         artifacts[tag]["sweep"] = str(sweep_path.name)
     return part
 
 
 def _emit_bayes_diagnostics(
-    out_dir: Path, tag: str, outcome: FoldOutcome, artifacts: dict, feature_count: int
+    out_dir: Path, prefix: str, result: mcmc.ChainResult, artifacts: dict, feature_count: int
 ) -> None:
-    """Trace CSV, path-summary CSV, and a posterior-sample dump for one run."""
-    result: mcmc.ChainResult = outcome.extras["mcmc_result"]
-    trace_path = out_dir / f"{tag}_trace.csv"
+    """Trace CSV, path-summary CSV, size histogram and a posterior-sample
+    dump (thinned to about 200 trees) for one sampler run, each file name
+    starting with prefix."""
+    trace_path = out_dir / f"{prefix}trace.csv"
     _write_csv(
         trace_path,
         ["run", "iteration", "phase", "log_lik", "split_count", "move", "accepted"],
@@ -304,7 +326,7 @@ def _emit_bayes_diagnostics(
         ),
     )
     rows, histogram = mcmc.posterior_path_summary(result.samples)
-    path_path = out_dir / f"{tag}_paths.csv"
+    path_path = out_dir / f"{prefix}paths.csv"
     _write_csv(
         path_path,
         ["path", "split_count", "weight", "count"],
@@ -313,9 +335,9 @@ def _emit_bayes_diagnostics(
             for r in rows
         ),
     )
-    hist_path = out_dir / f"{tag}_size_histogram.csv"
+    hist_path = out_dir / f"{prefix}size_histogram.csv"
     _write_csv(hist_path, ["split_count", "count"], histogram.items())
-    samples_path = out_dir / f"{tag}_samples.txt"
+    samples_path = out_dir / f"{prefix}samples.txt"
     thin = max(1, len(result.samples) // 200)
     kept = result.samples[::thin]
     write_tree_file(
@@ -323,7 +345,7 @@ def _emit_bayes_diagnostics(
         [s.tree for s in kept],
         [{"run": s.run_index, "iteration": s.iteration} for s in kept],
     )
-    artifacts[f"{tag}_diagnostics"] = {
+    artifacts[f"{prefix}diagnostics"] = {
         "trace": trace_path.name,
         "paths": path_path.name,
         "size_histogram": hist_path.name,
@@ -331,27 +353,27 @@ def _emit_bayes_diagnostics(
     }
 
 
-def _emit_forest_diagnostics(out_dir: Path, tag: str, outcome: FoldOutcome, artifacts: dict) -> None:
-    trace: forest.ConvergenceTrace = outcome.extras["trace"]
-    built: forest.Forest = outcome.extras["forest"]
-    conv_path = out_dir / f"{tag}_convergence.csv"
+def _emit_forest_diagnostics(
+    out_dir: Path, prefix: str, built: forest.Forest, trace: forest.ConvergenceTrace, artifacts: dict
+) -> None:
+    """Convergence CSV, size histogram and a dump of every tree for one
+    forest, each file name starting with prefix."""
+    conv_path = out_dir / f"{prefix}convergence.csv"
     _write_csv(
         conv_path,
         ["t", "ensemble_acc", "single_acc"],
         ((t + 1, pe, ps) for t, (pe, ps) in enumerate(zip(trace.ensemble_acc, trace.single_acc))),
     )
-    sizes = {}
-    for t in built.trees:
-        sizes[t.split_count] = sizes.get(t.split_count, 0) + 1
-    hist_path = out_dir / f"{tag}_size_histogram.csv"
+    sizes = Counter(t.split_count for t in built.trees)
+    hist_path = out_dir / f"{prefix}size_histogram.csv"
     _write_csv(hist_path, ["split_count", "count"], sorted(sizes.items()))
-    forest_path = out_dir / f"{tag}_forest.txt"
+    forest_path = out_dir / f"{prefix}forest.txt"
     write_tree_file(
         forest_path,
         built.trees,
         [{"index": i, "validation_acc": _fmt(a)} for i, a in enumerate(built.validation_acc)],
     )
-    artifacts[f"{tag}_diagnostics"] = {
+    artifacts[f"{prefix}diagnostics"] = {
         "convergence": conv_path.name,
         "size_histogram": hist_path.name,
         "forest": forest_path.name,
@@ -395,13 +417,14 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     if cfg.technique in ("bayes", "both"):
         headline["bayes"] = run_bayes_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
         _emit_bayes_diagnostics(
-            out_dir, "bayes_full", headline["bayes"], artifacts, train_ds.feature_count
+            out_dir, "bayes_full_", headline["bayes"].extras["mcmc_result"], artifacts, train_ds.feature_count
         )
     if cfg.technique in ("forest", "both"):
         headline["forest"] = run_forest_fold(
             train_ds, np.arange(train_ds.row_count), test_X, test_y, cfg, fold=cfg.fold_count
         )
-        _emit_forest_diagnostics(out_dir, "forest_full", headline["forest"], artifacts)
+        extras = headline["forest"].extras
+        _emit_forest_diagnostics(out_dir, "forest_full_", extras["forest"], extras["trace"], artifacts)
     stage_seconds["headline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -434,7 +457,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     stage_seconds["emit"] = time.perf_counter() - t0
 
     manifest = RunManifest(
-        config=_config_snapshot(cfg, "synthetic"),
+        config=cfg.to_dict() | {"protocol": "synthetic"},
         artifacts=artifacts,
         tool_version=__version__,
         stage_seconds=stage_seconds,
@@ -462,7 +485,7 @@ def _uci_split(ds: Dataset, name: str, cfg: ExperimentConfig) -> tuple[Dataset, 
 def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Per-dataset fold comparison on local CSV copies; missing files are skipped."""
     if cfg.data_dir is None:
-        raise ConfigError("uci protocol needs a data directory")
+        raise ConfigError("uci protocol needs a data directory (--data-dir, or data_dir in a config file)")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -561,7 +584,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
     stage_seconds["emit"] = time.perf_counter() - t0
 
     manifest = RunManifest(
-        config=_config_snapshot(cfg, "uci"),
+        config=cfg.to_dict() | {"protocol": "uci"},
         artifacts=artifacts,
         tool_version=__version__,
         stage_seconds=stage_seconds,

@@ -5,6 +5,9 @@ bench uci.  Exit codes: 0 success, 2 configuration error, 3 data error.
 The default output directory comes from $TREEUQ_OUT (falling back to
 ./runs); bench subcommands also accept --config pointing at a flat
 key=value file whose entries fill any flag not given on the command line.
+
+Every option is one row of _OPTIONS: the subcommand parsers, the config-file
+keys and the ExperimentConfig that a command runs with are all read from it.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bench, envelope, forest, mcmc, synth
 from .bench import ConfigError
-from .data import Dataset, DataError, load_csv, write_csv
-from .tree import format_feature_path, write_tree_file
+from .data import Dataset, DataError, load_csv, read_key_values, write_csv
 
 
 def _default_out() -> str:
@@ -31,7 +34,7 @@ def _default_out() -> str:
 def _parse_move_probs(text: str) -> tuple[float, float, float, float]:
     parts = [float(tok) for tok in text.split(",")]
     if len(parts) != 4:
-        raise ConfigError("move-probs needs four comma-separated values (birth,death,change-split,change-rule)")
+        raise ValueError("move-probs needs four comma-separated values (birth,death,change-split,change-rule)")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -42,94 +45,134 @@ def _parse_split_prior(text: str):
         try:
             base, decay = (float(tok) for tok in text.split(":")[1:])
         except ValueError:
-            raise ConfigError("depth prior spec is depth:<base>:<decay>") from None
+            raise ValueError("depth prior spec is depth:<base>:<decay>") from None
         return mcmc.DepthPenaltySplitPrior(base=base, decay=decay)
-    raise ConfigError(f"unknown split prior {text!r} (use uniform or depth:<base>:<decay>)")
+    raise ValueError(f"unknown split prior {text!r} (use uniform or depth:<base>:<decay>)")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"no such config file: {path}")
-    out: dict[str, str] = {}
-    for ln, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = value
-    return out
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True, "false": False, "0": False, "no": False, "off": False}
 
 
-def _apply_config_file(args: argparse.Namespace, key_specs: dict) -> None:
-    """Fill argparse values left at None from the config file, then defaults.
+def _parse_bool(text: str) -> bool:
+    """A config-file boolean; on the command line the bare flag means true."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of true/false/1/0/yes/no/on/off, got {text!r}") from None
 
-    key_specs maps each config key to (default, type); CLI flags that were
-    given explicitly always win over file values.
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(","))
+
+
+# ---------------------------------------------------------------------------
+# Options
+# ---------------------------------------------------------------------------
+
+
+class _Opt(NamedTuple):
+    """One option of one or more subcommands.
+
+    ``field`` names what the option sets in the ExperimentConfig that
+    `_config` builds: a top-level field, ``mcmc.<name>`` or
+    ``forest.<name>`` (space-separated when it sets several), or
+    ``paper_scale``, which picks the sampler's base protocol.  Each bench
+    option with a field is also a --config key, spelled like the flag with
+    underscores.  An option without a field is read by its subcommand.
     """
-    file_values = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_values) - set(key_specs)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, (default, kind) in key_specs.items():
-        if getattr(args, key) is not None:
-            continue
-        if key in file_values:
-            raw = file_values[key]
+
+    flag: str
+    commands: str  # space-separated subcommands that take the option
+    parse: Callable[[str], object] = str
+    field: str = ""
+    help: str | None = None
+    extra: dict = {}  # further add_argument keywords
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+_SAMPLER = "bayes bench"
+_FOREST = "forest bench"
+
+_OPTIONS = (
+    _Opt("protocol", "bench", extra={"choices": ["synthetic", "uci"]}),
+    _Opt("--out", "synth bayes forest envelope sweep bench"),
+    _Opt("--train", "bayes forest", extra={"required": True}),
+    _Opt("--test", "bayes forest"),
+    _Opt("--schema", "bayes forest"),
+    _Opt("--votes", "envelope sweep", help="repeatable, one per fold", extra={"action": "append", "required": True}),
+    _Opt("--start", "sweep", float, extra={"default": 0.9}),
+    _Opt("--stop", "sweep", float, extra={"default": 1.0}),
+    _Opt("--step", "sweep", float, extra={"default": 0.001}),
+    _Opt("--config", "bench", help="flat key=value file; flags override"),
+    _Opt("--manifest", "bench", help="re-run from a manifest's config snapshot (takes only --out besides)"),
+    _Opt("--technique", "bench", field="technique", extra={"choices": ["bayes", "forest", "both"]}),
+    _Opt("--fold-count", "bench", int, "fold_count"),
+    _Opt("--confidence", "bayes forest envelope bench", float, "confidence"),
+    _Opt("--seed", "synth bayes forest bench", int, "seed"),
+    _Opt("--train-size", "synth bench", int, "train_size"),
+    _Opt("--test-size", "synth bench", int, "test_size"),
+    _Opt("--workers", "bayes forest bench", int, "workers"),
+    _Opt("--sweep", "bench", _parse_bool, "sweep"),
+    _Opt("--data-dir", "bench", field="data_dir"),
+    _Opt("--datasets", "bench", _parse_names, "datasets", "comma list of registry names"),
+    _Opt("--restarts", _SAMPLER, int, "mcmc.restarts", "independent chain restarts"),
+    _Opt("--burn-in", _SAMPLER, int, "mcmc.burn_in"),
+    _Opt("--post-burn-in", _SAMPLER, int, "mcmc.post_burn_in"),
+    _Opt("--sample-rate", _SAMPLER, int, "mcmc.sample_rate"),
+    _Opt("--move-probs", _SAMPLER, _parse_move_probs, "mcmc.move_probs", "birth,death,change-split,change-rule"),
+    _Opt("--alpha", _SAMPLER, float, "mcmc.dirichlet_alpha", "Dirichlet prior pseudo-count per class"),
+    _Opt("--max-leaves", _SAMPLER, int, "mcmc.max_leaves"),
+    _Opt("--change-rule-window", _SAMPLER, int, "mcmc.change_rule_window"),
+    _Opt("--split-prior", _SAMPLER, _parse_split_prior, "mcmc.split_prior", "uniform or depth:<base>:<decay>"),
+    _Opt("--paper-scale", _SAMPLER, _parse_bool, "paper_scale", "50 restarts x (2000+2000)"),
+    _Opt("--min-leaf-rows", "bayes forest bench", int, "mcmc.min_leaf_rows forest.min_leaf_rows", "pruning factor"),
+    _Opt("--forest-min-leaf-rows", "forest", int, "forest.min_leaf_rows"),
+    _Opt("--tree-count", _FOREST, int, "forest.tree_count"),
+    _Opt("--top-k", _FOREST, int, "forest.top_k"),
+    _Opt("--validation-fraction", _FOREST, float, "forest.validation_fraction"),
+)
+
+# config-file key -> its option
+_CONFIG_KEYS = {opt.dest: opt for opt in _OPTIONS if opt.field and "bench" in opt.commands.split()}
+
+
+def _fill_from_config(args) -> None:
+    """Set each config key that the command line left unset from the
+    --config file, parsed as its flag is."""
+    if not args.config:
+        return
+    for key, text in read_key_values(args.config, _CONFIG_KEYS, "config", ConfigError, dashes=True).items():
+        if getattr(args, key) is None:
             try:
-                if kind is bool:
-                    value = raw.lower() in ("1", "true", "yes", "on")
-                else:
-                    value = kind(raw)
-            except ValueError:
-                raise ConfigError(f"config key {key}: cannot parse {raw!r}") from None
-            setattr(args, key, value)
-        else:
-            setattr(args, key, default)
+                setattr(args, key, _CONFIG_KEYS[key].parse(text))
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}: {exc}") from None
 
 
-def _mcmc_config(args, seed: int, scale_attrs: bool = True) -> mcmc.McmcConfig:
-    base = bench.paper_scale_mcmc_config(seed) if getattr(args, "paper_scale", False) else bench.desk_mcmc_config(seed)
-    overrides = {}
-    for flag, name in (
-        ("restarts", "restarts"),
-        ("burn_in", "burn_in"),
-        ("post_burn_in", "post_burn_in"),
-        ("sample_rate", "sample_rate"),
-        ("min_leaf_rows", "min_leaf_rows"),
-        ("max_leaves", "max_leaves"),
-        ("change_rule_window", "change_rule_window"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "move_probs", None) is not None:
-        overrides["move_probs"] = _parse_move_probs(args.move_probs)
-    if getattr(args, "alpha", None) is not None:
-        overrides["dirichlet_alpha"] = args.alpha
-    if getattr(args, "split_prior", None) is not None:
-        overrides["split_prior"] = _parse_split_prior(args.split_prior)
+def _config(args) -> bench.ExperimentConfig:
+    """The ExperimentConfig that the subcommand's options set.  What they
+    leave unset keeps the defaults of ExperimentConfig, ForestConfig and the
+    desk (or --paper-scale) sampler protocol; the sampler's and the forest's
+    own seed stay 0 here."""
+    fields: dict = {"": {}, "mcmc": {}, "forest": {}}
+    for opt in _OPTIONS:
+        value = getattr(args, opt.dest, None)
+        if opt.field and value is not None:
+            for target in opt.field.split():
+                group, _, name = target.rpartition(".")
+                fields[group][name] = value
+    top = fields[""]
+    sampler = bench.paper_scale_mcmc_config() if top.pop("paper_scale", False) else bench.desk_mcmc_config()
     try:
-        return dataclasses.replace(base, **overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _forest_config(args, seed: int) -> forest.ForestConfig:
-    overrides = {"seed": seed}
-    for flag, name in (
-        ("tree_count", "tree_count"),
-        ("top_k", "top_k"),
-        ("forest_min_leaf_rows", "min_leaf_rows"),
-        ("validation_fraction", "validation_fraction"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
-    try:
-        return dataclasses.replace(forest.ForestConfig(), **overrides)
+        return bench.ExperimentConfig(
+            mcmc=dataclasses.replace(sampler, **fields["mcmc"]),
+            forest=forest.ForestConfig(**fields["forest"]),
+            out_dir=Path(args.out),
+            **top,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -140,11 +183,10 @@ def _forest_config(args, seed: int) -> forest.ForestConfig:
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
+    cfg = _config(args)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    train, test = synth.canonical_datasets(
-        seed=args.seed, train_size=args.train_size, test_size=args.test_size
-    )
+    train, test = synth.canonical_datasets(seed=cfg.seed, train_size=cfg.train_size, test_size=cfg.test_size)
     write_csv(train, out / "synthetic_train.csv")
     write_csv(test, out / "synthetic_test.csv")
     print(f"wrote {out/'synthetic_train.csv'} ({train.row_count} rows)")
@@ -167,40 +209,16 @@ def _load_test(args, train: Dataset) -> Dataset | None:
 
 
 def _cmd_bayes(args) -> int:
+    cfg = _config(args)
     train = load_csv(args.train, schema=args.schema)
     test = _load_test(args, train)
-    cfg = _mcmc_config(args, seed=args.seed)
-    out = Path(args.out)
+    mcfg = dataclasses.replace(cfg.mcmc, seed=cfg.seed)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    result = mcmc.run_restarts(train, cfg, workers=args.workers)
+    result = mcmc.run_restarts(train, mcfg, workers=cfg.workers)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-
-    bench._write_csv(
-        out / "trace.csv",
-        ["run", "iteration", "phase", "log_lik", "split_count", "move", "accepted"],
-        (
-            (r.run_index, r.iteration, r.phase, r.log_lik, r.split_count, r.move, int(r.accepted))
-            for r in result.trace
-        ),
-    )
-    rows, histogram = mcmc.posterior_path_summary(result.samples)
-    bench._write_csv(
-        out / "paths.csv",
-        ["path", "split_count", "weight", "count"],
-        (
-            (format_feature_path(r.feature_path, train.feature_count), r.split_count, r.weight, r.count)
-            for r in rows
-        ),
-    )
-    bench._write_csv(out / "size_histogram.csv", ["split_count", "count"], histogram.items())
-    thin = max(1, len(result.samples) // 500)
-    kept = result.samples[::thin]
-    write_tree_file(
-        out / "samples.txt",
-        [s.tree for s in kept],
-        [{"run": s.run_index, "iteration": s.iteration} for s in kept],
-    )
+    bench._emit_bayes_diagnostics(out, "", result, {}, train.feature_count)
 
     summary = {
         "samples": len(result.samples),
@@ -209,10 +227,10 @@ def _cmd_bayes(args) -> int:
         "accepted": result.counters.accepted,
     }
     if test is not None:
-        pred = mcmc.predict_average(result.samples, test.features, cfg.dirichlet_alpha)
+        pred = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
         vm = envelope.VoteMatrix.build(pred.votes, test.labels)
         envelope.write_votes_csv(vm, out / "votes.csv")
-        summary["vote_accuracy"] = envelope.evaluate(vm, args.confidence).accuracy
+        summary["vote_accuracy"] = envelope.evaluate(vm, cfg.confidence).accuracy
         summary["soft_accuracy"] = float(
             np.mean(np.argmax(pred.probabilities, axis=1) == test.labels)
         )
@@ -222,32 +240,17 @@ def _cmd_bayes(args) -> int:
 
 
 def _cmd_forest(args) -> int:
+    cfg = _config(args)
     train = load_csv(args.train, schema=args.schema)
     test = _load_test(args, train)
-    cfg = _forest_config(args, seed=args.seed)
-    out = Path(args.out)
+    out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    if test is not None:
-        eval_X, eval_y = test.features, test.labels
-    else:
-        eval_X, eval_y = train.features, train.labels
+    evaluated = train if test is None else test
+    fcfg = dataclasses.replace(cfg.forest, seed=cfg.seed)
     built, trace = forest.build_forest(
-        train, np.arange(train.row_count), eval_X, eval_y, cfg, workers=args.workers
+        train, np.arange(train.row_count), evaluated.features, evaluated.labels, fcfg, workers=cfg.workers
     )
-    bench._write_csv(
-        out / "convergence.csv",
-        ["t", "ensemble_acc", "single_acc"],
-        ((t + 1, pe, ps) for t, (pe, ps) in enumerate(zip(trace.ensemble_acc, trace.single_acc))),
-    )
-    sizes: dict[int, int] = {}
-    for t in built.trees:
-        sizes[t.split_count] = sizes.get(t.split_count, 0) + 1
-    bench._write_csv(out / "size_histogram.csv", ["split_count", "count"], sorted(sizes.items()))
-    write_tree_file(
-        out / "forest.txt",
-        built.trees,
-        [{"index": i, "validation_acc": a} for i, a in enumerate(built.validation_acc)],
-    )
+    bench._emit_forest_diagnostics(out, "", built, trace, {})
     summary = {
         "tree_count": len(built.trees),
         "ensemble_acc_final": float(trace.ensemble_acc[-1]),
@@ -255,19 +258,20 @@ def _cmd_forest(args) -> int:
         "size_mean": float(np.mean([t.split_count for t in built.trees])),
     }
     if test is not None:
-        vm = envelope.VoteMatrix.build(trace.votes, eval_y)
+        vm = envelope.VoteMatrix.build(trace.votes, test.labels)
         envelope.write_votes_csv(vm, out / "votes.csv")
-        summary["vote_accuracy"] = envelope.evaluate(vm, args.confidence).accuracy
+        summary["vote_accuracy"] = envelope.evaluate(vm, cfg.confidence).accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def _cmd_envelope(args) -> int:
+    confidence = _config(args).confidence
     matrices = [envelope.read_votes_csv(p) for p in args.votes]
-    reports = [envelope.evaluate(vm, args.confidence) for vm in matrices]
+    reports = [envelope.evaluate(vm, confidence) for vm in matrices]
     payload: dict = {
-        "confidence": args.confidence,
+        "confidence": confidence,
         "per_input": [bench._report_dict(r) for r in reports],
     }
     if len(reports) >= 2:
@@ -286,137 +290,46 @@ def _cmd_sweep(args) -> int:
         grid = envelope.sweep_grid(args.start, args.stop, args.step)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    matrices = [envelope.read_votes_csv(p) for p in args.votes]
-    curves = [envelope.sweep(vm, grid) for vm in matrices]
+    curves = [envelope.sweep(envelope.read_votes_csv(p), grid) for p in args.votes]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
-    if len(curves) == 1:
-        c = curves[0]
-        bench._write_csv(
-            path, ["gamma0", "u_rate", "ci_rate"], zip(c.thresholds, c.u_rates, c.ci_rates)
-        )
-    else:
-        agg = envelope.aggregate_sweeps(curves)
-        bench._write_csv(
-            path,
-            ["gamma0", "u_mean", "u_2sigma", "ci_mean", "ci_2sigma"],
-            zip(agg.thresholds, agg.u_mean, agg.u_width2, agg.ci_mean, agg.ci_width2),
-        )
+    bench._write_sweep_csv(path, curves)
     print(f"wrote {path} ({len(grid)} rows)")
     return 0
 
 
-# config-file keys for the bench subcommands: key -> (default, parse type)
-_BENCH_KEYS = {
-    "technique": ("both", str),
-    "fold_count": (5, int),
-    "confidence": (0.99, float),
-    "seed": (synth.CANONICAL_SEED, int),
-    "train_size": (synth.CANONICAL_TRAIN_SIZE, int),
-    "test_size": (synth.CANONICAL_TEST_SIZE, int),
-    "restarts": (None, int),
-    "burn_in": (None, int),
-    "post_burn_in": (None, int),
-    "sample_rate": (None, int),
-    "move_probs": (None, str),
-    "alpha": (None, float),
-    "max_leaves": (None, int),
-    "change_rule_window": (None, int),
-    "split_prior": (None, str),
-    "min_leaf_rows": (None, int),
-    "tree_count": (None, int),
-    "top_k": (None, int),
-    "validation_fraction": (None, float),
-    "workers": (1, int),
-    "paper_scale": (False, bool),
-    "sweep": (False, bool),
-    "data_dir": (None, str),
-    "datasets": (None, str),
-}
-
-
-def _bench_experiment_config(args, protocol: str) -> bench.ExperimentConfig:
-    _apply_config_file(args, _BENCH_KEYS)
-    mcfg = _mcmc_config(args, seed=0)
-    if args.min_leaf_rows is not None:
-        mcfg = dataclasses.replace(mcfg, min_leaf_rows=args.min_leaf_rows)
-    fkwargs = {}
-    if args.tree_count is not None:
-        fkwargs["tree_count"] = args.tree_count
-    if args.top_k is not None:
-        fkwargs["top_k"] = args.top_k
-    if args.min_leaf_rows is not None:
-        fkwargs["min_leaf_rows"] = args.min_leaf_rows
-    if args.validation_fraction is not None:
-        fkwargs["validation_fraction"] = args.validation_fraction
+def _manifest_config(args) -> bench.ExperimentConfig:
+    """The config recorded in --manifest, writing to --out; the manifest
+    must record a run of the protocol asked for."""
+    refused = (*_CONFIG_KEYS, "config")
+    given = [opt.flag for opt in _OPTIONS if opt.dest in refused and getattr(args, opt.dest) is not None]
+    if given:
+        raise ConfigError(f"--manifest takes no options but --out; drop {', '.join(given)}")
+    path = Path(args.manifest)
+    if not path.is_file():
+        raise ConfigError(f"no such manifest: {path}")
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
     try:
-        fcfg = dataclasses.replace(forest.ForestConfig(), **fkwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    kwargs = dict(
-        technique=args.technique,
-        mcmc=mcfg,
-        forest=fcfg,
-        fold_count=args.fold_count,
-        confidence=args.confidence,
-        seed=args.seed,
-        out_dir=Path(args.out),
-        sweep=bool(args.sweep),
-        train_size=args.train_size,
-        test_size=args.test_size,
-        workers=args.workers,
-    )
-    if protocol == "uci":
-        if args.data_dir is None:
-            raise ConfigError("bench uci needs --data-dir (or data_dir in the config file)")
-        kwargs["data_dir"] = Path(args.data_dir)
-        if args.datasets:
-            names = args.datasets if isinstance(args.datasets, (list, tuple)) else args.datasets.split(",")
-            kwargs["datasets"] = tuple(n.strip() for n in names)
-    return bench.ExperimentConfig(**kwargs)
+        snapshot = dict(snapshot["config"], out_dir=args.out)
+        protocol, cfg = snapshot.pop("protocol"), bench.ExperimentConfig.from_dict(snapshot)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} holds no config snapshot: {exc!r}") from None
+    if protocol != args.protocol:
+        raise ConfigError(f"{path} records a bench {protocol} run, not bench {args.protocol}")
+    return cfg
 
 
 def _cmd_bench(args) -> int:
     if args.manifest:
-        return _rerun_from_manifest(args)
-    cfg = _bench_experiment_config(args, args.protocol)
-    if args.protocol == "synthetic":
-        manifest = bench.run_synthetic_protocol(cfg)
+        cfg = _manifest_config(args)
     else:
-        manifest = bench.run_uci_protocol(cfg)
-    print(f"report: {Path(cfg.out_dir) / 'report.json'}")
+        _fill_from_config(args)
+        cfg = _config(args)
+    run = bench.run_synthetic_protocol if args.protocol == "synthetic" else bench.run_uci_protocol
+    manifest = run(cfg)
+    print(f"report: {cfg.out_dir / 'report.json'}")
     print(f"stages (s): {json.dumps({k: round(v, 2) for k, v in manifest.stage_seconds.items()})}")
-    return 0
-
-
-def _rerun_from_manifest(args) -> int:
-    """Re-run a protocol from a manifest's recorded config snapshot."""
-    path = Path(args.manifest)
-    if not path.exists():
-        raise ConfigError(f"no such manifest: {path}")
-    snap = json.loads(path.read_text(encoding="utf-8"))["config"]
-    protocol = snap.pop("protocol")
-    split_prior = snap["mcmc"].pop("split_prior")
-    if isinstance(split_prior, dict):
-        snap["mcmc"]["split_prior"] = mcmc.DepthPenaltySplitPrior(
-            base=split_prior["base"], decay=split_prior["decay"]
-        )
-    else:
-        snap["mcmc"]["split_prior"] = mcmc.UniformSplitPrior()
-    snap["mcmc"]["move_probs"] = tuple(snap["mcmc"]["move_probs"])
-    if isinstance(snap["mcmc"].get("dirichlet_alpha"), list):
-        snap["mcmc"]["dirichlet_alpha"] = tuple(snap["mcmc"]["dirichlet_alpha"])
-    snap["mcmc"] = mcmc.McmcConfig(**snap["mcmc"])
-    snap["forest"] = forest.ForestConfig(**snap["forest"])
-    snap["datasets"] = tuple(snap["datasets"])
-    snap["out_dir"] = Path(args.out)
-    cfg = bench.ExperimentConfig(**snap)
-    if protocol == "synthetic":
-        bench.run_synthetic_protocol(cfg)
-    else:
-        bench.run_uci_protocol(cfg)
-    print(f"report: {Path(cfg.out_dir) / 'report.json'}")
     return 0
 
 
@@ -425,98 +338,45 @@ def _rerun_from_manifest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_mcmc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=None, help="independent chain restarts")
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--post-burn-in", type=int, default=None)
-    p.add_argument("--sample-rate", type=int, default=None)
-    p.add_argument("--move-probs", default=None, help="birth,death,change-split,change-rule")
-    p.add_argument("--alpha", type=float, default=None, help="Dirichlet prior pseudo-count per class")
-    p.add_argument("--max-leaves", type=int, default=None)
-    p.add_argument("--change-rule-window", type=int, default=None)
-    p.add_argument("--split-prior", default=None, help="uniform or depth:<base>:<decay>")
-    p.add_argument(
-        "--paper-scale",
-        action="store_const",
-        const=True,
-        default=None,
-        help="50 restarts x (2000+2000)",
-    )
+# subcommand -> (help, handler, defaults that are not ExperimentConfig's)
+_COMMANDS = {
+    "synth": ("emit the canonical synthetic train/test CSVs", _cmd_synth, {}),
+    "bayes": ("sample trees on a training CSV", _cmd_bayes, {"seed": 0}),
+    "forest": ("grow a randomized ensemble on a training CSV", _cmd_forest, {"seed": 0}),
+    "envelope": ("evaluate vote-matrix CSVs at a confidence threshold", _cmd_envelope, {}),
+    "sweep": ("threshold sweep over vote-matrix CSVs", _cmd_sweep, {}),
+    "bench": ("full benchmark protocols", _cmd_bench, {}),
+}
+
+
+def _flag_type(parse):
+    """``parse`` as an argparse type: its ValueError message is the one shown."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treeuq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="emit the canonical synthetic train/test CSVs")
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--seed", type=int, default=synth.CANONICAL_SEED)
-    p.add_argument("--train-size", type=int, default=synth.CANONICAL_TRAIN_SIZE)
-    p.add_argument("--test-size", type=int, default=synth.CANONICAL_TEST_SIZE)
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("bayes", help="sample trees on a training CSV")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--schema", default=None)
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-leaf-rows", type=int, default=None)
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.add_argument("--workers", type=int, default=1)
-    _add_mcmc_flags(p)
-    p.set_defaults(func=_cmd_bayes)
-
-    p = sub.add_parser("forest", help="grow a randomized ensemble on a training CSV")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", default=None)
-    p.add_argument("--schema", default=None)
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tree-count", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--forest-min-leaf-rows", "--min-leaf-rows", dest="forest_min_leaf_rows", type=int, default=None)
-    p.add_argument("--validation-fraction", type=float, default=None)
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=_cmd_forest)
-
-    p = sub.add_parser("envelope", help="evaluate vote-matrix CSVs at a confidence threshold")
-    p.add_argument("--votes", action="append", required=True, help="repeatable, one per fold")
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.add_argument("--out", default=_default_out())
-    p.set_defaults(func=_cmd_envelope)
-
-    p = sub.add_parser("sweep", help="threshold sweep over vote-matrix CSVs")
-    p.add_argument("--votes", action="append", required=True)
-    p.add_argument("--start", type=float, default=0.9)
-    p.add_argument("--stop", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=0.001)
-    p.add_argument("--out", default=_default_out())
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="full benchmark protocols")
-    p.add_argument("protocol", choices=["synthetic", "uci"])
-    p.add_argument("--out", default=_default_out())
-    p.add_argument("--config", default=None, help="flat key=value file; flags override")
-    p.add_argument("--manifest", default=None, help="re-run from a manifest's config snapshot")
-    p.add_argument("--technique", choices=["bayes", "forest", "both"], default=None)
-    p.add_argument("--fold-count", type=int, default=None)
-    p.add_argument("--confidence", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--train-size", type=int, default=None)
-    p.add_argument("--test-size", type=int, default=None)
-    p.add_argument("--min-leaf-rows", type=int, default=None, help="pruning factor for both techniques")
-    p.add_argument("--tree-count", type=int, default=None)
-    p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--validation-fraction", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--sweep", action="store_const", const=True, default=None)
-    p.add_argument("--data-dir", default=None)
-    p.add_argument("--datasets", default=None, help="comma list of registry names")
-    _add_mcmc_flags(p)
-    p.set_defaults(func=_cmd_bench)
-
+    commands = {}
+    for name, (text, func, defaults) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, help=text)
+        # set before the options are added, so that they take these defaults
+        commands[name].set_defaults(func=func, out=_default_out(), **defaults)
+    for opt in _OPTIONS:
+        kwargs = dict(opt.extra, help=opt.help)
+        if opt.parse is _parse_bool:
+            kwargs.update(action="store_const", const=True)
+        else:
+            kwargs["type"] = _flag_type(opt.parse)
+        for name in opt.commands.split():
+            commands[name].add_argument(opt.flag, **kwargs)
     return parser
 
 

@@ -125,20 +125,33 @@ class SplitPair:
 _SCHEMA_KEYS = {"label_column", "header", "categorical"}
 
 
-def load_schema(path) -> dict:
-    """Parse a flat key=value schema file (``#`` starts a comment)."""
+def read_key_values(path, keys, what: str, error: type[Exception], dashes: bool = False) -> dict[str, str]:
+    """Parse a flat key=value file (``#`` starts a comment) whose keys lie in
+    ``keys``; a missing file, a line without ``=`` or an unknown key raises
+    ``error`` naming the ``what`` file and line.  With ``dashes``, ``-`` in
+    a key reads as ``_``."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"no such {what} file: {path}")
     out = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"schema line {ln}: expected key=value, got {raw!r}")
+            raise error(f"{what} line {ln}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA_KEYS:
-            raise DataError(f"schema line {ln}: unknown key {key!r}")
+        if dashes:
+            key = key.replace("-", "_")
+        if key not in keys:
+            raise error(f"{what} line {ln}: unknown key {key!r}")
         out[key] = value
     return out
+
+
+def load_schema(path) -> dict:
+    """Parse a schema file: the keys ``label_column``, ``header``, ``categorical``."""
+    return read_key_values(path, _SCHEMA_KEYS, "schema", DataError)
 
 
 def _is_int_token(tok: str) -> bool:

@@ -51,7 +51,6 @@ from .tree import (
     Split,
     ensemble_average,
     fit_partition,
-    leaf_predictive,
     prunable_splits,
     replace_leaf,
     resolve_alpha,

@@ -190,20 +190,15 @@ def partition_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
     return parts
 
 
-def refit_counts(tree: DecisionTree, X: np.ndarray, y: np.ndarray, class_count: int) -> DecisionTree:
-    """Recompute every leaf's class counts by routing all rows.
+def fit_partition(
+    tree: DecisionTree, X: np.ndarray, y: np.ndarray, class_count: int
+) -> tuple[DecisionTree, dict[int, np.ndarray]]:
+    """Every leaf's class counts recomputed by routing all rows, and the
+    per-node row partition (same node ids).
 
     Empty leaves are reported with zero counts; validity is the caller's
     concern.
     """
-    tree_out, _ = fit_partition(tree, X, y, class_count)
-    return tree_out
-
-
-def fit_partition(
-    tree: DecisionTree, X: np.ndarray, y: np.ndarray, class_count: int
-) -> tuple[DecisionTree, dict[int, np.ndarray]]:
-    """refit_counts plus the per-node row partition (same node ids)."""
     parts = partition_rows(tree, X)
     nodes = list(tree.nodes)
     for nid, node in enumerate(nodes):
@@ -211,10 +206,6 @@ def fit_partition(
             counts = np.bincount(y[parts[nid]], minlength=class_count)
             nodes[nid] = Leaf(counts=tuple(int(c) for c in counts))
     return DecisionTree(nodes=tuple(nodes), root=tree.root), parts
-
-
-def min_leaf_size(tree: DecisionTree) -> int:
-    return min(tree.nodes[i].n for i in tree.leaf_ids)
 
 
 def leaf_predictive(counts, alpha) -> np.ndarray:
@@ -275,8 +266,9 @@ def predict_trees(trees, X: np.ndarray, alpha):
     """Yield (class probabilities (n, C), hard labels (n,)) for each tree, in order.
 
     Rows are the Dirichlet posterior mean of the routed leaf, bit for bit
-    what `leaf_predictive` gives; labels are their argmax.  Trees are routed
-    PREDICT_BLOCK at a time over one flat node table, one level per step.
+    what `leaf_predictive` gives; labels are their argmax, ties to the lowest
+    class index.  Trees are routed PREDICT_BLOCK at a time over one flat
+    node table, one level per step.
     """
     if not trees:
         raise ValueError("no trees to predict with")
@@ -315,16 +307,6 @@ def ensemble_average(trees, repeats, X: np.ndarray, alpha) -> tuple[np.ndarray, 
 def tree_predictive(tree: DecisionTree, X: np.ndarray, alpha) -> np.ndarray:
     """Per-row class probabilities from the routed leaf of each row."""
     return next(predict_trees((tree,), X, alpha))[0]
-
-
-def hard_labels(tree: DecisionTree, X: np.ndarray, alpha) -> np.ndarray:
-    """Majority class per row (ties break to the lowest class index)."""
-    return next(predict_trees((tree,), X, alpha))[1]
-
-
-def hard_label(tree: DecisionTree, point, alpha) -> int:
-    probs = leaf_predictive(tree.nodes[route(tree, point)].counts, alpha)
-    return int(np.argmax(probs))
 
 
 # ---------------------------------------------------------------------------

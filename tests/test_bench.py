@@ -1,12 +1,18 @@
+import argparse
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeuq import bench, cli, forest, mcmc
 from treeuq.bench import ConfigError, ExperimentConfig, pruning_factor
 from treeuq.data import Dataset, DataError, write_csv
+from treeuq.tree import read_tree_file
 
 
 def tiny_config(out_dir, **overrides) -> ExperimentConfig:
@@ -348,3 +354,226 @@ class TestCli:
         parser = cli.build_parser()
         args = parser.parse_args(["synth"])
         assert args.out == str(tmp_path / "envout")
+
+
+# Each subcommand's option strings and the bench config-file keys, as the
+# parser built them before the options became one table.
+PINNED_OPTIONS = {
+    "synth": "--help --out --seed --test-size --train-size -h",
+    "bayes": "--alpha --burn-in --change-rule-window --confidence --help --max-leaves --min-leaf-rows --move-probs "
+    "--out --paper-scale --post-burn-in --restarts --sample-rate --schema --seed --split-prior --test --train "
+    "--workers -h",
+    "forest": "--confidence --forest-min-leaf-rows --help --min-leaf-rows --out --schema --seed --test --top-k "
+    "--train --tree-count --validation-fraction --workers -h",
+    "envelope": "--confidence --help --out --votes -h",
+    "sweep": "--help --out --start --step --stop --votes -h",
+    "bench": "--alpha --burn-in --change-rule-window --confidence --config --data-dir --datasets --fold-count --help "
+    "--manifest --max-leaves --min-leaf-rows --move-probs --out --paper-scale --post-burn-in --restarts "
+    "--sample-rate --seed --split-prior --sweep --technique --test-size --top-k --train-size --tree-count "
+    "--validation-fraction --workers -h protocol",
+}
+PINNED_CONFIG_KEYS = (
+    "alpha burn_in change_rule_window confidence data_dir datasets fold_count max_leaves min_leaf_rows move_probs "
+    "paper_scale post_burn_in restarts sample_rate seed split_prior sweep technique test_size top_k train_size "
+    "tree_count validation_fraction workers"
+)
+
+# The `config` object of a manifest written before ExperimentConfig had
+# to_dict/from_dict, by `treeuq bench synthetic --seed 5 --fold-count 2
+# --train-size 60 --test-size 40 --restarts 2 --burn-in 30 --post-burn-in 30
+# --tree-count 6 --top-k 3 --min-leaf-rows 3 --alpha 0.5 --split-prior
+# depth:0.9:1.2 --move-probs 0.2,0.2,0.1,0.5 --sweep`, and the SHA-256 of
+# the report.json that run wrote.  A replay sets out_dir from --out.
+OLD_MANIFEST_CONFIG = {
+    "confidence": 0.99,
+    "data_dir": None,
+    "datasets": ["ionosphere", "wisconsin", "image", "votes", "sonar", "vehicle", "pima"],
+    "fold_count": 2,
+    "forest": {"min_leaf_rows": 3, "seed": 0, "top_k": 3, "tree_count": 6, "validation_fraction": 0.3},
+    "mcmc": {
+        "burn_in": 30,
+        "change_rule_window": 2,
+        "dirichlet_alpha": 0.5,
+        "max_leaves": None,
+        "min_leaf_rows": 3,
+        "move_probs": [0.2, 0.2, 0.1, 0.5],
+        "post_burn_in": 30,
+        "restarts": 2,
+        "sample_rate": 1,
+        "seed": 0,
+        "split_prior": {"base": 0.9, "decay": 1.2, "kind": "depth_penalty"},
+    },
+    "out_dir": "runs/small",
+    "protocol": "synthetic",
+    "seed": 5,
+    "sweep": True,
+    "technique": "both",
+    "test_size": 40,
+    "train_size": 60,
+    "workers": 1,
+}
+OLD_MANIFEST_REPORT_SHA256 = "5b7e33300ca21add45b47ce7938d9b678f983c77f07320e7d3ed9dd3fc85fcff"
+
+
+@pytest.fixture(scope="module")
+def tiny_csvs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_csvs")
+    cli.main(["synth", "--out", str(out), "--train-size", "60", "--test-size", "40", "--seed", "4"])
+    return ["--train", str(out / "synthetic_train.csv"), "--test", str(out / "synthetic_test.csv")]
+
+
+class TestOptionTable:
+    def test_option_strings_and_config_keys_pinned(self):
+        parser = cli.build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        found = {
+            name: " ".join(sorted(s for a in sub._actions for s in (a.option_strings or [a.dest])))
+            for name, sub in commands.choices.items()
+        }
+        assert found == PINNED_OPTIONS
+        assert " ".join(sorted(cli._CONFIG_KEYS)) == PINNED_CONFIG_KEYS
+        assert len(cli._CONFIG_KEYS) == 24
+
+    @pytest.mark.parametrize("command", ["bayes", "forest", "bench"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, tiny_csvs, command, workers):
+        argv = ["bench", "synthetic"] if command == "bench" else [command, *tiny_csvs]
+        rc = cli.main([*argv, "--workers", workers, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["true", "1", "yes", "on", "TRUE", "On"])
+    def test_config_booleans_true(self, text):
+        assert cli._parse_bool(text) is True
+
+    @pytest.mark.parametrize("text", ["false", "0", "no", "off", "False", "OFF"])
+    def test_config_booleans_false(self, text):
+        assert cli._parse_bool(text) is False
+
+    @pytest.mark.parametrize("line", ["sweep=ture", "paper_scale=maybe", "sweep=", "paper-scale=2"])
+    def test_config_boolean_typo_is_config_error(self, tmp_path, capsys, line):
+        config = tmp_path / "bench.cfg"
+        config.write_text(line + "\n")
+        rc = cli.main(["bench", "synthetic", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config key {line.split('=')[0].replace('-', '_')}:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--seed", "9", "--fold-count", "3"], "--fold-count, --seed"),
+            (["--config", "bench.cfg"], "--config"),
+            (["--sweep"], "--sweep"),
+        ],
+    )
+    def test_manifest_takes_only_out(self, synthetic_run, tmp_path, capsys, extra, named):
+        out, _, _ = synthetic_run
+        rc = cli.main(["bench", "synthetic", "--manifest", str(out / "manifest.json"), *extra,
+                       "--out", str(tmp_path / "rerun")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "rerun").exists()
+
+    def test_manifest_of_another_protocol_refused(self, synthetic_run, tmp_path, capsys):
+        out, _, _ = synthetic_run
+        rc = cli.main(["bench", "uci", "--manifest", str(out / "manifest.json"), "--out", str(tmp_path / "rerun")])
+        assert rc == 2
+        assert "records a bench synthetic run, not bench uci" in capsys.readouterr().err
+        assert not (tmp_path / "rerun").exists()
+
+    def test_replays_manifest_config_written_before_round_trip(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": OLD_MANIFEST_CONFIG}))
+        out = tmp_path / "replay"
+        assert cli.main(["bench", "synthetic", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == OLD_MANIFEST_REPORT_SHA256
+        replayed = json.loads((out / "manifest.json").read_text())["config"]
+        assert replayed == OLD_MANIFEST_CONFIG | {"out_dir": str(out)}
+
+    def test_config_file_sets_every_kind_of_setting(self, tmp_path):
+        config = tmp_path / "bench.cfg"
+        config.write_text(
+            "move-probs=0.2,0.2,0.1,0.5\nalpha=0.5\nsplit_prior=depth:0.95:1.5\nmin_leaf_rows=3\n"
+            "tree_count=7\ntop_k=4\nsweep=yes\npaper_scale=off\ndatasets=sonar, pima\n"
+        )
+        args = cli.build_parser().parse_args(["bench", "synthetic", "--config", str(config), "--top-k", "5"])
+        cli._fill_from_config(args)
+        cfg = cli._config(args)
+        assert cfg.mcmc == bench.desk_mcmc_config(
+            move_probs=(0.2, 0.2, 0.1, 0.5),
+            dirichlet_alpha=0.5,
+            split_prior=mcmc.DepthPenaltySplitPrior(base=0.95, decay=1.5),
+            min_leaf_rows=3,
+        )
+        assert cfg.forest == forest.ForestConfig(tree_count=7, top_k=5, min_leaf_rows=3)
+        assert (cfg.sweep, cfg.datasets) == (True, ("sonar", "pima"))
+
+    def test_cli_writes_through_the_bench_diagnostics(self, tmp_path, tiny_csvs):
+        """`treeuq bayes` keeps about 200 sampled trees, as bench does, and
+        `treeuq forest` writes validation accuracies in bench's .10g form."""
+        out = tmp_path / "bayes"
+        assert cli.main(["bayes", *tiny_csvs, "--restarts", "2", "--burn-in", "50", "--post-burn-in", "250",
+                         "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "paths.csv", "samples.txt", "size_histogram.csv", "summary.json", "trace.csv", "votes.csv"
+        ]
+        assert len(read_tree_file(out / "samples.txt")) == 250  # 500 samples, every 500 // 200 = 2nd kept
+        out = tmp_path / "forest"
+        assert cli.main(["forest", *tiny_csvs, "--tree-count", "5", "--out", str(out)]) == 0
+        headers = [line for line in (out / "forest.txt").read_text().splitlines() if line.startswith("tree ")]
+        accuracies = [re.search(r"validation_acc=(\S+)$", line).group(1) for line in headers]
+        assert len(accuracies) == 5
+        assert all(a == format(float(a), ".10g") for a in accuracies)
+
+
+split_priors = st.one_of(
+    st.just(mcmc.UniformSplitPrior()),
+    st.builds(
+        mcmc.DepthPenaltySplitPrior,
+        base=st.floats(0.01, 0.99),
+        decay=st.floats(0.0, 4.0),
+    ),
+)
+alphas = st.one_of(
+    st.floats(0.01, 10.0),
+    st.lists(st.floats(0.01, 10.0), min_size=2, max_size=4).map(tuple),
+)
+experiment_configs = st.builds(
+    ExperimentConfig,
+    technique=st.sampled_from(["bayes", "forest", "both"]),
+    mcmc=st.builds(
+        mcmc.McmcConfig,
+        move_probs=st.sampled_from([(0.1, 0.1, 0.1, 0.7), (0.25, 0.25, 0.25, 0.25), (0.2, 0.2, 0.1, 0.5)]),
+        burn_in=st.integers(1, 5000),
+        restarts=st.integers(1, 60),
+        min_leaf_rows=st.integers(1, 40),
+        dirichlet_alpha=alphas,
+        split_prior=split_priors,
+        max_leaves=st.none() | st.integers(1, 100),
+        change_rule_window=st.none() | st.integers(1, 5),
+        seed=st.integers(0, 2**62),
+    ),
+    forest=st.builds(
+        forest.ForestConfig,
+        tree_count=st.integers(1, 500),
+        top_k=st.integers(1, 50),
+        validation_fraction=st.floats(0.01, 0.99),
+    ),
+    fold_count=st.integers(2, 10),
+    confidence=st.floats(0.5, 1.0),
+    seed=st.integers(0, 2**31),
+    out_dir=st.sampled_from([Path("runs"), Path("out/run 1")]),
+    sweep=st.booleans(),
+    data_dir=st.none() | st.sampled_from([Path("data"), Path("/data/uci sets")]),
+    datasets=st.lists(st.sampled_from(sorted(bench.UCI_TABLE)), unique=True).map(tuple),
+    workers=st.integers(1, 8),
+)
+
+
+@given(cfg=experiment_configs)
+@settings(max_examples=200, deadline=None)
+def test_experiment_config_round_trips_through_json(cfg):
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -104,6 +104,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown key"):
             load_schema(_write(tmp_path, "nonsense=1\n", name="schema.txt"))
 
+    def test_missing_schema_file_exits_3(self, tmp_path, capsys):
+        train = _write(tmp_path, "1.0,0\n2.0,1\n3.0,0\n")
+        rc = cli.main(["bayes", "--train", str(train), "--schema", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "no such schema file" in capsys.readouterr().err
+
     def test_pima_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [

@@ -12,13 +12,10 @@ from treeuq.tree import (
     deserialize,
     fit_partition,
     format_feature_path,
-    hard_label,
-    hard_labels,
     leaf_predictive,
     predict_trees,
     prunable_splits,
     read_tree_file,
-    refit_counts,
     replace_leaf,
     resolve_alpha,
     route,
@@ -81,20 +78,20 @@ class TestRouting:
 class TestRefitCounts:
     def test_counts_sum_to_n(self, canonical_data):
         train, _ = canonical_data
-        tree = refit_counts(two_level_tree(), train.features, train.labels, 2)
+        tree, _ = fit_partition(two_level_tree(), train.features, train.labels, 2)
         total = sum(tree.nodes[i].n for i in tree.leaf_ids)
         assert total == train.row_count
 
     def test_single_leaf_matches_histogram(self, canonical_data):
         train, _ = canonical_data
-        tree = refit_counts(single_leaf_tree(), train.features, train.labels, 2)
+        tree, _ = fit_partition(single_leaf_tree(), train.features, train.labels, 2)
         assert tree.nodes[0].counts == tuple(train.class_histogram())
 
     def test_empty_leaf_reported(self):
         X = np.array([[0.0], [0.1], [0.2]])
         y = np.array([0, 1, 0])
         tree = DecisionTree(nodes=(Split(0, 99.0, 1, 2), Leaf(), Leaf()))
-        fitted = refit_counts(tree, X, y, 2)
+        fitted, _ = fit_partition(tree, X, y, 2)
         assert fitted.nodes[2].n == 0
         assert fitted.nodes[1].n == 3
 
@@ -134,18 +131,19 @@ class TestLeafPredictive:
 class TestHardLabel:
     def test_majority(self):
         tree = single_leaf_tree(counts=(3, 1))
-        assert hard_label(tree, (0.0,), ALPHA) == 0
+        assert next(predict_trees((tree,), [(0.0,)], ALPHA))[1].tolist() == [0]
 
     def test_tie_breaks_low(self):
         tree = single_leaf_tree(counts=(2, 2))
-        assert hard_label(tree, (0.0,), ALPHA) == 0
+        assert next(predict_trees((tree,), [(0.0,)], ALPHA))[1].tolist() == [0]
 
     def test_agrees_with_predictive_argmax(self, canonical_data, random_tree_factory):
         train, test = canonical_data
         rng = np.random.default_rng(5)
         tree = random_tree_factory(train.features, train.labels, 2, 8, rng, min_leaf_rows=5)
         probs = tree_predictive(tree, test.features, ALPHA)
-        assert np.array_equal(hard_labels(tree, test.features, ALPHA), np.argmax(probs, axis=1))
+        _, labels = next(predict_trees((tree,), test.features, ALPHA))
+        assert np.array_equal(labels, np.argmax(probs, axis=1))
 
 
 class TestPredictTrees:
