@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, envelope, forest, mcmc, synth
-from .data import Dataset, DataError, load_csv, make_folds, split_holdout_count
+from .data import Dataset, DataError, load_csv, make_folds, split_holdout_count, write_csv
 from .tree import format_feature_path, write_tree_file
 
 
@@ -168,21 +168,10 @@ def _write_sweep_csv(path: Path, curves: list) -> None:
         )
 
 
-def _report_dict(rep: envelope.EnvelopeReport) -> dict:
-    return {
-        "accuracy": rep.accuracy,
-        "cc_rate": rep.cc_rate,
-        "u_rate": rep.u_rate,
-        "ci_rate": rep.ci_rate,
-        "tree_size_mean": rep.tree_size_mean,
-        "tree_size_std": rep.tree_size_std,
-    }
-
-
 def _summary_dict(summary: envelope.EnvelopeSummary) -> dict:
     return {
-        "mean": _report_dict(summary.mean),
-        "width2": _report_dict(summary.width2),
+        "mean": dataclasses.asdict(summary.mean),
+        "width2": dataclasses.asdict(summary.width2),
         "fold_count": summary.count,
     }
 
@@ -300,7 +289,7 @@ def _emit_technique_artifacts(
         votes_path = out_dir / f"{tag}_fold{i}_votes.csv"
         envelope.write_votes_csv(oc.votes, votes_path)
         artifacts.setdefault(tag, {}).setdefault("votes", []).append(str(votes_path.name))
-        per_fold.append(_report_dict(oc.report) | {"soft_accuracy": oc.soft_accuracy})
+        per_fold.append(dataclasses.asdict(oc.report) | {"soft_accuracy": oc.soft_accuracy})
     summary = envelope.aggregate([oc.report for oc in outcomes])
     part = {"per_fold": per_fold, "summary": _summary_dict(summary)}
     if outcomes[0].sweep_curve is not None:
@@ -387,6 +376,8 @@ def _emit_forest_diagnostics(
 
 def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
+    if cfg.fold_count > cfg.train_size:  # refused before anything is written
+        raise DataError(f"cannot make {cfg.fold_count} folds from {cfg.train_size} rows")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -396,10 +387,8 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     train_ds, test_ds = synth.canonical_datasets(
         seed=cfg.seed, train_size=cfg.train_size, test_size=cfg.test_size
     )
-    from .data import write_csv as write_dataset_csv
-
-    write_dataset_csv(train_ds, out_dir / "synthetic_train.csv")
-    write_dataset_csv(test_ds, out_dir / "synthetic_test.csv")
+    write_csv(train_ds, out_dir / "synthetic_train.csv")
+    write_csv(test_ds, out_dir / "synthetic_test.csv")
     artifacts["data"] = {"train": "synthetic_train.csv", "test": "synthetic_test.csv"}
     stage_seconds["data"] = time.perf_counter() - t0
 
@@ -435,7 +424,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     for tag, outcomes in fold_outcomes.items():
         part = _emit_technique_artifacts(out_dir, tag, outcomes, artifacts)
         hl = headline[tag]
-        part["full_train"] = _report_dict(hl.report) | {"soft_accuracy": hl.soft_accuracy}
+        part["full_train"] = dataclasses.asdict(hl.report) | {"soft_accuracy": hl.soft_accuracy}
         part["full_train_extras"] = {
             k: v
             for k, v in hl.extras.items()

@@ -272,7 +272,7 @@ def _cmd_envelope(args) -> int:
     reports = [envelope.evaluate(vm, confidence) for vm in matrices]
     payload: dict = {
         "confidence": confidence,
-        "per_input": [bench._report_dict(r) for r in reports],
+        "per_input": [dataclasses.asdict(r) for r in reports],
     }
     if len(reports) >= 2:
         payload["summary"] = bench._summary_dict(envelope.aggregate(reports))

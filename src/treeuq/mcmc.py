@@ -14,16 +14,20 @@ shared cores on the chain state's counts.
 The chain keeps one mutable `ChainState`; a proposal touches only the
 subtree it edits, and a `DecisionTree` is built only when one is read.
 Each node's training rows are one Python-int bitset (bit r set iff row r
-reaches the node).  `RowTables`, built once per dataset and prior, hold per
-feature the sorted distinct values and the bitsets of the rows at and below
-each value, one bitset per class, and the log-gamma terms for every count
-0..n.  A split is then `rows & below` and `rows ^ left`, counts are
+reaches the node).  Each chain builds its own `RowTables` from its data
+and prior: per feature the sorted distinct values and the bitsets of the
+rows at and below each value, one bitset per class, and the log-gamma
+terms for every count 0..n.  The tables read -0.0 as 0.0, so every zero
+threshold the chain draws is 0.0.  `ChainState(tables, tree)` routes a
+tree's rows from the root with the tables and reads its counts and
+log-likelihood from them; the chain's start and every move go through it.
+A split is then `rows & below` and `rows ^ left`, counts are
 `int.bit_count`, a change keeps every subtree whose rows it does not move,
 and the windowed change-rule step walks the per-value bitsets without a
-numpy call.  The log-likelihood of a proposal adds the table terms with
-`pairwise_sum`, in the order numpy's reduction in `log_marginal_of_counts`
-adds them, so every bit and every accept decision is the same as evaluating
-the count matrix directly.
+numpy call.  `RowTables.log_lik` adds the table terms with `pairwise_sum`,
+in the order numpy's reduction in `log_marginal_of_counts` adds them, so
+every bit and every accept decision is the same as evaluating the count
+matrix directly.
 
 Log-gamma is `lgam`, a port of the Cephes routine behind
 `scipy.special.gammaln` that gives the same bits, so the sampler needs
@@ -45,17 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import (
-    DecisionTree,
-    Leaf,
-    Split,
-    ensemble_average,
-    fit_partition,
-    prunable_splits,
-    replace_leaf,
-    resolve_alpha,
-    single_leaf_tree,
-)
+from .tree import DecisionTree, Leaf, Split, ensemble_average, prunable_splits, resolve_alpha, single_leaf_tree
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
@@ -302,9 +296,9 @@ def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
     """Dirichlet-multinomial log marginal likelihood of a (leaves x classes)
     float64 count matrix, leaves in pre-order.
 
-    The one evaluation used by the sampler and by `log_marginal_likelihood`:
-    the same matrix gives the same bits, which the accept decisions and the
-    reported log-likelihoods rely on.
+    The reference evaluation behind `log_marginal_likelihood`; the sampler's
+    `RowTables.log_lik` gives the same bits from table terms, which the
+    accept decisions and the reported log-likelihoods rely on.
     """
     normalizer = counts.shape[0] * terms.log_norm
     leaf_terms = _lgam_array(counts + terms.alpha).sum() - _lgam_array(counts.sum(axis=1) + terms.alpha_sum).sum()
@@ -332,17 +326,6 @@ def valid_rules(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
-
-
-def _indexed_grid_step(values: np.ndarray, current: float, offset: int) -> float | None:
-    """The window step on the sorted distinct `values` of a node's rows, for
-    features whose zeros carry both signs (see `RowTables`)."""
-    rules = valid_rules(values)
-    here = int(np.searchsorted(rules, current))
-    if here == len(rules) or rules[here] != current:
-        return None
-    j = here + offset
-    return float(rules[j]) if 0 <= j < len(rules) else None
 
 
 def _structure_log_ratio(kind: str, k_old: int, q: int, cfg: McmcConfig) -> float:
@@ -408,7 +391,7 @@ def rows_of(bits: int) -> np.ndarray:
 
 
 class RowTables:
-    """Lookup tables of one training set and prior, shared by every chain on it.
+    """Lookup tables of one training set and prior; each chain builds its own.
 
     Per feature f: `columns[f]`, the column, contiguous; `values[f]`, its
     sorted distinct values; `rank[f]`, a value -> position dict; `eq[f][j]`,
@@ -417,51 +400,33 @@ class RowTables:
     `lg_class[c][k]` = lgam(k + alpha_c) and `lg_total[k]` =
     lgam(k + sum(alpha)) for k = 0..n are `lgam` of the same float64
     inputs as `log_marginal_of_counts` evaluates, so sums over them in
-    numpy's order (`pairwise_sum`) reproduce its bits.
+    numpy's order (`log_lik`) reproduce its bits.
 
-    `mixed_zero[f]` flags a column holding both -0.0 and 0.0.  np.unique
-    keeps one sign for the two, while the sign `valid_rules` keeps for a
-    node depends on the node's rows, so the window step on such a feature
-    sorts the node's values instead of walking `eq`.
+    Each column is read as `column + 0.0`, which turns -0.0 into 0.0: a
+    feature's zeros are one value, whatever rows reach a node, so every
+    threshold drawn from the tables is a value of `values[f]`.  Routing is
+    unchanged, since -0.0 <= t exactly when 0.0 <= t.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha):
-        self.X, self.y, self.class_count, self.alpha = X, y, class_count, alpha
         n, m = X.shape
-        self.n = n
-        self.columns = [np.ascontiguousarray(X[:, f]) for f in range(m)]
-        self.values, self.rank, self.eq, self.le, self.mixed_zero = [], [], [], [], []
-        for f in range(m):
-            column = X[:, f]
+        self.n, self.class_count = n, class_count
+        self.columns = [X[:, f] + 0.0 for f in range(m)]
+        self.values, self.rank, self.eq, self.le = [], [], [], []
+        for column in self.columns:
             values, inverse = np.unique(column, return_inverse=True)
             eq = [0] * len(values)
             for r, j in enumerate(inverse.tolist()):
                 eq[j] |= 1 << r
             self.values.append(values.tolist())
-            self.rank.append({v: j for j, v in enumerate(self.values[f])})
+            self.rank.append({v: j for j, v in enumerate(self.values[-1])})
             self.eq.append(eq)
             self.le.append(list(accumulate(eq, operator.or_)))
-            zeros = column[column == 0.0]
-            self.mixed_zero.append(bool(np.signbit(zeros).any() and not np.signbit(zeros).all()))
         self.class_bits = [bits_of(np.flatnonzero(y == c)) for c in range(class_count)]
         terms = DirichletTerms.of(resolve_alpha(alpha, class_count))
         self.lg_class = [[lgam(k + a) for k in range(n + 1)] for a in terms.alpha.tolist()]
         self.lg_total = [lgam(k + terms.alpha_sum) for k in range(n + 1)]
         self.log_norm = terms.log_norm
-
-    def holds(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> bool:
-        """Whether these tables belong to (X, y, class_count, alpha).  Arrays
-        with the same bytes as the tables' own (a dataset unpickled in a pool
-        worker) are adopted, so the check is one identity test per step."""
-        if class_count != self.class_count or alpha != self.alpha:
-            return False
-        if X is self.X and y is self.y:
-            return True
-        if all(a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-               for a, b in ((X, self.X), (y, self.y))):
-            self.X, self.y = X, y
-            return True
-        return False
 
     def column_at(self, feature: int, rows: int) -> np.ndarray:
         """The feature's values on a row set, in ascending row order."""
@@ -482,8 +447,6 @@ class RowTables:
         of the feature among `rows` away from `current` (negative:
         downwards), found by walking `eq` from the rank of `current`.  None
         if `current` is not a value of those rows or the step leaves them."""
-        if self.mixed_zero[feature]:
-            return _indexed_grid_step(self.column_at(feature, rows), current, offset)
         eq = self.eq[feature]
         at = self.rank[feature].get(current)
         if at is None or not rows & eq[at]:
@@ -508,17 +471,11 @@ class RowTables:
         counts = tuple([(bits & c).bit_count() for c in self.class_bits])
         return size, counts, self.terms(counts), self.lg_total[size]
 
-
-_TABLES: RowTables | None = None
-
-
-def row_tables(X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> RowTables:
-    """The tables of (X, y, class_count, alpha), built once and kept while
-    the same data is sampled (every restart of a run, in each process)."""
-    global _TABLES
-    if _TABLES is None or not _TABLES.holds(X, y, class_count, alpha):
-        _TABLES = RowTables(X, y, class_count, alpha)
-    return _TABLES
+    def log_lik(self, terms: list, totals: list) -> float:
+        """`log_marginal_of_counts` of the leaves whose flat per-class terms
+        and total terms these are, bit for bit: the same values, summed in
+        numpy's order."""
+        return len(totals) * self.log_norm + (pairwise_sum(terms) - pairwise_sum(totals))
 
 
 # ---------------------------------------------------------------------------
@@ -530,18 +487,22 @@ class ChainState:
     """The chain's current tree as per-node lists that accepted moves edit
     in place.
 
+    `ChainState(tables, tree)` is the state at `tree` (numbered in
+    pre-order from root 0; None for the root-only tree) on the data and
+    prior of `tables`.  The tree's splits are all it reads: its rows are
+    routed down from the root with `RowTables.below`, and its leaf sizes,
+    class counts, log-gamma terms and `log_lik` are read from the tables.
+
     Node ids index the per-node lists (split feature, -1 for a leaf;
     threshold; children; parent; depth; `bits`, the set of training rows
     that reach the node as an int with bit r set for row r) and stay fixed
     while the node lives; a death frees two ids for later births.  `order`
     lists the live ids in pre-order, the numbering of the `DecisionTree`
     that `tree` freezes.  Per leaf, in pre-order, `leaf_sizes` holds the
-    row count and `leaf_class` the class counts; once `bind` has tied the
-    state to a `RowTables`, `leaf_terms` (flat, class_count per leaf) and
-    `leaf_totals` hold the leaves' log-gamma terms of the marginal
-    likelihood.  `leaf_counts` is the float64 count matrix, built when
-    read.  These lists are replaced, never edited, so a state copy and a
-    proposal may share them.
+    row count, `leaf_class` the class counts, `leaf_terms` (flat,
+    class_count per leaf) and `leaf_totals` the log-gamma terms of the
+    marginal likelihood.  These lists are replaced, never edited, so a
+    state copy and a proposal may share them.
 
     A split routes its row set with two integer operations (left =
     rows & below, right = rows ^ left) and counts with `int.bit_count`, so
@@ -551,17 +512,38 @@ class ChainState:
     the `RowTables.eq` sets that meet its row set.
 
     `tree` is built when read and cached until the next edit, so the
-    samples of a run of rejected steps share one object.  Assigning `tree`
-    (fitted, numbered in pre-order) reloads the lists; assign
-    `rows_by_node` after it.
+    samples of a run of rejected steps share one object.
     """
 
-    def __init__(self, tree: DecisionTree, log_lik: float, rows_by_node: dict, counters: MoveCounters | None = None):
-        self.log_lik = log_lik
-        self.counters = MoveCounters() if counters is None else counters
-        self._version = 0
-        self.tree = tree
-        self.rows_by_node = rows_by_node
+    def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
+        tree = single_leaf_tree() if tree is None else tree
+        nodes, n = tree.nodes, len(tree.nodes)
+        preorder, stack = [], [tree.root]
+        while stack:
+            nid = stack.pop()
+            preorder.append(nid)
+            if isinstance(nodes[nid], Split):
+                stack += (nodes[nid].right, nodes[nid].left)
+        if preorder != list(range(n)):
+            raise ValueError("chain state needs a tree numbered in pre-order from root 0")
+        self.tables, self.counters, self._version, self._tree = tables, MoveCounters(), 0, None
+        self.feature, self.threshold = [-1] * n, [0.0] * n
+        self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
+        self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
+        for nid, node in enumerate(nodes):  # pre-order: a parent's rows are routed before its children's
+            if isinstance(node, Split):
+                self.feature[nid], self.threshold[nid] = node.feature, node.threshold
+                self.left[nid], self.right[nid] = node.left, node.right
+                goes_left = self.bits[nid] & tables.below(node.feature, node.threshold)
+                self.bits[node.left], self.bits[node.right] = goes_left, self.bits[nid] ^ goes_left
+                for child in (node.left, node.right):
+                    self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
+        self.order, self._free = list(range(n)), []
+        self._index_structure()
+        sizes, classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
+        self.leaf_sizes, self.leaf_class, self.leaf_totals = list(sizes), list(classes), list(totals)
+        self.leaf_terms = [t for lg in terms for t in lg]
+        self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals)
 
     @property
     def tree(self) -> DecisionTree:
@@ -569,53 +551,10 @@ class ChainState:
             self._tree = self._freeze()
         return self._tree
 
-    @tree.setter
-    def tree(self, tree: DecisionTree) -> None:
-        nodes = tree.nodes
-        preorder, stack = [], [tree.root]
-        while stack:
-            nid = stack.pop()
-            preorder.append(nid)
-            if isinstance(nodes[nid], Split):
-                stack += (nodes[nid].right, nodes[nid].left)
-        if preorder != list(range(len(nodes))):
-            raise ValueError("chain state needs a tree numbered in pre-order from root 0")
-        n = len(nodes)
-        self.feature, self.threshold = [-1] * n, [0.0] * n
-        self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
-        for nid, node in enumerate(nodes):
-            if isinstance(node, Split):
-                self.feature[nid], self.threshold[nid] = node.feature, node.threshold
-                self.left[nid], self.right[nid] = node.left, node.right
-                for child in (node.left, node.right):
-                    self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
-            elif node.counts is None:
-                raise ValueError("leaf counts not fitted")
-        self.bits = [0] * n
-        self.order = list(range(n))
-        self._free = []
-        self.leaf_class = [tuple(int(c) for c in nodes[i].counts) for i in tree.leaf_ids]
-        self._index_structure()
-        self.leaf_sizes = None  # set with rows_by_node
-        self.tables = None  # set by bind
-        self._tree = tree
-        self._version += 1
-
     @property
     def rows_by_node(self) -> dict:
         """Ascending row indices reaching each node, keyed by the ids of `tree`."""
         return {i: rows_of(self.bits[nid]) for i, nid in enumerate(self.order)}
-
-    @rows_by_node.setter
-    def rows_by_node(self, parts: dict) -> None:
-        for i, nid in enumerate(self.order):
-            self.bits[nid] = bits_of(parts[i])
-        self.leaf_sizes = [self.bits[nid].bit_count() for nid in self.leaf_ids]
-
-    @property
-    def leaf_counts(self) -> np.ndarray:
-        """The leaves' class counts, one row per leaf in pre-order."""
-        return np.asarray(self.leaf_class, dtype=np.float64)
 
     @property
     def leaf_count(self) -> int:
@@ -631,18 +570,6 @@ class ChainState:
         for name in ("feature", "threshold", "left", "right", "parent", "depth", "bits", "order", "_free"):
             setattr(other, name, list(getattr(self, name)))
         return other
-
-    def bind(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha) -> RowTables:
-        """The tables of the data and prior being sampled; the leaves' terms
-        are re-read from them when they change."""
-        tables = self.tables
-        if tables is None or not tables.holds(X, y, class_count, alpha):
-            tables = row_tables(X, y, class_count, alpha)
-        if tables is not self.tables:
-            self.tables = tables
-            self.leaf_terms = [t for counts in self.leaf_class for t in tables.terms(counts)]
-            self.leaf_totals = [tables.lg_total[sum(counts)] for counts in self.leaf_class]
-        return tables
 
     def _index_structure(self) -> None:
         """Pre-order leaf and split ids, death candidates and leaf positions."""
@@ -732,6 +659,7 @@ class ChainState:
                 self.bits[nid] = rows
         self.leaf_sizes, self.leaf_class = proposal.leaf_sizes, proposal.leaf_class
         self.leaf_terms, self.leaf_totals = proposal.leaf_terms, proposal.leaf_totals
+        self.log_lik = proposal.log_lik
         if kind in (MOVE_BIRTH, MOVE_DEATH):
             self._index_structure()
         self._tree = None
@@ -759,10 +687,10 @@ class Proposal:
     A valid proposal holds the edit: the node it acts on, the new rule, the
     new row sets (birth: the two children's; change: those of the nodes
     below the changed one whose rows move), the proposed per-leaf lists
-    (sizes, class counts, log-gamma terms) and the depth the split prior term
-    needs.  `leaf_counts`, `tree` and `rows_by_node` of the proposed state
-    are built only when read, the latter two from the unchanged state the
-    move was drawn on.
+    (sizes, class counts, log-gamma terms), their `log_lik`, read once from
+    the state's tables, and the depth the split prior term needs.  `tree`
+    and `rows_by_node` of the proposed state are built only when read, from
+    the unchanged state the move was drawn on.
     """
 
     def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, state: ChainState | None = None,
@@ -770,21 +698,11 @@ class Proposal:
         self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
         self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
         self.leaf_sizes, self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 4
+        self.log_lik = state.tables.log_lik(self.leaf_terms, self.leaf_totals) if valid else None
         self.depth = depth
         self._state = state
         self._drawn_at = state._version if state is not None else None
         self._after = None
-
-    @property
-    def leaf_counts(self) -> np.ndarray | None:
-        """The proposed leaves' class counts as a float64 matrix."""
-        return np.asarray(self.leaf_class, dtype=np.float64) if self.valid else None
-
-    def log_lik(self, log_norm: float) -> float:
-        """`log_marginal_of_counts` of `leaf_counts`, bit for bit, from the
-        leaves' table terms: the same values, summed in numpy's order."""
-        leaves = len(self.leaf_totals)
-        return leaves * log_norm + (pairwise_sum(self.leaf_terms) - pairwise_sum(self.leaf_totals))
 
     @property
     def tree(self) -> DecisionTree | None:
@@ -845,14 +763,7 @@ def _spliced(state: ChainState, lo: int, hi: int, entries: list) -> tuple:
     )
 
 
-def propose_move(
-    state: ChainState,
-    X: np.ndarray,
-    y: np.ndarray,
-    class_count: int,
-    cfg: McmcConfig,
-    rng: np.random.Generator,
-) -> Proposal:
+def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> Proposal:
     """Draw a move kind and evaluate the proposal on the touched subtree.
 
     A birth splits one leaf's rows, a death merges two sibling leaves, and a
@@ -862,16 +773,16 @@ def propose_move(
     rows, a birth would exceed the leaf cap, or a structural move has no
     candidate node.  The state is left unchanged.
     """
-    tables = state.bind(X, y, class_count, cfg.dirichlet_alpha)
+    tables = state.tables
     kind = _draw_kind(rng, cfg.move_probs)
     min_rows, sizes = cfg.min_leaf_rows, state.leaf_sizes
 
     if kind == MOVE_BIRTH:
-        if state.leaf_count + 1 > _effective_max_leaves(cfg, len(y)):
+        if state.leaf_count + 1 > _effective_max_leaves(cfg, tables.n):
             return Proposal(kind, False)
         leaf = _pick(rng, state.leaf_ids)
         rows = state.bits[leaf]
-        feature = int(rng.integers(X.shape[1]))
+        feature = int(rng.integers(len(tables.columns)))
         threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
         goes_left = rows & tables.below(feature, threshold)
         children = (goes_left, rows ^ goes_left)
@@ -907,7 +818,7 @@ def propose_move(
     node = _pick(rng, state.split_ids)
     rows = state.bits[node]
     if kind == MOVE_CHANGE_SPLIT:
-        feature = int(rng.integers(X.shape[1]))
+        feature = int(rng.integers(len(tables.columns)))
         threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
     else:
         feature = state.feature[node]
@@ -940,7 +851,7 @@ def propose_move(
         for leaf, (size, counts, terms, total) in fresh:
             at = state.leaf_pos[leaf]
             new_sizes[at], new_class[at], new_totals[at] = size, counts, total
-            new_terms[at * class_count : (at + 1) * class_count] = terms
+            new_terms[at * tables.class_count : (at + 1) * tables.class_count] = terms
     return Proposal(
         kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), state=state,
         node=node, feature=feature, threshold=threshold, rows=moved, leaves=lists,
@@ -1006,28 +917,19 @@ def split_prior_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionT
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def mh_step(
-    state: ChainState,
-    X: np.ndarray,
-    y: np.ndarray,
-    class_count: int,
-    cfg: McmcConfig,
-    rng: np.random.Generator,
-) -> tuple[str, bool]:
+def mh_step(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> tuple[str, bool]:
     """One Metropolis-Hastings transition; mutates state, returns (kind, accepted)."""
-    proposal = propose_move(state, X, y, class_count, cfg, rng)
+    proposal = propose_move(state, cfg, rng)
     state.counters.proposed[proposal.kind] += 1
     if not proposal.valid:
         return proposal.kind, False
-    new_log_lik = proposal.log_lik(state.tables.log_norm)
     total = (
-        (new_log_lik - state.log_lik)
+        (proposal.log_lik - state.log_lik)
         + proposal.log_proposal_ratio
         + _split_prior_term(proposal.kind, proposal.depth, cfg.split_prior)
     )
     if total >= 0.0 or rng.random() < math.exp(total):
         state.apply(proposal)
-        state.log_lik = new_log_lik
         state.counters.accepted[proposal.kind] += 1
         return proposal.kind, True
     return proposal.kind, False
@@ -1037,21 +939,17 @@ def mh_step(
 # ---------------------------------------------------------------------------
 
 
-def draw_initial_split(
-    X: np.ndarray, y: np.ndarray, min_leaf_rows: int, rng: np.random.Generator
-) -> tuple[int, float] | None:
+def draw_initial_split(tables: RowTables, min_leaf_rows: int, rng: np.random.Generator) -> tuple[int, float] | None:
     """One (feature, rule) pair from the split prior restricted to pairs that
     leave both sides with at least min_leaf_rows rows; None if none exists."""
-    n, m = X.shape
+    n, m = tables.n, len(tables.columns)
     features, thresholds, weights = [], [], []
-    for f in range(m):
-        vals, counts = np.unique(X[:, f], return_counts=True)
-        left = np.cumsum(counts)
-        ok = (left >= min_leaf_rows) & (n - left >= min_leaf_rows)
-        for v in vals[ok]:
-            features.append(f)
-            thresholds.append(float(v))
-            weights.append(1.0 / (m * len(vals)))
+    for f, (vals, le) in enumerate(zip(tables.values, tables.le)):
+        for v, rows in zip(vals, le):
+            if min_leaf_rows <= rows.bit_count() <= n - min_leaf_rows:
+                features.append(f)
+                thresholds.append(v)
+                weights.append(1.0 / (m * len(vals)))
     if not features:
         return None
     w = np.asarray(weights)
@@ -1072,28 +970,23 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
     trace.  The private PRNG is derived from (cfg.seed, run_index), so runs
     are reproducible regardless of execution order.
     """
-    X, y, class_count = ds.features, ds.labels, ds.class_count
-    present = np.bincount(y, minlength=class_count)
-    if (present == 0).any():
+    if (np.bincount(ds.labels, minlength=ds.class_count) == 0).any():
         raise DataError("every class must be present in the training data")
-    alpha = resolve_alpha(cfg.dirichlet_alpha, class_count)
+    tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
     rng = _derived_rng(cfg.seed, run_index)
-    warnings = ()
-
-    start = draw_initial_split(X, y, cfg.min_leaf_rows, rng)
+    warnings, tree = (), None
+    start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
     if start is None:
         warnings = ("no valid split under min_leaf_rows; chain holds the root-only model",)
-        tree = single_leaf_tree()
     else:
         feature, threshold = start
-        tree = replace_leaf(single_leaf_tree(), 0, feature, threshold)
-    tree, parts = fit_partition(tree, X, y, class_count)
-    state = ChainState(tree=tree, log_lik=log_marginal_likelihood(tree, alpha), rows_by_node=parts)
+        tree = DecisionTree((Split(feature, threshold, 1, 2), Leaf(), Leaf()))
+    state = ChainState(tables, tree)
 
     samples, trace = [], []
     total_iters = cfg.burn_in + cfg.post_burn_in
     for i in range(1, total_iters + 1):
-        kind, accepted = mh_step(state, X, y, class_count, cfg, rng)
+        kind, accepted = mh_step(state, cfg, rng)
         phase = "burn" if i <= cfg.burn_in else "post"
         trace.append(
             TraceRow(

@@ -367,24 +367,17 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
     # 8a: reciprocity on 1e4 recorded birth/death pairs
     ds = train.subset(np.arange(100))
     cfg = mcmc.McmcConfig(move_probs=(0.5, 0.5, 0.0, 0.0), min_leaf_rows=5, seed=8)
-    state_tree, parts = fit_partition(single_leaf_tree(), ds.features, ds.labels, 2)
-    state = mcmc.ChainState(
-        tree=state_tree,
-        log_lik=mcmc.log_marginal_likelihood(state_tree, np.ones(2)),
-        rows_by_node=parts,
-    )
+    state = mcmc.ChainState(mcmc.RowTables(ds.features, ds.labels, 2, cfg.dirichlet_alpha))
     rng = np.random.default_rng(8)
     checked, worst = 0, 0.0
     while checked < 10_000:
-        prop = mcmc.propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+        prop = mcmc.propose_move(state, cfg, rng)
         if prop.valid and prop.kind == mcmc.MOVE_BIRTH:
             back = mcmc.proposal_log_ratio(mcmc.MOVE_DEATH, prop.tree, state.tree, cfg)
             worst = max(worst, abs(prop.log_proposal_ratio + back))
             checked += 1
         if prop.valid and rng.random() < 0.5:
-            state.tree = prop.tree
-            state.rows_by_node = prop.rows_by_node
-            state.log_lik = mcmc.log_marginal_likelihood(prop.tree, np.ones(2))
+            state.apply(prop)
     _criterion("8a", worst <= 1e-12, "birth/death reciprocity sums to 0 +- 1e-12 on 1e4 pairs", f"worst {worst:.2e}")
 
     # 8b + 8c: envelope partition identity and consistency bounds

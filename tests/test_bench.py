@@ -319,6 +319,13 @@ class TestCli:
         rc = cli.main(["sweep", "--votes", str(votes), "--start", "0.99", "--stop", "0.9", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_more_folds_than_rows_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["bench", "synthetic", "--train-size", "3", "--out", str(out)])
+        assert rc == 3
+        assert "cannot make 5 folds from 3 rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_votes_is_data_error(self, tmp_path):
         rc = cli.main(["envelope", "--votes", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
         assert rc == 3

@@ -20,6 +20,7 @@ from treeuq.mcmc import (
     MOVE_CHANGE_RULE,
     MOVE_CHANGE_SPLIT,
     MOVE_DEATH,
+    RowTables,
     UniformSplitPrior,
     draw_initial_split,
     log_catalan,
@@ -61,13 +62,8 @@ def small_dataset(n=40, seed=0, m=2):
     return Dataset(X, y, 2, tuple(f"f{i}" for i in range(m)))
 
 
-def make_state(ds, cfg) -> ChainState:
-    tree, parts = fit_partition(single_leaf_tree(), ds.features, ds.labels, ds.class_count)
-    return ChainState(
-        tree=tree,
-        log_lik=log_marginal_likelihood(tree, resolve_alpha(cfg.dirichlet_alpha, 2)),
-        rows_by_node=parts,
-    )
+def make_state(ds, cfg, tree=None) -> ChainState:
+    return ChainState(RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha), tree)
 
 
 class FakeRng:
@@ -228,7 +224,7 @@ class TestProposeMove:
         cfg = McmcConfig(min_leaf_rows=5, seed=0)
         state = make_state(train, cfg)
         rng = FakeRng(randoms=[0.15])  # lands in the death slot (0.1..0.2)
-        prop = propose_move(state, train.features, train.labels, 2, cfg, rng)
+        prop = propose_move(state, cfg, rng)
         assert prop.kind == MOVE_DEATH and not prop.valid
 
     def test_birth_needs_twice_min_leaf(self):
@@ -237,7 +233,7 @@ class TestProposeMove:
         state = make_state(ds, cfg)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            prop = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+            prop = propose_move(state, cfg, rng)
             if prop.kind == MOVE_BIRTH:
                 assert not prop.valid  # 8 rows can never feed two leaves of 5
 
@@ -246,7 +242,7 @@ class TestProposeMove:
         cfg = McmcConfig(min_leaf_rows=1, max_leaves=1, seed=0)
         state = make_state(train, cfg)
         rng = FakeRng(randoms=[0.05])  # birth slot
-        prop = propose_move(state, train.features, train.labels, 2, cfg, rng)
+        prop = propose_move(state, cfg, rng)
         assert prop.kind == MOVE_BIRTH and not prop.valid
 
     def test_kind_frequencies(self, canonical_data):
@@ -257,7 +253,7 @@ class TestProposeMove:
         counts = {k: 0 for k in mcmc.MOVE_KINDS}
         trials = 10_000
         for _ in range(trials):
-            counts[propose_move(state, train.features, train.labels, 2, cfg, rng).kind] += 1
+            counts[propose_move(state, cfg, rng).kind] += 1
         for kind, expected in zip(mcmc.MOVE_KINDS, (0.1, 0.1, 0.1, 0.7)):
             assert counts[kind] / trials == pytest.approx(expected, abs=0.02)
 
@@ -268,7 +264,7 @@ class TestProposeMove:
         rng = np.random.default_rng(3)
         seen_valid = False
         for _ in range(200):
-            prop = propose_move(state, train.features, train.labels, 2, cfg, rng)
+            prop = propose_move(state, cfg, rng)
             if prop.kind == MOVE_BIRTH and prop.valid:
                 seen_valid = True
                 assert prop.tree.leaf_count == 2
@@ -313,15 +309,13 @@ class TestProposalLogRatio:
         state = make_state(ds, cfg)
         checked = 0
         for _ in range(2000):
-            prop = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+            prop = propose_move(state, cfg, rng)
             if prop.valid and prop.kind == MOVE_BIRTH:
                 back = proposal_log_ratio(MOVE_DEATH, prop.tree, state.tree, cfg)
                 assert prop.log_proposal_ratio + back == pytest.approx(0.0, abs=1e-12)
                 checked += 1
             if prop.valid and rng.random() < 0.5:  # evolve to vary tree shapes
-                state.tree = prop.tree
-                state.rows_by_node = prop.rows_by_node
-                state.log_lik = log_marginal_likelihood(prop.tree, ALPHA2)
+                state.apply(prop)
         assert checked > 100
 
 
@@ -365,13 +359,10 @@ class TestMhStep:
         y = np.array([0, 0, 1, 1])
         ds = Dataset(X, y, 2, ("a", "b"))
         cfg = McmcConfig(min_leaf_rows=1, change_rule_window=None, seed=0)
-        tree, parts = fit_partition(
-            replace_leaf(single_leaf_tree(), 0, feature=0, threshold=1.0), X, y, 2
-        )
-        state = ChainState(tree=tree, log_lik=log_marginal_likelihood(tree, ALPHA2), rows_by_node=parts)
+        state = make_state(ds, cfg, replace_leaf(single_leaf_tree(), 0, feature=0, threshold=1.0))
         # kind draw -> change_split slot (0.2..0.3); node pick 0; feature 1; rule index 1 (=1.0)
         rng = FakeRng(randoms=[0.25], integers=[0, 1, 1])
-        kind, accepted = mh_step(state, X, y, 2, cfg, rng)
+        kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_CHANGE_SPLIT and accepted
         assert state.tree.nodes[0].feature == 1
         assert state.log_lik == pytest.approx(log_marginal_likelihood(state.tree, ALPHA2))
@@ -382,7 +373,7 @@ class TestMhStep:
         state = make_state(train, cfg)
         before_tree = state.tree
         rng = FakeRng(randoms=[0.15])  # death on a single leaf
-        kind, accepted = mh_step(state, train.features, train.labels, 2, cfg, rng)
+        kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_DEATH and not accepted
         assert state.tree is before_tree
         assert state.counters.proposed[MOVE_DEATH] == 1
@@ -396,7 +387,7 @@ class TestMhStep:
         rng = np.random.default_rng(7)
         outcomes = set()
         for _ in range(300):
-            _, accepted = mh_step(state, ds.features, ds.labels, 2, cfg, rng)
+            _, accepted = mh_step(state, cfg, rng)
             outcomes.add(accepted)
             assert state.log_lik == log_marginal_likelihood(state.tree, alpha)
             fitted, parts = fit_partition(state.tree, ds.features, ds.labels, 2)
@@ -406,11 +397,31 @@ class TestMhStep:
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
         assert outcomes == {True, False}
 
-    def test_acceptance_components_are_separable(self):
-        # with the likelihood delta zeroed and a uniform prior, acceptance is
-        # driven by the proposal ratio alone
-        assert 0.0 + math.log(0.5) + 0.0 == pytest.approx(math.log(0.5))
-        assert math.exp(0.0 + 0.0 + 0.0) == 1.0
+    def test_accept_boundary_is_exp_of_tree_level_total(self):
+        """A scripted birth on a noise feature is accepted exactly when the
+        accept draw falls below exp(total), with total summed from the
+        tree-level likelihood, proposal and split-prior ratios."""
+        ds = small_dataset(n=30, seed=6)
+        X, y = ds.features, ds.labels
+        cfg = McmcConfig(min_leaf_rows=3, split_prior=DepthPenaltySplitPrior(base=0.5, decay=1.0), seed=0)
+        rules = valid_rules(X[:, 1])
+        j = len(rules) // 2
+        old, _ = fit_partition(single_leaf_tree(), X, y, 2)
+        want, _ = fit_partition(replace_leaf(old, 0, 1, float(rules[j])), X, y, 2)
+        total = (
+            (log_marginal_likelihood(want, ALPHA2) - log_marginal_likelihood(old, ALPHA2))
+            + proposal_log_ratio(MOVE_BIRTH, old, want, cfg)
+            + split_prior_log_ratio(MOVE_BIRTH, old, want, cfg)
+        )
+        assert total < 0.0  # so mh_step draws the accept uniform
+        bound = math.exp(total)
+        for draw, accepts in ((np.nextafter(bound, 0.0), True), (np.nextafter(bound, 1.0), False)):
+            state = make_state(ds, cfg)
+            rng = FakeRng(randoms=[0.05, float(draw)], integers=[0, 1, j])  # birth at the root on feature 1
+            assert mh_step(state, cfg, rng) == (MOVE_BIRTH, accepts)
+            assert not rng.randoms
+            assert state.tree == (want if accepts else old)
+            assert state.log_lik == log_marginal_likelihood(state.tree, ALPHA2)
 
 
 class TestIncrementalKernel:
@@ -425,12 +436,11 @@ class TestIncrementalKernel:
             split_prior=DepthPenaltySplitPrior(base=0.8, decay=0.5),
             seed=0,
         )
-        terms = mcmc.DirichletTerms.of(ALPHA2)
         state = make_state(ds, cfg)
         rng = np.random.default_rng(5)
         checked = {k: 0 for k in mcmc.MOVE_KINDS}
         for _ in range(800):
-            prop = propose_move(state, X, y, 2, cfg, rng)
+            prop = propose_move(state, cfg, rng)
             if not prop.valid:
                 continue
             tree, at = state.tree, state.order.index(prop.node)
@@ -445,7 +455,7 @@ class TestIncrementalKernel:
             rows = prop.rows_by_node
             assert rows.keys() == parts.keys()
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
-            assert mcmc.log_marginal_of_counts(prop.leaf_counts, terms) == log_marginal_likelihood(want, ALPHA2)
+            assert prop.log_lik == log_marginal_likelihood(want, ALPHA2)
             assert prop.log_proposal_ratio == proposal_log_ratio(prop.kind, tree, want, cfg)
             assert mcmc._split_prior_term(prop.kind, prop.depth, cfg.split_prior) == split_prior_log_ratio(
                 prop.kind, tree, want, cfg
@@ -461,8 +471,8 @@ class TestIncrementalKernel:
         cfg = McmcConfig(min_leaf_rows=3, seed=0)
         state = make_state(ds, cfg)
         rng = FakeRng(randoms=[0.05, 0.05], integers=[0, 0, 20, 0, 1, 20])  # two births
-        first = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
-        second = propose_move(state, ds.features, ds.labels, 2, cfg, rng)
+        first = propose_move(state, cfg, rng)
+        second = propose_move(state, cfg, rng)
         assert first.valid and second.valid
         state.apply(first)
         with pytest.raises(RuntimeError, match="changed"):
@@ -471,7 +481,7 @@ class TestIncrementalKernel:
     def test_state_needs_pre_order_numbering(self):
         shuffled = DecisionTree(nodes=(Split(0, 0.0, 2, 1), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
         with pytest.raises(ValueError, match="pre-order"):
-            ChainState(tree=shuffled, log_lik=0.0, rows_by_node={})
+            make_state(small_dataset(n=10), McmcConfig(), shuffled)
 
 
 # The index-array kernel that the bitset one replaced, kept as oracles.
@@ -551,12 +561,11 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
     ds, cfg = chain
     X, y, classes = ds.features, ds.labels, ds.class_count
     terms = mcmc.DirichletTerms.of(resolve_alpha(cfg.dirichlet_alpha, classes))
-    tree, parts = fit_partition(single_leaf_tree(), X, y, classes)
-    state = ChainState(tree=tree, log_lik=log_marginal_likelihood(tree, terms.alpha), rows_by_node=parts)
+    state = make_state(ds, cfg)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(4):
         for _ in range(15):
-            mh_step(state, X, y, classes, cfg, rng)
+            mh_step(state, cfg, rng)
         tables, old = state.tables, index_view(state)
         for node in state.split_ids:
             for feature in range(X.shape[1]):
@@ -585,7 +594,7 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
             rows = state.bits[node]
             for current in {state.threshold[node], *tables.values[state.feature[node]]}:
                 for offset in (-3, -2, -1, 1, 2, 3):
-                    want = oracle_window_step(X, state.feature[node], old.rows[node], current, offset)
+                    want = oracle_window_step(X + 0.0, state.feature[node], old.rows[node], current, offset)
                     got = tables.step(state.feature[node], rows, current, offset)
                     assert repr(got) == repr(want)
 
@@ -634,12 +643,12 @@ class TestRunChain:
         ds = small_dataset(n=30, seed=8)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            drawn = draw_initial_split(ds.features, ds.labels, 5, rng)
+            drawn = draw_initial_split(RowTables(ds.features, ds.labels, 2, 1.0), 5, rng)
             assert drawn is not None
             feature, threshold = drawn
             left = int(np.sum(ds.features[:, feature] <= threshold))
             assert left >= 5 and 30 - left >= 5
-        assert draw_initial_split(ds.features[:4], ds.labels[:4], 5, rng) is None
+        assert draw_initial_split(RowTables(ds.features[:4], ds.labels[:4], 2, 1.0), 5, rng) is None
 
 
 def three_class_dataset(n=90, seed=11):
@@ -682,8 +691,9 @@ GOLDEN_DIGESTS = {
     "max_leaves": "78acf23cb4653ed3891a94e934930497a06bd71711fe7a1745193fce52645bfe",
     "root_only": "11a2cb34ebbd08a6217840366f0613cd625eecb23724eec1926ca95fa83bb764",
     "three_class": "f6c0b93b9e9070cc843f66f623845d51aa7e1e6e129e6f4e4f2633cbd693aa5e",
-    # recorded from the index-array kernel that the bitset one replaced
-    "ties_window1": "6bba222769a8e877b91188477d713a42df139fe2f4ec31310406a506e2f53392",
+    # recorded from the index-array kernel that the bitset one replaced, with
+    # its -0.0 thresholds read as 0.0 as the tables now read them
+    "ties_window1": "ebacc69d28d66ab45bad795cb8e22d6b456b70857832785d82c76b31329e9e26",
 }
 
 
@@ -715,6 +725,21 @@ def test_golden_chains(monkeypatch):
         digests[name] = chain_digest(make(), cfg)
     assert seen == {(kind, valid) for kind in mcmc.MOVE_KINDS for valid in (True, False)}
     assert digests == GOLDEN_DIGESTS
+
+
+def test_negative_zero_features_sample_as_zero():
+    """Data holding -0.0 gives the chain of the same data with every zero
+    +0.0: the same draws, accepts and log-likelihoods, and no sampled
+    threshold is -0.0."""
+    ds = ties_dataset()
+    assert np.signbit(ds.features[ds.features == 0.0]).any()
+    plus = Dataset(ds.features + 0.0, ds.labels, ds.class_count, ds.feature_names)
+    cfg = McmcConfig(burn_in=400, post_burn_in=400, **GOLDEN_CONFIGS["ties_window1"][1])
+    got, want = run_chain(ds, cfg), run_chain(plus, cfg)
+    assert [serialize(s.tree) for s in got.samples] == [serialize(s.tree) for s in want.samples]
+    assert got.trace == want.trace
+    zeros = [nd.threshold for s in got.samples for nd in s.tree.nodes if isinstance(nd, Split) and nd.threshold == 0.0]
+    assert zeros and not np.signbit(zeros).any()
 
 
 # SHA-256 of the posterior-averaged probabilities and votes of a pooled
