@@ -42,6 +42,16 @@ UCI_TABLE = {
     "pima": (2, 8, 512, 256),
 }
 
+# uci_table.csv: per (column, summary metric), a <column>_mean and a
+# <column>_2sigma cell
+_UCI_COLUMNS = (
+    ("size", "tree_size_mean"),
+    ("accuracy", "accuracy"),
+    ("cc", "cc_rate"),
+    ("u", "u_rate"),
+    ("ci", "ci_rate"),
+)
+
 # pruning factor rule: large training sets get 30, small ones 5
 PMIN_LARGE_TRAIN_THRESHOLD = 400
 
@@ -195,6 +205,23 @@ def _derive_seed(*parts: int) -> int:
     return int(mixed >> 1)  # keep it a non-negative int64-safe seed
 
 
+def _fold_outcome(
+    votes, probabilities, test_y, sizes, cfg: ExperimentConfig, extras: dict, do_sweep: bool
+) -> FoldOutcome:
+    """One fold's vote matrix, its envelope report with the mean and std of
+    the tree sizes (split counts), its soft accuracy and optional sweep."""
+    vm = envelope.VoteMatrix.build(votes, test_y)
+    sizes = np.array(sizes)
+    report = dataclasses.replace(
+        envelope.evaluate(vm, cfg.confidence),
+        tree_size_mean=float(sizes.mean()),
+        tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
+    )
+    soft = float(np.mean(np.argmax(probabilities, axis=1) == test_y))
+    curve = envelope.sweep(vm) if do_sweep else None
+    return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, sweep_curve=curve, extras=extras)
+
+
 def run_bayes_fold(
     train_ds: Dataset,
     test_X: np.ndarray,
@@ -206,13 +233,6 @@ def run_bayes_fold(
     mcfg = dataclasses.replace(cfg.mcmc, seed=_derive_seed(cfg.seed, 1, fold))
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
     pred = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
-    vm = envelope.VoteMatrix.build(pred.votes, test_y)
-    sizes = np.array([s.tree.split_count for s in result.samples])
-    report = dataclasses.replace(
-        envelope.evaluate(vm, cfg.confidence),
-        tree_size_mean=float(sizes.mean()),
-        tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
-    )
     post_ll = [r.log_lik for r in result.trace if r.phase == "post"]
     extras = {
         "acceptance_rate": result.counters.acceptance_rate,
@@ -221,9 +241,8 @@ def run_bayes_fold(
         "warnings": list(result.warnings),
         "mcmc_result": result,
     }
-    soft = float(np.mean(np.argmax(pred.probabilities, axis=1) == test_y))
-    curve = envelope.sweep(vm) if do_sweep else None
-    return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, sweep_curve=curve, extras=extras)
+    sizes = [s.tree.split_count for s in result.samples]
+    return _fold_outcome(pred.votes, pred.probabilities, test_y, sizes, cfg, extras, do_sweep)
 
 
 def run_forest_fold(
@@ -239,22 +258,14 @@ def run_forest_fold(
     built, trace = forest.build_forest(
         full_ds, train_rows, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers
     )
-    vm = envelope.VoteMatrix.build(trace.votes, test_y)
-    sizes = np.array([t.split_count for t in built.trees])
-    report = dataclasses.replace(
-        envelope.evaluate(vm, cfg.confidence),
-        tree_size_mean=float(sizes.mean()),
-        tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
-    )
-    soft = float(np.mean(np.argmax(trace.probabilities, axis=1) == test_y))
     extras = {
         "ensemble_acc_final": float(trace.ensemble_acc[-1]),
         "best_validation_acc": trace.best_validation_acc,
         "forest": built,
         "trace": trace,
     }
-    curve = envelope.sweep(vm) if do_sweep else None
-    return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, sweep_curve=curve, extras=extras)
+    sizes = [t.split_count for t in built.trees]
+    return _fold_outcome(trace.votes, trace.probabilities, test_y, sizes, cfg, extras, do_sweep)
 
 
 def _paired_fold_runs(
@@ -374,6 +385,24 @@ def _emit_forest_diagnostics(
 # ---------------------------------------------------------------------------
 
 
+def _write_report(
+    out_dir: Path, report: dict, artifacts: dict, stage_seconds: dict, emit_start: float, cfg: ExperimentConfig
+) -> RunManifest:
+    """Write report.json, close the emit stage begun at emit_start, then
+    write and return the manifest of the report's protocol."""
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    artifacts["report"] = "report.json"
+    stage_seconds["emit"] = time.perf_counter() - emit_start
+    manifest = RunManifest(
+        config=cfg.to_dict() | {"protocol": report["protocol"]},
+        artifacts=artifacts,
+        tool_version=__version__,
+        stage_seconds=stage_seconds,
+    )
+    manifest.write(out_dir / "manifest.json")
+    return manifest
+
+
 def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
     if cfg.fold_count > cfg.train_size:  # refused before anything is written
@@ -440,19 +469,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
             "forest_mean_splits": f,
             "ratio": b / f,
         }
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    artifacts["report"] = "report.json"
-    stage_seconds["emit"] = time.perf_counter() - t0
-
-    manifest = RunManifest(
-        config=cfg.to_dict() | {"protocol": "synthetic"},
-        artifacts=artifacts,
-        tool_version=__version__,
-        stage_seconds=stage_seconds,
-    )
-    manifest.write(out_dir / "manifest.json")
-    return manifest
+    return _write_report(out_dir, report, artifacts, stage_seconds, t0, cfg)
 
 
 def _uci_split(ds: Dataset, name: str, cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -525,58 +542,16 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
         ds_artifacts: dict = {}
         for tag, outcomes in fold_outcomes.items():
             entry["techniques"][tag] = _emit_technique_artifacts(ds_out, tag, outcomes, ds_artifacts)
-            mean = entry["techniques"][tag]["summary"]["mean"]
-            width = entry["techniques"][tag]["summary"]["width2"]
+            summary = entry["techniques"][tag]["summary"]
             table_rows.append(
-                (
-                    name,
-                    tag,
-                    mean["tree_size_mean"],
-                    width["tree_size_mean"],
-                    mean["accuracy"],
-                    width["accuracy"],
-                    mean["cc_rate"],
-                    width["cc_rate"],
-                    mean["u_rate"],
-                    width["u_rate"],
-                    mean["ci_rate"],
-                    width["ci_rate"],
-                )
+                (name, tag, *(summary[part][metric] for _, metric in _UCI_COLUMNS for part in ("mean", "width2")))
             )
         artifacts[name] = ds_artifacts
         report["datasets"][name] = entry
         stage_seconds[name] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _write_csv(
-        out_dir / "uci_table.csv",
-        [
-            "dataset",
-            "technique",
-            "size_mean",
-            "size_2sigma",
-            "accuracy_mean",
-            "accuracy_2sigma",
-            "cc_mean",
-            "cc_2sigma",
-            "u_mean",
-            "u_2sigma",
-            "ci_mean",
-            "ci_2sigma",
-        ],
-        table_rows,
-    )
+    header = ["dataset", "technique"] + [f"{col}_{stat}" for col, _ in _UCI_COLUMNS for stat in ("mean", "2sigma")]
+    _write_csv(out_dir / "uci_table.csv", header, table_rows)
     artifacts["table"] = "uci_table.csv"
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    artifacts["report"] = "report.json"
-    stage_seconds["emit"] = time.perf_counter() - t0
-
-    manifest = RunManifest(
-        config=cfg.to_dict() | {"protocol": "uci"},
-        artifacts=artifacts,
-        tool_version=__version__,
-        stage_seconds=stage_seconds,
-    )
-    manifest.write(out_dir / "manifest.json")
-    return manifest
+    return _write_report(out_dir, report, artifacts, stage_seconds, t0, cfg)

@@ -10,16 +10,13 @@ outcome exactly at the threshold counts as confident.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import DataError
-
-OUTCOME_CC = "CC"
-OUTCOME_CI = "CI"
-OUTCOME_U = "U"
 
 
 @dataclass(frozen=True)
@@ -59,13 +56,6 @@ class VoteMatrix:
 
 
 @dataclass(frozen=True)
-class EnvelopeOutcome:
-    consistency: float
-    predicted: int
-    kind: str  # OUTCOME_CC / OUTCOME_CI / OUTCOME_U
-
-
-@dataclass(frozen=True)
 class EnvelopeReport:
     """Outcome rates over one evaluation; cc + u + ci == 1 exactly."""
 
@@ -86,16 +76,6 @@ class EnvelopeSummary:
     count: int
 
 
-def consistency(vote_row) -> tuple[float, int]:
-    """(plurality vote share, predicted class); ties go to the lowest class."""
-    row = np.asarray(vote_row, dtype=np.int64)
-    total = int(row.sum())
-    if total < 1:
-        raise ValueError("vote row must contain at least one vote")
-    predicted = int(np.argmax(row))
-    return float(row[predicted] / total), predicted
-
-
 def _check_threshold(threshold: float, class_count: int) -> None:
     if not (1.0 / class_count < threshold <= 1.0):
         raise ValueError(
@@ -103,17 +83,13 @@ def _check_threshold(threshold: float, class_count: int) -> None:
         )
 
 
-def classify_outcome(consistency_value: float, predicted: int, target: int, threshold: float) -> EnvelopeOutcome:
-    """Label one outcome; the boundary consistency == threshold is confident."""
-    if consistency_value >= threshold:
-        kind = OUTCOME_CC if predicted == target else OUTCOME_CI
-    else:
-        kind = OUTCOME_U
-    return EnvelopeOutcome(consistency=consistency_value, predicted=predicted, kind=kind)
-
-
 def evaluate(vm: VoteMatrix, threshold: float) -> EnvelopeReport:
-    """Outcome rates over all test points; accuracy ignores the threshold."""
+    """Outcome rates over all test points; accuracy ignores the threshold.
+
+    A point's consistency is its plurality vote share and its prediction
+    the plurality class, ties to the lowest class; it is confident when
+    the consistency is at least the threshold.
+    """
     _check_threshold(threshold, vm.class_count)
     predicted = np.argmax(vm.votes, axis=1)
     gamma = vm.votes[np.arange(len(predicted)), predicted] / vm.classifier_count
@@ -169,7 +145,18 @@ class SweepSummary:
 
 
 def sweep_grid(start: float = 0.9, stop: float = 1.0, step: float = 0.001) -> np.ndarray:
-    """Inclusive threshold grid; the default 0.9..1.0 step 0.001 has 101 points."""
+    """Inclusive threshold grid; the default 0.9..1.0 step 0.001 has 101 points.
+
+    Raises ValueError, naming the bad bound, unless all three are finite,
+    step is positive and stop is not below start.
+    """
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {name} must be finite, got {value}")
+    if step <= 0:
+        raise ValueError(f"sweep step must be positive, got {step}")
+    if stop < start:
+        raise ValueError(f"sweep stop {stop} lies below start {start}")
     count = int(round((stop - start) / step)) + 1
     return np.linspace(start, stop, count)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,12 +71,6 @@ class ConvergenceTrace:
     best_validation_acc: float
     votes: np.ndarray  # (n, C) hard-vote histogram of all trees
     probabilities: np.ndarray  # (n, C) mean class probabilities of all trees
-
-
-class SplitCandidate(NamedTuple):
-    feature: int
-    threshold: float
-    gain: float
 
 
 def _entropy(counts: np.ndarray) -> np.ndarray:
@@ -159,26 +152,6 @@ def _candidate_arrays(
     segments, features, thresholds, gains = kept
     bounds = np.concatenate(([0], np.cumsum(np.bincount(segments, minlength=len(row_sets)))))
     return features, thresholds, gains, bounds
-
-
-def candidate_splits(
-    X: np.ndarray,
-    y: np.ndarray,
-    class_count: int,
-    rows: np.ndarray,
-    min_leaf_rows: int,
-) -> list[SplitCandidate]:
-    """All valid (feature, threshold) pairs at a node, best gain first.
-
-    Empty when the node is pure, has fewer than two rows, or no threshold
-    leaves both children with at least min_leaf_rows rows.  Ties in gain
-    break by (feature, threshold) ascending.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    features, thresholds, gains, _ = _candidate_arrays(X, y, class_count, [rows], min_leaf_rows)
-    return [
-        SplitCandidate(int(f), float(t), float(g)) for f, t, g in zip(features, thresholds, gains)
-    ]
 
 
 def grow_trees(

@@ -3,13 +3,18 @@
 The chain moves between trees of different sizes via birth/death moves and
 within a size via change-split/change-rule moves.  Split rules are drawn
 uniformly from the observed values of the chosen feature among the rows
-reaching the node, so the proposal cancels the matching prior factor and
-only the structure terms survive in the acceptance ratio.
-
-Acceptance for a proposal: min(1, exp(d_loglik + proposal + split_prior))
-where the three log terms are computed by `log_marginal_likelihood`,
-`proposal_log_ratio`, and `split_prior_log_ratio` (on trees), or by their
-shared cores on the chain state's counts.
+reaching the node.  `mh_step` accepts a valid proposal with probability
+min(1, exp(total)), where total is the `RowTables.log_lik` difference of
+the proposed and current leaves, plus `_structure_log_ratio` (move
+probabilities, the prunable-split or leaf count of the reverse move and
+the Catalan tree-shape prior; zero for change moves), plus
+`_split_prior_term` (the depth-penalized split prior of a birth or death;
+zero under the uniform prior).  Every move's rule draw cancels the
+rule-prior factor of the node it acts on.  Change moves do not yet carry
+the descendant N_d terms: re-routing rows below the changed node changes
+N_d, the number of distinct values of split d's feature among d's rows and
+so d's rule-prior support, for every split d beneath it, and the total
+ignores that.
 
 The chain keeps one mutable `ChainState`; a proposal touches only the
 subtree it edits, and a `DecisionTree` is built only when one is read.
@@ -36,7 +41,6 @@ numpy alone.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from bisect import bisect_right
@@ -49,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import DecisionTree, Leaf, Split, ensemble_average, prunable_splits, resolve_alpha, single_leaf_tree
+from .tree import DecisionTree, Leaf, Split, ensemble_average, resolve_alpha, single_leaf_tree
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
@@ -384,12 +388,6 @@ def bits_of(rows: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def rows_of(bits: int) -> np.ndarray:
-    """The ascending row indices of a row set."""
-    raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little").nonzero()[0]
-
-
 class RowTables:
     """Lookup tables of one training set and prior; each chain builds its own.
 
@@ -501,8 +499,8 @@ class ChainState:
     that `tree` freezes.  Per leaf, in pre-order, `leaf_sizes` holds the
     row count, `leaf_class` the class counts, `leaf_terms` (flat,
     class_count per leaf) and `leaf_totals` the log-gamma terms of the
-    marginal likelihood.  These lists are replaced, never edited, so a
-    state copy and a proposal may share them.
+    marginal likelihood.  These lists are replaced, never edited, so the
+    state and a proposal drawn on it may share them.
 
     A split routes its row set with two integer operations (left =
     rows & below, right = rows ^ left) and counts with `int.bit_count`, so
@@ -526,7 +524,7 @@ class ChainState:
                 stack += (nodes[nid].right, nodes[nid].left)
         if preorder != list(range(n)):
             raise ValueError("chain state needs a tree numbered in pre-order from root 0")
-        self.tables, self.counters, self._version, self._tree = tables, MoveCounters(), 0, None
+        self.tables, self.counters, self._tree = tables, MoveCounters(), None
         self.feature, self.threshold = [-1] * n, [0.0] * n
         self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
         self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
@@ -552,24 +550,12 @@ class ChainState:
         return self._tree
 
     @property
-    def rows_by_node(self) -> dict:
-        """Ascending row indices reaching each node, keyed by the ids of `tree`."""
-        return {i: rows_of(self.bits[nid]) for i, nid in enumerate(self.order)}
-
-    @property
     def leaf_count(self) -> int:
         return len(self.leaf_ids)
 
     @property
     def split_count(self) -> int:
         return len(self.split_ids)
-
-    def copy(self) -> "ChainState":
-        """An independent state at the same tree (counters shared)."""
-        other = copy.copy(self)
-        for name in ("feature", "threshold", "left", "right", "parent", "depth", "bits", "order", "_free"):
-            setattr(other, name, list(getattr(self, name)))
-        return other
 
     def _index_structure(self) -> None:
         """Pre-order leaf and split ids, death candidates and leaf positions."""
@@ -663,7 +649,6 @@ class ChainState:
         if kind in (MOVE_BIRTH, MOVE_DEATH):
             self._index_structure()
         self._tree = None
-        self._version += 1
 
     def _freeze(self) -> DecisionTree:
         position = {nid: i for i, nid in enumerate(self.order)}
@@ -682,43 +667,24 @@ class ChainState:
 
 
 class Proposal:
-    """One drawn move.
+    """One drawn move, as a plain record.
 
     A valid proposal holds the edit: the node it acts on, the new rule, the
     new row sets (birth: the two children's; change: those of the nodes
     below the changed one whose rows move), the proposed per-leaf lists
     (sizes, class counts, log-gamma terms), their `log_lik`, read once from
-    the state's tables, and the depth the split prior term needs.  `tree`
-    and `rows_by_node` of the proposed state are built only when read, from
-    the unchanged state the move was drawn on.
+    `tables`, and the depth the split prior term needs.  It keeps no
+    reference to the state it was drawn on; `ChainState.apply` makes it
+    that state's current tree.
     """
 
-    def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, state: ChainState | None = None,
+    def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, tables: RowTables | None = None,
                  node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(), leaves=None, depth: int = 0):
         self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
         self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
         self.leaf_sizes, self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 4
-        self.log_lik = state.tables.log_lik(self.leaf_terms, self.leaf_totals) if valid else None
+        self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals) if valid else None
         self.depth = depth
-        self._state = state
-        self._drawn_at = state._version if state is not None else None
-        self._after = None
-
-    @property
-    def tree(self) -> DecisionTree | None:
-        return self._proposed_state().tree if self.valid else None
-
-    @property
-    def rows_by_node(self) -> dict | None:
-        return self._proposed_state().rows_by_node if self.valid else None
-
-    def _proposed_state(self) -> ChainState:
-        if self._after is None:
-            if self._state._version != self._drawn_at:
-                raise RuntimeError("the chain state changed after this proposal was drawn")
-            self._after = self._state.copy()
-            self._after.apply(self)
-        return self._after
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +759,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
         # the new split is prunable, and its parent no longer is
         q = len(state.prunable) + 1 - (state.parent[leaf] in state.prunable)
         return Proposal(
-            kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), state=state,
+            kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), tables=tables,
             node=leaf, feature=feature, threshold=threshold, rows=children,
             leaves=_spliced(state, at, at + 1, [tables.leaf(c) for c in children]), depth=state.depth[leaf],
         )
@@ -809,7 +775,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
         counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
         merged = (state.bits[node].bit_count(), counts, tables.terms(counts), tables.lg_total[sum(counts)])
         return Proposal(
-            kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), state=state,
+            kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), tables=tables,
             node=node, leaves=_spliced(state, at, at + 2, [merged]), depth=state.depth[node],
         )
 
@@ -853,68 +819,9 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
             new_sizes[at], new_class[at], new_totals[at] = size, counts, total
             new_terms[at * tables.class_count : (at + 1) * tables.class_count] = terms
     return Proposal(
-        kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), state=state,
+        kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), tables=tables,
         node=node, feature=feature, threshold=threshold, rows=moved, leaves=lists,
     )
-
-
-def proposal_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree, cfg: McmcConfig) -> float:
-    """Log proposal-times-structure-prior ratio for the move.
-
-    Birth (k -> k+1 leaves) uses the prunable-split count of the proposed
-    tree, death (k -> k-1) that of the current tree, making an exact
-    birth/death reverse pair sum to zero.  Change moves contribute zero:
-    a global redraw cancels against the matching prior factor, and the
-    local rule step is symmetric on a grid the move cannot alter.
-    """
-    k_old, k_new = old_tree.leaf_count, new_tree.leaf_count
-    if kind == MOVE_BIRTH:
-        if k_new != k_old + 1:
-            raise ValueError("birth must add exactly one leaf")
-        return _structure_log_ratio(kind, k_old, prunable_splits(new_tree), cfg)
-    if kind == MOVE_DEATH:
-        if k_new != k_old - 1:
-            raise ValueError("death must remove exactly one leaf")
-        return _structure_log_ratio(kind, k_old, prunable_splits(old_tree), cfg)
-    if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
-        if k_new != k_old:
-            raise ValueError("change moves must preserve the leaf count")
-        return 0.0
-    raise ValueError(f"unknown move kind {kind!r}")
-
-
-def _growth_depth(small: DecisionTree, large: DecisionTree) -> int:
-    """Depth of the one leaf of `small` that `large` splits."""
-
-    def walk(sid: int, lid: int, depth: int):
-        s, l = small.nodes[sid], large.nodes[lid]
-        if isinstance(s, Leaf) and isinstance(l, Split):
-            return depth
-        if isinstance(s, Leaf) and isinstance(l, Leaf):
-            return None
-        if isinstance(s, Split) and isinstance(l, Split):
-            found = walk(s.left, l.left, depth + 1)
-            if found is None:
-                found = walk(s.right, l.right, depth + 1)
-            return found
-        raise ValueError("inconsistent tree pair")
-
-    depth = walk(small.root, large.root, 0)
-    if depth is None:
-        raise ValueError("trees do not differ by a single split")
-    return depth
-
-
-def split_prior_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree, cfg: McmcConfig) -> float:
-    """Extra prior term for depth-penalized split priors (zero if uniform)."""
-    prior = cfg.split_prior
-    if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
-        return 0.0
-    if kind == MOVE_BIRTH:
-        return _split_prior_term(kind, _growth_depth(old_tree, new_tree), prior)
-    if kind == MOVE_DEATH:
-        return _split_prior_term(kind, _growth_depth(new_tree, old_tree), prior)
-    raise ValueError(f"unknown move kind {kind!r}")
 
 
 def mh_step(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> tuple[str, bool]:

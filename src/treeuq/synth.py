@@ -114,19 +114,8 @@ def sample(spec: GaussianMixtureSpec, count: int, seed=None, rng=None) -> Sample
     return SampleBatch(points=points, labels=labels[comp], source_components=comp)
 
 
-def mixture_density(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    total = np.zeros(len(points))
-    for c in spec.components:
-        diff = points - np.asarray(c.center)
-        sq = np.sum(diff * diff, axis=1)
-        norm = (2.0 * np.pi * c.scale) ** (spec.dim / 2.0)
-        total += c.weight * np.exp(-0.5 * sq / c.scale) / norm
-    return total
-
-
-def class_posteriors(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
-    """Per-class posterior probabilities at each point, rows summing to 1."""
+def _class_densities(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
+    """Per-class mixture density (n, C): each class's weighted kernel densities, summed."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     dens = np.zeros((len(points), spec.class_count))
     for c in spec.components:
@@ -134,18 +123,18 @@ def class_posteriors(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarra
         sq = np.sum(diff * diff, axis=1)
         norm = (2.0 * np.pi * c.scale) ** (spec.dim / 2.0)
         dens[:, c.label] += c.weight * np.exp(-0.5 * sq / c.scale) / norm
+    return dens
+
+
+def class_posteriors(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
+    """Per-class posterior probabilities at each point, rows summing to 1."""
+    dens = _class_densities(spec, points)
     total = dens.sum(axis=1, keepdims=True)
     # equal posteriors in the (measure-zero) far tail where density underflows
     flat = total[:, 0] == 0.0
     dens[flat] = 1.0 / spec.class_count
     total[flat] = 1.0
     return dens / total
-
-
-def bayes_classify(spec: GaussianMixtureSpec, point) -> tuple[int, np.ndarray]:
-    """Optimal label (ties to the lowest class) and the posterior vector."""
-    post = class_posteriors(spec, point)[0]
-    return int(np.argmax(post)), post
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Binary axis-parallel decision trees: structure, routing, leaf statistics.
 
 Trees are immutable values stored as a pre-order node arena (root at id 0,
-left subtree before right).  Structural edits return new trees with a fresh
-pre-order numbering, so serialization and summaries are canonical.
+left subtree before right).  Nothing here edits a tree: the sampler edits
+its own `mcmc.ChainState` and freezes a fresh pre-order arena whenever it
+records a sample, and `deserialize` numbers what it reads the same way, so
+serialization and feature paths are canonical.
 
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
 
@@ -18,7 +20,6 @@ trees are predicted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -47,34 +48,26 @@ class Leaf:
 Node = Split | Leaf
 
 
-@dataclass(frozen=True)
-class TreeSummary:
-    split_count: int
-    leaf_count: int
-    depth: int
-    feature_path: tuple[int, ...]  # split features in pre-order
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionTree:
     nodes: tuple[Node, ...]
     root: int = 0
 
-    @cached_property
+    @property
     def leaf_ids(self) -> tuple[int, ...]:
         return tuple(i for i, nd in enumerate(self.nodes) if isinstance(nd, Leaf))
 
-    @cached_property
+    @property
     def split_ids(self) -> tuple[int, ...]:
         return tuple(i for i, nd in enumerate(self.nodes) if isinstance(nd, Split))
 
     @property
-    def leaf_count(self) -> int:
-        return len(self.leaf_ids)
+    def split_count(self) -> int:
+        return len(self.nodes) // 2  # a full binary tree with k splits has 2k + 1 nodes
 
     @property
-    def split_count(self) -> int:
-        return len(self.split_ids)
+    def leaf_count(self) -> int:
+        return len(self.nodes) - self.split_count
 
 
 def single_leaf_tree(counts=None) -> DecisionTree:
@@ -82,15 +75,8 @@ def single_leaf_tree(counts=None) -> DecisionTree:
 
 
 # ---------------------------------------------------------------------------
-# Structural edits (each returns a freshly numbered pre-order arena)
+# Nested (feature, threshold, left, right) form -> pre-order arena
 # ---------------------------------------------------------------------------
-
-
-def _nested(tree: DecisionTree, nid: int):
-    node = tree.nodes[nid]
-    if isinstance(node, Leaf):
-        return node
-    return (node.feature, node.threshold, _nested(tree, node.left), _nested(tree, node.right))
 
 
 def _flatten(nested) -> DecisionTree:
@@ -112,66 +98,9 @@ def _flatten(nested) -> DecisionTree:
     return DecisionTree(nodes=tuple(nodes))
 
 
-def _edit(tree: DecisionTree, target: int, replace) -> DecisionTree:
-    def walk(nid: int):
-        node = tree.nodes[nid]
-        if nid == target:
-            return replace(node)
-        if isinstance(node, Leaf):
-            return node
-        return (node.feature, node.threshold, walk(node.left), walk(node.right))
-
-    return _flatten(walk(tree.root))
-
-
-def replace_leaf(tree: DecisionTree, leaf_id: int, feature: int, threshold: float) -> DecisionTree:
-    """Grow: turn a leaf into a split with two unfitted leaves."""
-    if not isinstance(tree.nodes[leaf_id], Leaf):
-        raise ValueError(f"node {leaf_id} is not a leaf")
-    return _edit(tree, leaf_id, lambda _: (feature, threshold, Leaf(), Leaf()))
-
-
-def collapse_split(tree: DecisionTree, split_id: int) -> DecisionTree:
-    """Prune: replace a split whose children are both leaves by one leaf."""
-    node = tree.nodes[split_id]
-    if not isinstance(node, Split):
-        raise ValueError(f"node {split_id} is not a split")
-    left, right = tree.nodes[node.left], tree.nodes[node.right]
-    if not (isinstance(left, Leaf) and isinstance(right, Leaf)):
-        raise ValueError(f"split {split_id} has non-leaf children")
-    if left.counts is not None and right.counts is not None:
-        merged = tuple(a + b for a, b in zip(left.counts, right.counts))
-    else:
-        merged = None
-    return _edit(tree, split_id, lambda _: Leaf(counts=merged))
-
-
-def with_split_params(tree: DecisionTree, node_id: int, feature: int, threshold: float) -> DecisionTree:
-    """Re-parameterize one split in place (structure unchanged)."""
-    node = tree.nodes[node_id]
-    if not isinstance(node, Split):
-        raise ValueError(f"node {node_id} is not a split")
-    return _edit(
-        tree,
-        node_id,
-        lambda nd: (feature, threshold, _nested(tree, nd.left), _nested(tree, nd.right)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Routing and leaf statistics
 # ---------------------------------------------------------------------------
-
-
-def route(tree: DecisionTree, point) -> int:
-    """Leaf id reached by the point (left iff value <= threshold)."""
-    point = np.asarray(point, dtype=np.float64)
-    nid = tree.root
-    node = tree.nodes[nid]
-    while isinstance(node, Split):
-        nid = node.left if point[node.feature] <= node.threshold else node.right
-        node = tree.nodes[nid]
-    return nid
 
 
 def partition_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
@@ -307,43 +236,6 @@ def ensemble_average(trees, repeats, X: np.ndarray, alpha) -> tuple[np.ndarray, 
 def tree_predictive(tree: DecisionTree, X: np.ndarray, alpha) -> np.ndarray:
     """Per-row class probabilities from the routed leaf of each row."""
     return next(predict_trees((tree,), X, alpha))[0]
-
-
-# ---------------------------------------------------------------------------
-# Summaries
-# ---------------------------------------------------------------------------
-
-
-def summarize(tree: DecisionTree) -> TreeSummary:
-    path: list[int] = []
-    max_depth = 0
-
-    def walk(nid: int, depth: int) -> None:
-        nonlocal max_depth
-        max_depth = max(max_depth, depth)
-        node = tree.nodes[nid]
-        if isinstance(node, Split):
-            path.append(node.feature)
-            walk(node.left, depth + 1)
-            walk(node.right, depth + 1)
-
-    walk(tree.root, 0)
-    return TreeSummary(
-        split_count=tree.split_count,
-        leaf_count=tree.leaf_count,
-        depth=max_depth,
-        feature_path=tuple(path),
-    )
-
-
-def prunable_splits(tree: DecisionTree) -> int:
-    """Splits whose two children are both leaves (death-move candidates)."""
-    count = 0
-    for nid in tree.split_ids:
-        node = tree.nodes[nid]
-        if isinstance(tree.nodes[node.left], Leaf) and isinstance(tree.nodes[node.right], Leaf):
-            count += 1
-    return count
 
 
 def format_feature_path(path, feature_count: int) -> str:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from treeuq import synth
-from treeuq.tree import fit_partition, replace_leaf, single_leaf_tree
+from oracles import replace_leaf
+from treeuq.tree import fit_partition, single_leaf_tree
 
 
 @pytest.fixture(scope="session")

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import proposal_log_ratio, proposed_state, replace_leaf, route
 from treeuq import bench, envelope, forest, mcmc, synth
 from treeuq.data import make_folds
-from treeuq.tree import fit_partition, leaf_predictive, replace_leaf, single_leaf_tree
+from treeuq.tree import fit_partition, leaf_predictive, single_leaf_tree
 
 
 def _criterion(num: str, ok: bool, desc: str, detail: str = "") -> None:
@@ -322,8 +323,6 @@ def test_criterion_7_oracle_equivalence(canonical_data):
     weights = np.array([tree_weight(t, p) for t, p in trees])
     oracle = np.zeros((len(probes), 2))
     for (tree, _), w in zip(trees, weights):
-        from treeuq.tree import route
-
         for i, point in enumerate(probes):
             leaf = tree.nodes[route(tree, point)]
             oracle[i] += w * leaf_predictive(leaf.counts, alpha)
@@ -373,25 +372,31 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
     while checked < 10_000:
         prop = mcmc.propose_move(state, cfg, rng)
         if prop.valid and prop.kind == mcmc.MOVE_BIRTH:
-            back = mcmc.proposal_log_ratio(mcmc.MOVE_DEATH, prop.tree, state.tree, cfg)
+            back = proposal_log_ratio(mcmc.MOVE_DEATH, proposed_state(state, prop).tree, state.tree, cfg)
             worst = max(worst, abs(prop.log_proposal_ratio + back))
             checked += 1
         if prop.valid and rng.random() < 0.5:
             state.apply(prop)
     _criterion("8a", worst <= 1e-12, "birth/death reciprocity sums to 0 +- 1e-12 on 1e4 pairs", f"worst {worst:.2e}")
 
-    # 8b + 8c: envelope partition identity and consistency bounds
+    # 8b + 8c: envelope partition identity and consistency bounds.  A
+    # consistency outside [1/C, 1] would show as a share of uncertain rows
+    # other than the non-unanimous ones at threshold 1, or other than those
+    # at the 1/C floor just above it.
     rng = np.random.default_rng(5)
     ok_partition, ok_bounds = True, True
     for _ in range(200):
         classes = int(rng.integers(2, 5))
-        votes = rng.multinomial(int(rng.integers(1, 60)), np.ones(classes) / classes, size=40)
+        voters = int(rng.integers(1, 60))
+        votes = rng.multinomial(voters, np.ones(classes) / classes, size=40)
         vm = envelope.VoteMatrix.build(votes, rng.integers(0, classes, size=40))
         rep = envelope.evaluate(vm, 0.99)
         ok_partition &= abs(rep.cc_rate + rep.u_rate + rep.ci_rate - 1.0) < 1e-12
-        for row in votes:
-            gamma, _ = envelope.consistency(row)
-            ok_bounds &= 1.0 / classes - 1e-12 <= gamma <= 1.0
+        top = envelope.evaluate(vm, 1.0)
+        floor = envelope.evaluate(vm, float(np.nextafter(1.0 / classes, 1.0)))
+        plurality = votes.max(axis=1)
+        ok_bounds &= top.u_rate == np.mean(plurality < voters)
+        ok_bounds &= floor.u_rate == np.mean(plurality * classes == voters)
     _criterion("8b", ok_partition, "cc + u + ci = 1 on random vote matrices")
     _criterion("8c", ok_bounds, "consistency lies in [1/C, 1] on random vote rows")
 

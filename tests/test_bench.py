@@ -1,5 +1,7 @@
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -319,6 +321,27 @@ class TestCli:
         rc = cli.main(["sweep", "--votes", str(votes), "--start", "0.99", "--stop", "0.9", "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--step", "0"], "sweep step must be positive, got 0.0"),
+            (["--step", "-0.001"], "sweep step must be positive, got -0.001"),
+            (["--step", "nan"], "sweep step must be finite, got nan"),
+            (["--stop", "inf"], "sweep stop must be finite, got inf"),
+            (["--start", "1.0", "--stop", "0.9"], "sweep stop 0.9 lies below start 1.0"),
+        ],
+        ids=["step_zero", "step_negative", "step_nan", "stop_infinite", "stop_below_start"],
+    )
+    def test_bad_sweep_bound_is_named(self, tmp_path, capsys, flags, message):
+        votes = tmp_path / "votes.csv"
+        votes.write_text("target,vote_0,vote_1\n0,5,0\n")
+        rc = cli.main(["sweep", "--votes", str(votes), "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_more_folds_than_rows_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(["bench", "synthetic", "--train-size", "3", "--out", str(out)])
@@ -584,3 +607,19 @@ experiment_configs = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_experiment_config_round_trips_through_json(cfg):
     assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_traced_names_resolve():
+    """Every (module, function) the benchmark tracer wraps exists on treeuq.<module>:
+    `perfbench/tracer.py` looks each one up at start-up, so a missing name
+    would stop every traced run."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [
+        f"{module}.{name}" for module, name in tracer.TARGETS
+        if not callable(getattr(importlib.import_module(f"treeuq.{module}"), name, None))
+    ]
+    assert missing == []

@@ -5,15 +5,10 @@ from hypothesis import strategies as st
 
 from treeuq.data import DataError
 from treeuq.envelope import (
-    OUTCOME_CC,
-    OUTCOME_CI,
-    OUTCOME_U,
     EnvelopeReport,
     VoteMatrix,
     aggregate,
     aggregate_sweeps,
-    classify_outcome,
-    consistency,
     evaluate,
     read_votes_csv,
     sweep,
@@ -34,47 +29,55 @@ def matrix(votes, targets):
     return VoteMatrix.build(np.asarray(votes), np.asarray(targets))
 
 
+def outcome(votes, target, threshold) -> str:
+    """The one point's outcome as `evaluate` rates it: CC, CI or U."""
+    rep = evaluate(matrix([votes], [target]), threshold)
+    return {(1.0, 0.0, 0.0): "CC", (0.0, 0.0, 1.0): "CI", (0.0, 1.0, 0.0): "U"}[(rep.cc_rate, rep.u_rate, rep.ci_rate)]
+
+
 class TestConsistency:
     def test_worked_example_998_of_1000(self):
-        gamma, predicted = consistency((998, 2))
-        assert gamma == pytest.approx(0.998)
-        assert predicted == 0
+        # consistency 0.998, predicted class 0: confident up to 0.998, not above
+        assert outcome((998, 2), 0, 0.998) == "CC"
+        assert outcome((998, 2), 0, float(np.nextafter(0.998, 1.0))) == "U"
+        assert outcome((998, 2), 1, 0.998) == "CI"
 
     def test_unanimous(self):
-        assert consistency((0, 50))[0] == 1.0
+        assert outcome((0, 50), 1, 1.0) == "CC"
 
     def test_split_vote_hits_floor_and_breaks_low(self):
-        gamma, predicted = consistency((500, 500))
-        assert gamma == 0.5
-        assert predicted == 0
+        assert outcome((500, 500), 0, float(np.nextafter(0.5, 1.0))) == "U"
+        assert evaluate(matrix([(500, 500)], [0]), 0.9).accuracy == 1.0  # the tie predicts class 0
+        assert evaluate(matrix([(500, 500)], [1]), 0.9).accuracy == 0.0
 
     def test_empty_row_rejected(self):
         with pytest.raises(ValueError):
-            consistency((0, 0))
+            matrix([(0, 0)], [0])
 
     @given(row=st.tuples(st.integers(0, 99), st.integers(0, 99)).filter(lambda r: sum(r) > 0))
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_scale_invariance(self, row):
-        gamma, predicted = consistency(row)
-        assert 1 / 2 <= gamma <= 1.0
-        scaled_gamma, scaled_predicted = consistency(tuple(7 * v for v in row))
-        assert scaled_gamma == pytest.approx(gamma)
-        assert scaled_predicted == predicted
+        vm, scaled = matrix([row], [0]), matrix([tuple(7 * v for v in row)], [0])
+        assert evaluate(vm, 1.0).u_rate == (max(row) < sum(row))  # consistency <= 1
+        assert evaluate(vm, float(np.nextafter(0.5, 1.0))).u_rate == (2 * max(row) == sum(row))  # >= 1/2
+        want, got = sweep(vm, np.linspace(0.51, 1.0, 50)), sweep(scaled, np.linspace(0.51, 1.0, 50))
+        assert np.array_equal(got.u_rates, want.u_rates) and np.array_equal(got.ci_rates, want.ci_rates)
+        assert evaluate(scaled, 0.6).accuracy == evaluate(vm, 0.6).accuracy
 
 
 class TestClassifyOutcome:
     def test_confident_correct(self):
-        assert classify_outcome(0.998, 0, 0, 0.99).kind == OUTCOME_CC
+        assert outcome((998, 2), 0, 0.99) == "CC"
 
     def test_unanimous_wrong(self):
-        assert classify_outcome(1.0, 1, 0, 0.99).kind == OUTCOME_CI
+        assert outcome((0, 10), 0, 0.99) == "CI"
 
     def test_below_threshold_is_uncertain_either_way(self):
-        assert classify_outcome(0.6, 0, 0, 0.99).kind == OUTCOME_U
-        assert classify_outcome(0.6, 1, 0, 0.99).kind == OUTCOME_U
+        assert outcome((6, 4), 0, 0.99) == "U"
+        assert outcome((6, 4), 1, 0.99) == "U"
 
     def test_boundary_counts_as_confident(self):
-        assert classify_outcome(0.99, 0, 0, 0.99).kind == OUTCOME_CC
+        assert outcome((99, 1), 0, 0.99) == "CC"
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import math
 import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from treeuq.forest import (
     ForestConfig,
     Forest,
     build_forest,
-    candidate_splits,
     forest_predictive,
     forest_votes,
     grow_randomized_tree,
@@ -162,6 +162,12 @@ def dataset_from(values, labels, second_feature=None):
         X = np.stack([values, np.asarray(second_feature, float)], axis=1)
         names = ("x", "y")
     return Dataset(X, np.asarray(labels), 2, names)
+
+
+def candidate_splits(X, y, class_count, rows, min_leaf_rows) -> list:
+    """`_candidate_arrays` on one row set, as (feature, threshold, gain) records, best gain first."""
+    features, thresholds, gains, _ = forest._candidate_arrays(X, y, class_count, [np.asarray(rows)], min_leaf_rows)
+    return [SimpleNamespace(feature=f, threshold=t, gain=g) for f, t, g in zip(features, thresholds, gains)]
 
 
 class TestCandidateSplits:

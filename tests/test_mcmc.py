@@ -10,6 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from oracles import (
+    collapse_split,
+    proposal_log_ratio,
+    proposed_state,
+    replace_leaf,
+    rows_by_node,
+    rows_of,
+    split_prior_log_ratio,
+    summarize,
+    with_split_params,
+)
 from treeuq import mcmc
 from treeuq.data import DataError, Dataset
 from treeuq.mcmc import (
@@ -28,27 +39,13 @@ from treeuq.mcmc import (
     mh_step,
     posterior_path_summary,
     predict_average,
-    proposal_log_ratio,
     propose_move,
     resolve_alpha,
     run_chain,
     run_restarts,
-    split_prior_log_ratio,
     valid_rules,
 )
-from treeuq.tree import (
-    DecisionTree,
-    Leaf,
-    Split,
-    collapse_split,
-    fit_partition,
-    leaf_predictive,
-    replace_leaf,
-    serialize,
-    single_leaf_tree,
-    summarize,
-    with_split_params,
-)
+from treeuq.tree import DecisionTree, Leaf, Split, fit_partition, leaf_predictive, serialize, single_leaf_tree
 
 ALPHA2 = np.ones(2)
 
@@ -267,8 +264,9 @@ class TestProposeMove:
             prop = propose_move(state, cfg, rng)
             if prop.kind == MOVE_BIRTH and prop.valid:
                 seen_valid = True
-                assert prop.tree.leaf_count == 2
-                assert min(prop.tree.nodes[i].n for i in prop.tree.leaf_ids) >= 5
+                tree = proposed_state(state, prop).tree
+                assert tree.leaf_count == 2
+                assert min(tree.nodes[i].n for i in tree.leaf_ids) >= 5
                 assert prop.log_proposal_ratio == pytest.approx(math.log(0.5))
         assert seen_valid
 
@@ -311,7 +309,7 @@ class TestProposalLogRatio:
         for _ in range(2000):
             prop = propose_move(state, cfg, rng)
             if prop.valid and prop.kind == MOVE_BIRTH:
-                back = proposal_log_ratio(MOVE_DEATH, prop.tree, state.tree, cfg)
+                back = proposal_log_ratio(MOVE_DEATH, proposed_state(state, prop).tree, state.tree, cfg)
                 assert prop.log_proposal_ratio + back == pytest.approx(0.0, abs=1e-12)
                 checked += 1
             if prop.valid and rng.random() < 0.5:  # evolve to vary tree shapes
@@ -392,7 +390,7 @@ class TestMhStep:
             assert state.log_lik == log_marginal_likelihood(state.tree, alpha)
             fitted, parts = fit_partition(state.tree, ds.features, ds.labels, 2)
             assert fitted == state.tree  # leaf counts
-            rows = state.rows_by_node
+            rows = rows_by_node(state)
             assert rows.keys() == parts.keys()
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
         assert outcomes == {True, False}
@@ -451,8 +449,9 @@ class TestIncrementalKernel:
             else:
                 edited = with_split_params(tree, at, prop.feature, prop.threshold)
             want, parts = fit_partition(edited, X, y, 2)
-            assert prop.tree == want
-            rows = prop.rows_by_node
+            after = proposed_state(state, prop)
+            assert after.tree == want
+            rows = rows_by_node(after)
             assert rows.keys() == parts.keys()
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
             assert prop.log_lik == log_marginal_likelihood(want, ALPHA2)
@@ -465,18 +464,6 @@ class TestIncrementalKernel:
                 state.apply(prop)
                 assert state.tree == want
         assert min(checked.values()) >= 20
-
-    def test_stale_proposal_refuses_to_build(self):
-        ds = small_dataset(n=40, seed=3)
-        cfg = McmcConfig(min_leaf_rows=3, seed=0)
-        state = make_state(ds, cfg)
-        rng = FakeRng(randoms=[0.05, 0.05], integers=[0, 0, 20, 0, 1, 20])  # two births
-        first = propose_move(state, cfg, rng)
-        second = propose_move(state, cfg, rng)
-        assert first.valid and second.valid
-        state.apply(first)
-        with pytest.raises(RuntimeError, match="changed"):
-            second.tree
 
     def test_state_needs_pre_order_numbering(self):
         shuffled = DecisionTree(nodes=(Split(0, 0.0, 2, 1), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
@@ -529,7 +516,7 @@ def oracle_window_step(X, feature, rows, current, offset):
 def index_view(state):
     """The state's nodes as the index-array kernel held them."""
     return SimpleNamespace(feature=state.feature, threshold=state.threshold, left=state.left,
-                           right=state.right, rows=[mcmc.rows_of(b) for b in state.bits])
+                           right=state.right, rows=[rows_of(b) for b in state.bits])
 
 
 tied_values = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -580,7 +567,7 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
                         assert leaves == want[1]
                         rows = dict(moved)
                         for nid, idx in want[0]:
-                            assert np.array_equal(mcmc.rows_of(rows.get(nid, state.bits[nid])), idx)
+                            assert np.array_equal(rows_of(rows.get(nid, state.bits[nid])), idx)
                         fresh = dict(fresh)
                         assert set(fresh) <= set(leaves)
                         for nid, counts in zip(leaves, want[2]):

@@ -3,27 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import collapse_split, prunable_splits, replace_leaf, route, summarize, with_split_params
 from treeuq.tree import (
     PREDICT_BLOCK,
     DecisionTree,
     Leaf,
     Split,
-    collapse_split,
     deserialize,
     fit_partition,
     format_feature_path,
     leaf_predictive,
     predict_trees,
-    prunable_splits,
     read_tree_file,
-    replace_leaf,
     resolve_alpha,
-    route,
     serialize,
     single_leaf_tree,
-    summarize,
     tree_predictive,
-    with_split_params,
     write_tree_file,
 )
 
@@ -214,6 +209,18 @@ class TestSummarize:
             s = summarize(tree)
             assert s.leaf_count == s.split_count + 1
             assert len(s.feature_path) == s.split_count
+
+    def test_counts_read_off_a_slotted_arena(self, random_tree_factory):
+        """Trees hold no instance dict, and split_count / leaf_count, read
+        off the node count, equal the Split / Leaf nodes of random trees."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 3))
+        y = rng.integers(0, 2, size=60)
+        for _ in range(100):
+            tree = random_tree_factory(X, y, 2, int(rng.integers(0, 12)), rng)
+            assert not hasattr(tree, "__dict__")
+            assert tree.split_count == sum(isinstance(nd, Split) for nd in tree.nodes) == len(tree.split_ids)
+            assert tree.leaf_count == sum(isinstance(nd, Leaf) for nd in tree.nodes) == len(tree.leaf_ids)
 
     def test_many_features_dash_path(self):
         assert format_feature_path((0, 11, 3), 12) == "1-12-4"
