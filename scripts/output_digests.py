@@ -14,6 +14,9 @@ this script:
   - `treeuq bayes --alpha 0.37 --split-prior depth:0.95:1.5` on them too,
     2 restarts x (1000 + 1000): log-gamma of non-integer arguments, and
     the depth-penalty prior;
+  - `treeuq bayes --sample-rate 7` on them too, 3 restarts x (500 + 700):
+    thinned samples, so every sampled iteration number and the trees
+    `samples.txt` keeps;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -92,6 +95,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_deep")
     treeuq(work, "bayes", *csvs, "--alpha", "0.37", "--split-prior", "depth:0.95:1.5", "--restarts", "2",
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_alpha")
+    treeuq(work, "bayes", *csvs, "--sample-rate", "7", "--restarts", "3", "--burn-in", "500",
+           "--post-burn-in", "700", *common, "--out", "bayes_thinned")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

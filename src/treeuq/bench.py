@@ -157,10 +157,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_cells(path, header, ([str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row] for row in rows))
+
+
+def _write_cells(path: Path, header: list, rows) -> None:
+    """A CSV of rows of cells that are already text."""
+    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n", encoding="utf-8")
 
 
 def _write_sweep_csv(path: Path, curves: list) -> None:
@@ -233,16 +235,16 @@ def run_bayes_fold(
     mcfg = dataclasses.replace(cfg.mcmc, seed=_derive_seed(cfg.seed, 1, fold))
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
     pred = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
-    post_ll = [r.log_lik for r in result.trace if r.phase == "post"]
     extras = {
         "acceptance_rate": result.counters.acceptance_rate,
-        "post_log_lik_mean": float(np.mean(post_ll)),
+        "post_log_lik_mean": float(np.mean(result.trace.log_lik[result.trace.post])),
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),
         "mcmc_result": result,
     }
-    sizes = [s.tree.split_count for s in result.samples]
-    return _fold_outcome(pred.votes, pred.probabilities, test_y, sizes, cfg, extras, do_sweep)
+    return _fold_outcome(
+        pred.votes, pred.probabilities, test_y, result.samples.split_counts(), cfg, extras, do_sweep
+    )
 
 
 def run_forest_fold(
@@ -316,13 +318,18 @@ def _emit_bayes_diagnostics(
     """Trace CSV, path-summary CSV, size histogram and a posterior-sample
     dump (thinned to about 200 trees) for one sampler run, each file name
     starting with prefix."""
-    trace_path = out_dir / f"{prefix}trace.csv"
-    _write_csv(
+    trace_path, trace = out_dir / f"{prefix}trace.csv", result.trace
+    _write_cells(  # column by column, each cell as `_write_csv` writes it
         trace_path,
         ["run", "iteration", "phase", "log_lik", "split_count", "move", "accepted"],
-        (
-            (r.run_index, r.iteration, r.phase, r.log_lik, r.split_count, r.move, int(r.accepted))
-            for r in result.trace
+        zip(
+            map(str, trace.run_index.tolist()),
+            map(str, trace.iteration.tolist()),
+            ["post" if post else "burn" for post in trace.post.tolist()],
+            [_fmt(x) for x in trace.log_lik.tolist()],
+            map(str, trace.split_count.tolist()),
+            [mcmc.MOVE_KINDS[code] for code in trace.move.tolist()],
+            ["1" if accepted else "0" for accepted in trace.accepted.tolist()],
         ),
     )
     rows, histogram = mcmc.posterior_path_summary(result.samples)
@@ -338,8 +345,7 @@ def _emit_bayes_diagnostics(
     hist_path = out_dir / f"{prefix}size_histogram.csv"
     _write_csv(hist_path, ["split_count", "count"], histogram.items())
     samples_path = out_dir / f"{prefix}samples.txt"
-    thin = max(1, len(result.samples) // 200)
-    kept = result.samples[::thin]
+    kept = list(result.samples.every(max(1, len(result.samples) // 200)))
     write_tree_file(
         samples_path,
         [s.tree for s in kept],

@@ -217,14 +217,23 @@ def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
         has_header = False
     elif header_mode == "auto":
         # A first row with a non-numeric feature cell is a header.  One whose
-        # features are all numbers but whose label is not, above a numeric
-        # label, may be a header of numeric names or a data row: ask.
+        # features are all numbers but whose label is not may be a header of
+        # numeric names or a data row: ask, when it sits above a numeric
+        # label, or when its label is seen in no later row while later
+        # labels repeat (a class of one row, at the top).
         has_header = any(not _is_float_token(tok) and not tok == "" for tok in rows[0][:-1])
-        if not has_header and len(rows) > 1 and not _is_float_token(rows[0][-1]) and _is_float_token(rows[1][-1]):
-            raise DataError(
-                f"{path}: cannot tell whether row 1 is a header (its feature cells are numbers, its label "
-                f"{rows[0][-1]!r} is not, and row 2's label is); set header=true or header=false in the schema"
-            )
+        label, later = rows[0][-1], [row[-1] for row in rows[1:]]
+        if not has_header and later and not _is_float_token(label):
+            reason = None
+            if _is_float_token(later[0]):
+                reason = "row 2's label is"
+            elif label not in later and len(set(later)) < len(later):
+                reason = "no later row has that label, while later labels repeat"
+            if reason:
+                raise DataError(
+                    f"{path}: cannot tell whether row 1 is a header (its feature cells are numbers, its label "
+                    f"{label!r} is not, and {reason}); set header=true or header=false in the schema"
+                )
     else:
         raise DataError(f"schema header must be auto/true/false, got {header_mode!r}")
 

@@ -144,11 +144,15 @@ class SweepSummary:
     ci_width2: np.ndarray
 
 
+SWEEP_MAX_POINTS = 10**6
+
+
 def sweep_grid(start: float = 0.9, stop: float = 1.0, step: float = 0.001) -> np.ndarray:
     """Inclusive threshold grid; the default 0.9..1.0 step 0.001 has 101 points.
 
     Raises ValueError, naming the bad bound, unless all three are finite,
-    step is positive and stop is not below start.
+    step is positive, stop is not below start and the grid has at most
+    SWEEP_MAX_POINTS points.
     """
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
@@ -158,6 +162,11 @@ def sweep_grid(start: float = 0.9, stop: float = 1.0, step: float = 0.001) -> np
     if stop < start:
         raise ValueError(f"sweep stop {stop} lies below start {start}")
     count = int(round((stop - start) / step)) + 1
+    if count > SWEEP_MAX_POINTS:
+        raise ValueError(
+            f"sweep step {step} is too fine: {start}..{stop} would take {count} thresholds "
+            f"(at most {SWEEP_MAX_POINTS})"
+        )
     return np.linspace(start, stop, count)
 
 

@@ -17,8 +17,14 @@ so d's rule-prior support, for every split d beneath it, and the total
 ignores that.
 
 The chain keeps one mutable `ChainState`; a proposal touches only the
-subtree it edits, and a `DecisionTree` is built only when one is read.
-Each node's training rows are one Python-int bitset (bit r set iff row r
+subtree it edits.  Every state the chain reaches keeps every leaf at
+min_leaf_rows rows or more: the start's split is drawn among those that
+leave both sides that many, a birth checks its two children, a death its
+merged leaf, and a change (`ChainState.reroute`) every node whose rows it
+moves.  A move leaves the rows of every other leaf as they are, so no
+proposal checks them again.  (A root-only chain on fewer rows than
+min_leaf_rows is the one exception, and no move from it is valid.)  Each
+node's training rows are one Python-int bitset (bit r set iff row r
 reaches the node).  Each chain builds its own `RowTables` from its data
 and prior: per feature the sorted distinct values and the bitsets of the
 rows at and below each value, one bitset per class, and the log-gamma
@@ -37,6 +43,24 @@ matrix directly.
 Log-gamma is `lgam`, a port of the Cephes routine behind
 `scipy.special.gammaln` that gives the same bits, so the sampler needs
 numpy alone.
+
+Every draw of a chain goes through one `ChainRng` around the chain's own
+`Generator`: the start's uniform, each move kind (a uniform against
+`McmcConfig.move_bounds`, the running sums of the move probabilities),
+each node, feature, rule and window offset, and each accept uniform.  It
+reads the generator's raw PCG64 words and gives numpy's `random()` and
+`integers(k)` bit for bit, so a chain is the one the `Generator` itself
+would draw, at about a quarter of the cost per integer draw.
+
+`run_chain` records its samples as runs (`Samples`): consecutive samples
+with no accepted move between them are one `SampleRun`, which holds the
+state's `FlatTree` snapshot (pre-order columns, and the state's leaf
+class-count list itself, which moves replace and never edit) and a count.
+The trace is recorded as columns (`Trace`).  `predict_average` routes each
+run's tree once and `posterior_path_summary` reads each run's path once; a
+`DecisionTree` is built only where a caller iterates over the samples,
+such as for the trees `samples.txt` keeps.  A chain's records pickle in a
+few milliseconds, so pooled chains return cheaply.
 """
 
 from __future__ import annotations
@@ -46,20 +70,21 @@ import operator
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, groupby
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import DecisionTree, Leaf, Split, ensemble_average, resolve_alpha, single_leaf_tree
+from .tree import DecisionTree, FlatTree, Leaf, Split, ensemble_average, resolve_alpha, single_leaf_tree
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
 MOVE_CHANGE_SPLIT = "change_split"
 MOVE_CHANGE_RULE = "change_rule"
 MOVE_KINDS = (MOVE_BIRTH, MOVE_DEATH, MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE)
+_MOVE_CODE = {kind: code for code, kind in enumerate(MOVE_KINDS)}
 
 
 @dataclass(frozen=True)
@@ -131,6 +156,12 @@ class McmcConfig:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
+    @cached_property
+    def move_bounds(self) -> tuple:
+        """The running sums of move_probs: a kind draw u picks the first
+        kind whose sum exceeds u."""
+        return tuple(accumulate(self.move_probs))
+
 
 @dataclass
 class MoveCounters:
@@ -164,20 +195,68 @@ class PosteriorSample:
     iteration: int
 
 
-class TraceRow(NamedTuple):
+class SampleRun(NamedTuple):
+    """Consecutive samples of one chain with no accepted move between them:
+    the first one's iteration, their number and their tree."""
+
     run_index: int
-    iteration: int
-    phase: str  # "burn" or "post"
-    log_lik: float
-    split_count: int
-    move: str
-    accepted: bool
+    first: int
+    count: int
+    flat: FlatTree
+
+
+@dataclass
+class Samples:
+    """Posterior samples, run-length encoded: each run of consecutive
+    samples that hold one tree is one `SampleRun`, in chain and iteration
+    order.  The j-th sample of a run was taken at iteration first +
+    j * sample_rate.  Iterating yields one `PosteriorSample` per sample;
+    each run's `DecisionTree` is built once, when the run is reached."""
+
+    runs: list
+    sample_rate: int
+
+    def __len__(self) -> int:
+        return sum(run.count for run in self.runs)
+
+    def __iter__(self):
+        return self.every(1)
+
+    def split_counts(self) -> np.ndarray:
+        """The split count of each sample's tree, in sample order."""
+        return np.repeat([len(run.flat.leaf_counts) - 1 for run in self.runs], [run.count for run in self.runs])
+
+    def every(self, step: int):
+        """Sample 0, step, 2 * step, ... as `PosteriorSample`s; a tree is
+        built only for a run that holds one of them."""
+        at = 0  # position of the run's first sample
+        for run in self.runs:
+            j = -at % step
+            if j < run.count:
+                tree = run.flat.tree()
+                for k in range(j, run.count, step):
+                    yield PosteriorSample(tree, run.run_index, run.first + k * self.sample_rate)
+            at += run.count
+
+
+class Trace(NamedTuple):
+    """The per-iteration trace as columns, one entry per iteration: the
+    state after the step, its move kind (an index into MOVE_KINDS) and
+    whether it was accepted."""
+
+    run_index: np.ndarray
+    iteration: np.ndarray
+    post: np.ndarray  # past burn-in
+    log_lik: np.ndarray
+    split_count: np.ndarray
+    move: np.ndarray
+    accepted: np.ndarray
 
 
 @dataclass
 class ChainResult:
-    samples: list
-    trace: list
+    samples: Samples
+    trace: Trace
     counters: MoveCounters
     warnings: tuple = ()
 
@@ -495,8 +574,7 @@ class ChainState:
     threshold; children; parent; depth; `bits`, the set of training rows
     that reach the node as an int with bit r set for row r) and stay fixed
     while the node lives; a death frees two ids for later births.  `order`
-    lists the live ids in pre-order, the numbering of the `DecisionTree`
-    that `tree` freezes.  Per leaf, in pre-order, `leaf_sizes` holds the
+    lists the live ids in pre-order, the numbering of `flat` and `tree`.  Per leaf, in pre-order, `leaf_sizes` holds the
     row count, `leaf_class` the class counts, `leaf_terms` (flat,
     class_count per leaf) and `leaf_totals` the log-gamma terms of the
     marginal likelihood.  These lists are replaced, never edited, so the
@@ -509,8 +587,11 @@ class ChainState:
     distinct values of a feature, should a move need their count, are
     the `RowTables.eq` sets that meet its row set.
 
-    `tree` is built when read and cached until the next edit, so the
-    samples of a run of rejected steps share one object.
+    `flat`, the tree as a pre-order `FlatTree`, is built when read and
+    cached until the next accepted move, so the samples of a run of
+    rejected steps share one snapshot.  It holds `leaf_class` itself,
+    which is never edited.  `tree` builds the `DecisionTree` of that
+    snapshot.
     """
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
@@ -524,7 +605,7 @@ class ChainState:
                 stack += (nodes[nid].right, nodes[nid].left)
         if preorder != list(range(n)):
             raise ValueError("chain state needs a tree numbered in pre-order from root 0")
-        self.tables, self.counters, self._tree = tables, MoveCounters(), None
+        self.tables, self.counters, self._flat = tables, MoveCounters(), None
         self.feature, self.threshold = [-1] * n, [0.0] * n
         self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
         self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
@@ -544,10 +625,23 @@ class ChainState:
         self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals)
 
     @property
+    def flat(self) -> FlatTree:
+        if self._flat is None:
+            order, left, right = self.order, self.left, self.right
+            position = {nid: i for i, nid in enumerate(order)}
+            self._flat = FlatTree(
+                [self.feature[nid] for nid in order],
+                [self.threshold[nid] for nid in order],
+                [position.get(left[nid], i) for i, nid in enumerate(order)],  # a leaf's child is -1
+                [position.get(right[nid], i) for i, nid in enumerate(order)],
+                max([self.depth[nid] for nid in self.leaf_ids]),
+                self.leaf_class,
+            )
+        return self._flat
+
+    @property
     def tree(self) -> DecisionTree:
-        if self._tree is None:
-            self._tree = self._freeze()
-        return self._tree
+        return self.flat.tree()
 
     @property
     def leaf_count(self) -> int:
@@ -637,6 +731,7 @@ class ChainState:
                 self.bits[child] = 0
                 self._free.append(child)
             self.feature[node] = self.left[node] = self.right[node] = -1
+            self.threshold[node] = 0.0
             at = self.order.index(node) + 1
             del self.order[at : at + 2]
         else:
@@ -648,22 +743,7 @@ class ChainState:
         self.log_lik = proposal.log_lik
         if kind in (MOVE_BIRTH, MOVE_DEATH):
             self._index_structure()
-        self._tree = None
-
-    def _freeze(self) -> DecisionTree:
-        position = {nid: i for i, nid in enumerate(self.order)}
-        counts = iter(self.leaf_class)
-        nodes = []
-        for nid in self.order:
-            f = self.feature[nid]
-            if f < 0:
-                nodes.append(Leaf(counts=next(counts)))
-            else:
-                nodes.append(
-                    Split(feature=f, threshold=self.threshold[nid],
-                          left=position[self.left[nid]], right=position[self.right[nid]])
-                )
-        return DecisionTree(nodes=tuple(nodes))
+        self._flat = None
 
 
 class Proposal:
@@ -692,28 +772,77 @@ class Proposal:
 # ---------------------------------------------------------------------------
 
 
+WORD_BLOCK = 1024  # raw words a `ChainRng` reads from its generator at a time
+_LOW_HALF = 0xFFFFFFFF
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+class ChainRng:
+    """A chain's random draws, read from the raw 64-bit words of its
+    `Generator`'s PCG64 and equal, draw for draw, to calling the
+    `Generator` itself.
+
+    `random()` is numpy's double: the top 53 bits of a whole word, times
+    2**-53.  `integers(k)` is numpy's bounded draw for 1 < k <= 2**32:
+    Lemire's multiply-shift on a 32-bit half word, with its rejection loop
+    (Lemire 2019, ACM TOMACS 29).  Like numpy's PCG64 it takes a word's
+    low half first and keeps the high half for the next `integers` call;
+    `random()` leaves that half alone.  `integers(1)` is 0 and draws
+    nothing, as numpy's is; a larger k (numpy's 64-bit path) is refused.
+    Words are read WORD_BLOCK at a time, so nothing else may draw from the
+    generator.
+    """
+
+    __slots__ = ("_bit_generator", "_next", "_half")
+
+    def __init__(self, generator: np.random.Generator):
+        self._bit_generator = generator.bit_generator
+        self._next = iter(()).__next__
+        self._half = -1  # the kept high half; -1 when there is none
+
+    def _word(self) -> int:
+        try:
+            return self._next()
+        except StopIteration:
+            self._next = iter(self._bit_generator.random_raw(WORD_BLOCK).tolist()).__next__
+            return self._next()
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _DOUBLE_UNIT
+
+    def _half_word(self) -> int:
+        half = self._half
+        if half < 0:
+            word = self._word()
+            self._half = word >> 32
+            return word & _LOW_HALF
+        self._half = -1
+        return half
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        if not 1 < k <= 1 << 32:
+            raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
+        m = self._half_word() * k
+        if m & _LOW_HALF < k:
+            threshold = (1 << 32) % k
+            while m & _LOW_HALF < threshold:
+                m = self._half_word() * k
+        return m >> 32
+
+
 def _effective_max_leaves(cfg: McmcConfig, n: int) -> int:
     cap = n - 1
     return min(cfg.max_leaves, cap) if cfg.max_leaves is not None else cap
 
 
-def _pick(rng: np.random.Generator, seq):
-    return seq[int(rng.integers(len(seq)))]
+def _pick(rng: ChainRng, seq):
+    return seq[rng.integers(len(seq))]
 
 
-def _draw_kind(rng: np.random.Generator, move_probs) -> str:
-    u = rng.random()
-    acc = 0.0
-    for kind, p in zip(MOVE_KINDS, move_probs):
-        acc += p
-        if u < acc:
-            return kind
-    return MOVE_KINDS[-1]
-
-
-def _others_fit(sizes: list, lo: int, hi: int, min_rows: int) -> bool:
-    """Whether the leaves outside pre-order positions [lo, hi) keep min_rows rows."""
-    return min(sizes[:lo] + sizes[hi:], default=min_rows) >= min_rows
+def _draw_kind(rng: ChainRng, move_bounds: tuple) -> str:
+    return MOVE_KINDS[min(bisect_right(move_bounds, rng.random()), len(MOVE_KINDS) - 1)]
 
 
 def _spliced(state: ChainState, lo: int, hi: int, entries: list) -> tuple:
@@ -729,7 +858,7 @@ def _spliced(state: ChainState, lo: int, hi: int, entries: list) -> tuple:
     )
 
 
-def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> Proposal:
+def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
     """Draw a move kind and evaluate the proposal on the touched subtree.
 
     A birth splits one leaf's rows, a death merges two sibling leaves, and a
@@ -737,10 +866,12 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
     subtree.  A proposal is invalid (to be rejected, still counted as
     proposed) when a resulting leaf would hold fewer than min_leaf_rows
     rows, a birth would exceed the leaf cap, or a structural move has no
-    candidate node.  The state is left unchanged.
+    candidate node.  Only the leaves a move touches are checked: every
+    state the chain reaches keeps its other leaves at min_leaf_rows rows or
+    more (see the module docstring).  The state is left unchanged.
     """
     tables = state.tables
-    kind = _draw_kind(rng, cfg.move_probs)
+    kind = _draw_kind(rng, cfg.move_bounds)
     min_rows, sizes = cfg.min_leaf_rows, state.leaf_sizes
 
     if kind == MOVE_BIRTH:
@@ -748,14 +879,13 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
             return Proposal(kind, False)
         leaf = _pick(rng, state.leaf_ids)
         rows = state.bits[leaf]
-        feature = int(rng.integers(len(tables.columns)))
+        feature = rng.integers(len(tables.columns))
         threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
         goes_left = rows & tables.below(feature, threshold)
         children = (goes_left, rows ^ goes_left)
-        at = state.leaf_pos[leaf]
-        if min(children[0].bit_count(), children[1].bit_count()) < min_rows \
-                or not _others_fit(sizes, at, at + 1, min_rows):
+        if min(children[0].bit_count(), children[1].bit_count()) < min_rows:
             return Proposal(kind, False)
+        at = state.leaf_pos[leaf]
         # the new split is prunable, and its parent no longer is
         q = len(state.prunable) + 1 - (state.parent[leaf] in state.prunable)
         return Proposal(
@@ -770,7 +900,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
             return Proposal(kind, False)
         node = _pick(rng, candidates)
         at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
-        if sizes[at] + sizes[at + 1] < min_rows or not _others_fit(sizes, at, at + 2, min_rows):
+        if sizes[at] + sizes[at + 1] < min_rows:
             return Proposal(kind, False)
         counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
         merged = (state.bits[node].bit_count(), counts, tables.terms(counts), tables.lg_total[sum(counts)])
@@ -784,7 +914,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
     node = _pick(rng, state.split_ids)
     rows = state.bits[node]
     if kind == MOVE_CHANGE_SPLIT:
-        feature = int(rng.integers(len(tables.columns)))
+        feature = rng.integers(len(tables.columns))
         threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
     else:
         feature = state.feature[node]
@@ -798,7 +928,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
             # pushed off the grid (reverse impossible), is invalid.
             w = cfg.change_rule_window
             current = state.threshold[node]
-            offset = int(rng.integers(2 * w))
+            offset = rng.integers(2 * w)
             offset = offset - w if offset < w else offset - w + 1
             threshold = tables.step(feature, rows, current, offset)
             if threshold is None:
@@ -806,10 +936,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
     routed = state.reroute(node, feature, threshold, tables, min_rows)
     if routed is None:
         return Proposal(kind, False)
-    moved, leaves, fresh = routed
-    lo = state.leaf_pos[leaves[0]]
-    if not _others_fit(sizes, lo, lo + len(leaves), min_rows):
-        return Proposal(kind, False)
+    moved, _, fresh = routed
     lists = (state.leaf_sizes, state.leaf_class, state.leaf_terms, state.leaf_totals)
     if fresh:
         lists = tuple(list(old) for old in lists)
@@ -824,7 +951,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -
     )
 
 
-def mh_step(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> tuple[str, bool]:
+def mh_step(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> tuple[str, bool]:
     """One Metropolis-Hastings transition; mutates state, returns (kind, accepted)."""
     proposal = propose_move(state, cfg, rng)
     state.counters.proposed[proposal.kind] += 1
@@ -846,7 +973,7 @@ def mh_step(state: ChainState, cfg: McmcConfig, rng: np.random.Generator) -> tup
 # ---------------------------------------------------------------------------
 
 
-def draw_initial_split(tables: RowTables, min_leaf_rows: int, rng: np.random.Generator) -> tuple[int, float] | None:
+def draw_initial_split(tables: RowTables, min_leaf_rows: int, rng: ChainRng) -> tuple[int, float] | None:
     """One (feature, rule) pair from the split prior restricted to pairs that
     leave both sides with at least min_leaf_rows rows; None if none exists."""
     n, m = tables.n, len(tables.columns)
@@ -873,14 +1000,15 @@ def _derived_rng(seed: int, run_index: int) -> np.random.Generator:
 def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
     """One restart: random single-split start, burn-in, then sampled post phase.
 
-    Collects every sample_rate-th post-burn-in tree and a full per-iteration
-    trace.  The private PRNG is derived from (cfg.seed, run_index), so runs
-    are reproducible regardless of execution order.
+    Records every sample_rate-th post-burn-in tree, as runs (`Samples`),
+    and a full per-iteration trace, as columns (`Trace`).  The private
+    PRNG is derived from (cfg.seed, run_index), so runs are reproducible
+    regardless of execution order.
     """
     if (np.bincount(ds.labels, minlength=ds.class_count) == 0).any():
         raise DataError("every class must be present in the training data")
     tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
-    rng = _derived_rng(cfg.seed, run_index)
+    rng = ChainRng(_derived_rng(cfg.seed, run_index))
     warnings, tree = (), None
     start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
     if start is None:
@@ -890,24 +1018,30 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
         tree = DecisionTree((Split(feature, threshold, 1, 2), Leaf(), Leaf()))
     state = ChainState(tables, tree)
 
-    samples, trace = [], []
+    firsts, counts, flats = [], [], []
+    log_liks, split_counts, moves, accepts = [], [], [], []
     total_iters = cfg.burn_in + cfg.post_burn_in
     for i in range(1, total_iters + 1):
         kind, accepted = mh_step(state, cfg, rng)
-        phase = "burn" if i <= cfg.burn_in else "post"
-        trace.append(
-            TraceRow(
-                run_index=run_index,
-                iteration=i,
-                phase=phase,
-                log_lik=state.log_lik,
-                split_count=state.split_count,
-                move=kind,
-                accepted=accepted,
-            )
-        )
+        log_liks.append(state.log_lik)
+        split_counts.append(state.split_count)
+        moves.append(kind)
+        accepts.append(accepted)
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.sample_rate == 0:
-            samples.append(PosteriorSample(tree=state.tree, run_index=run_index, iteration=i))
+            flat = state.flat
+            if flats and flats[-1] is flat:
+                counts[-1] += 1
+            else:
+                firsts.append(i)
+                counts.append(1)
+                flats.append(flat)
+    iterations = np.arange(1, total_iters + 1, dtype=np.int32)
+    trace = Trace(
+        run_index=np.full(total_iters, run_index, dtype=np.int32), iteration=iterations,
+        post=iterations > cfg.burn_in, log_lik=np.array(log_liks), split_count=np.array(split_counts, dtype=np.int32),
+        move=np.array([_MOVE_CODE[kind] for kind in moves], dtype=np.int8), accepted=np.array(accepts),
+    )
+    samples = Samples([SampleRun(run_index, *run) for run in zip(firsts, counts, flats)], cfg.sample_rate)
     return ChainResult(samples=samples, trace=trace, counters=state.counters, warnings=warnings)
 
 
@@ -930,14 +1064,15 @@ def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
     else:
         results = [_chain_job(job) for job in jobs]
 
-    merged = ChainResult(samples=[], trace=[], counters=MoveCounters(), warnings=())
+    counters = MoveCounters()
     for res in results:
-        merged.samples.extend(res.samples)
-        merged.trace.extend(res.trace)
-        merged.counters.merge(res.counters)
-        merged.warnings = merged.warnings + res.warnings
-    merged.samples.sort(key=lambda s: (s.run_index, s.iteration))
-    return merged
+        counters.merge(res.counters)
+    return ChainResult(
+        samples=Samples([run for res in results for run in res.samples.runs], cfg.sample_rate),
+        trace=Trace(*map(np.concatenate, zip(*(res.trace for res in results)))),
+        counters=counters,
+        warnings=tuple(w for res in results for w in res.warnings),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -951,20 +1086,14 @@ class PredictionSummary:
     votes: np.ndarray  # (n, C) hard-label histogram over samples
 
 
-def _runs(samples):
-    """(tree, length) of each run of consecutive samples that hold one tree
-    object: a chain's rejected steps repeat the current tree."""
-    for _, run in groupby(samples, key=lambda s: id(s.tree)):
-        run = list(run)
-        yield run[0].tree, len(run)
-
-
-def predict_average(samples, X: np.ndarray, alpha) -> PredictionSummary:
-    """Average the per-tree class probabilities and tally hard votes."""
+def predict_average(samples: Samples, X: np.ndarray, alpha) -> PredictionSummary:
+    """Average the per-tree class probabilities and tally hard votes; each
+    run's tree is routed once and counted once per sample."""
     if not samples:
         raise ValueError("no posterior samples to average")
-    trees, repeats = zip(*_runs(samples))
-    probs, votes = ensemble_average(trees, repeats, X, alpha)
+    probs, votes = ensemble_average(
+        [run.flat for run in samples.runs], [run.count for run in samples.runs], X, alpha
+    )
     return PredictionSummary(probabilities=probs, votes=votes)
 
 
@@ -975,11 +1104,10 @@ class PathRow(NamedTuple):
     count: int
 
 
-def posterior_path_summary(samples) -> tuple[list[PathRow], dict[int, int]]:
+def posterior_path_summary(samples: Samples) -> tuple[list[PathRow], dict[int, int]]:
     """Group samples by their pre-order feature path.
 
-    The samples' trees must be numbered in pre-order (as the chain freezes
-    them): the path is read off the node arena in order.  Returns rows
+    The path is read off each run's flat tree in order.  Returns rows
     sorted by posterior weight (descending, ties by path) and the histogram
     of split counts across samples.
     """
@@ -987,10 +1115,10 @@ def posterior_path_summary(samples) -> tuple[list[PathRow], dict[int, int]]:
         raise ValueError("no posterior samples to summarize")
     groups: dict[tuple, int] = {}
     histogram: dict[int, int] = {}
-    for tree, repeats in _runs(samples):
-        path = tuple(nd.feature for nd in tree.nodes if isinstance(nd, Split))
-        groups[path] = groups.get(path, 0) + repeats
-        histogram[len(path)] = histogram.get(len(path), 0) + repeats
+    for run in samples.runs:
+        path = tuple(f for f in run.flat.feature if f >= 0)
+        groups[path] = groups.get(path, 0) + run.count
+        histogram[len(path)] = histogram.get(len(path), 0) + run.count
     total = len(samples)
     rows = [
         PathRow(feature_path=path, split_count=len(path), weight=count / total, count=count)

@@ -2,24 +2,28 @@
 
 Trees are immutable values stored as a pre-order node arena (root at id 0,
 left subtree before right).  Nothing here edits a tree: the sampler edits
-its own `mcmc.ChainState` and freezes a fresh pre-order arena whenever it
-records a sample, and `deserialize` numbers what it reads the same way, so
+its own `mcmc.ChainState` and records its trees as `FlatTree` snapshots,
+pre-order columns that `FlatTree.tree` turns into an arena when one is
+read, and `deserialize` numbers what it reads the same way, so
 serialization and feature paths are canonical.
 
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
 
 Prediction has one path, `predict_trees`, shared by the posterior average
-and the forest.  It stacks PREDICT_BLOCK trees' arenas into one flat node
-table (feature, threshold, child pair, leaf posterior-mean row) and routes
-every (tree, row) pair of the block at once, one level per step, for as
-many levels as the block's deepest tree.  A block is thrown away before
-the next is built, so memory stays O(PREDICT_BLOCK x rows) however many
-trees are predicted.
+and the forest.  It reads each tree as a `FlatTree` (an arena is flattened
+first), stacks PREDICT_BLOCK of them into one flat node table (feature,
+threshold, child pair, leaf posterior-mean row) and routes every (tree,
+row) pair of the block at once, one level per step, for as many levels as
+the block's deepest tree.  A block is thrown away before the next is
+built, so memory stays O(PREDICT_BLOCK x rows) however many trees are
+predicted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,40 +163,75 @@ def resolve_alpha(alpha, class_count: int) -> np.ndarray:
     return out
 
 
-def _node_table(trees, alpha: np.ndarray):
-    """Stack pre-order arenas into flat arrays (node i of tree k sits at its
-    tree's offset + i): feature, threshold, a child pair per node taken as
-    pair[x <= threshold] (a leaf points to itself), the Dirichlet posterior-mean
-    row of every node, each tree's root and the deepest tree's depth."""
-    feature, threshold, pairs, counts, roots = [], [], [], [], []
-    no_counts = (0,) * len(alpha)
-    levels = 0
-    for tree in trees:
-        base = len(feature)
-        roots.append(base + tree.root)
-        depth = [0] * len(tree.nodes)
+class FlatTree(NamedTuple):
+    """A tree as pre-order columns, the form prediction reads.
+
+    Per node, root first: the split feature (-1 at a leaf), the threshold
+    (0.0 at a leaf) and the positions of the two children (a leaf's own
+    position, twice); then the depth of the deepest leaf and the class
+    counts of the leaves, in pre-order.
+    """
+
+    feature: list
+    threshold: list
+    left: list
+    right: list
+    depth: int
+    leaf_counts: list
+
+    @classmethod
+    def of(cls, tree: DecisionTree) -> "FlatTree":
+        n = len(tree.nodes)
+        feature, threshold, left, right = [-1] * n, [0.0] * n, list(range(n)), list(range(n))
+        depth, leaf_counts = [0] * n, []
+        if tree.root != 0:
+            raise ValueError("tree is not numbered in pre-order")
         for i, node in enumerate(tree.nodes):
             if isinstance(node, Split):
                 if min(node.left, node.right) <= i:
                     raise ValueError("tree is not numbered in pre-order")
+                feature[i], threshold[i], left[i], right[i] = node.feature, node.threshold, node.left, node.right
                 depth[node.left] = depth[node.right] = depth[i] + 1
-                feature.append(node.feature)
-                threshold.append(node.threshold)
-                pairs += (base + node.right, base + node.left)
-                counts.append(no_counts)
             else:
-                feature.append(0)
-                threshold.append(0.0)
-                pairs += (base + i, base + i)
-                counts.append(node.counts)
-        levels = max(levels, max(depth))
-    counts = np.array(counts, dtype=np.float64)
+                leaf_counts.append(node.counts)
+        return cls(feature, threshold, left, right, max(depth), leaf_counts)
+
+    def tree(self) -> DecisionTree:
+        counts = iter(self.leaf_counts)
+        return DecisionTree(nodes=tuple(
+            Leaf(counts=next(counts)) if f < 0 else Split(feature=f, threshold=t, left=lo, right=hi)
+            for f, t, lo, hi in zip(self.feature, self.threshold, self.left, self.right)
+        ))
+
+
+def _flat(tree) -> FlatTree:
+    return tree if isinstance(tree, FlatTree) else FlatTree.of(tree)
+
+
+def _node_table(flats: list, alpha: np.ndarray):
+    """Stack flat trees into flat arrays (node i of tree k sits at its
+    tree's offset + i): feature, threshold, a child pair per node taken as
+    pair[x <= threshold] (a leaf points to itself), the Dirichlet posterior-mean
+    row of every node, each tree's root and the deepest tree's depth."""
+    sizes = [len(flat.feature) for flat in flats]
+    roots = np.cumsum([0] + sizes[:-1])
+    base = np.repeat(roots, sizes)
+    feature = np.array(list(chain.from_iterable(flat.feature for flat in flats)))
+    threshold = np.array(list(chain.from_iterable(flat.threshold for flat in flats)), dtype=np.float64)
+    left = base + np.array(list(chain.from_iterable(flat.left for flat in flats)))
+    right = base + np.array(list(chain.from_iterable(flat.right for flat in flats)))
+    pairs = np.stack((right, left), axis=1).ravel()
+    is_leaf = feature < 0
+    feature[is_leaf] = 0
+    counts = np.zeros((len(feature), len(alpha)))
+    counts[is_leaf] = list(chain.from_iterable(flat.leaf_counts for flat in flats))
     table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha.sum())
-    return np.array(feature), np.array(threshold), np.array(pairs), table, np.array(roots), levels
+    return feature, threshold, pairs, table, roots, max(flat.depth for flat in flats)
 
 
 def predict_trees(trees, X: np.ndarray, alpha):
-    """Yield (class probabilities (n, C), hard labels (n,)) for each tree, in order.
+    """Yield (class probabilities (n, C), hard labels (n,)) for each tree
+    (a `DecisionTree` or a `FlatTree`), in order.
 
     Rows are the Dirichlet posterior mean of the routed leaf, bit for bit
     what `leaf_predictive` gives; labels are their argmax, ties to the lowest
@@ -201,13 +240,13 @@ def predict_trees(trees, X: np.ndarray, alpha):
     """
     if not trees:
         raise ValueError("no trees to predict with")
-    first = trees[0]
-    alpha = resolve_alpha(alpha, len(first.nodes[first.leaf_ids[0]].counts))
+    alpha = resolve_alpha(alpha, len(_flat(trees[0]).leaf_counts[0]))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     flat = X.ravel()
     row_starts = np.arange(X.shape[0]) * X.shape[1]
     for start in range(0, len(trees), PREDICT_BLOCK):
-        feature, threshold, pairs, table, roots, levels = _node_table(trees[start : start + PREDICT_BLOCK], alpha)
+        block = [_flat(tree) for tree in trees[start : start + PREDICT_BLOCK]]
+        feature, threshold, pairs, table, roots, levels = _node_table(block, alpha)
         if feature.max() >= X.shape[1]:  # the flat gather below would read a neighbouring row
             raise ValueError(f"X has too few columns ({X.shape[1]}) for a split on feature {feature.max()}")
         labels = np.argmax(table, axis=1)

@@ -202,17 +202,16 @@ def _plug_in_and_max_log_lik(tree, alpha) -> tuple[float, float]:
 def test_criterion_6_mcmc_health(canonical_data, bayes_desk_run):
     """Post-burn-in log-likelihood level and overall acceptance rate."""
     result = bayes_desk_run["result"]
-    post_ll = [r.log_lik for r in result.trace if r.phase == "post"]
-    ll_mean = float(np.mean(post_ll))
+    trace = result.trace
+    ll_mean = float(np.mean(trace.log_lik[trace.post]))
     rate = result.counters.acceptance_rate
     rate_ok = 0.35 <= rate <= 0.60
     ll_ok = -55.0 <= ll_mean <= -30.0
     _criterion("6a", rate_ok, "overall acceptance rate in [0.35, 0.60]", f"{rate:.3f}")
     restart_means = [
-        np.mean([r.log_lik for r in result.trace if r.phase == "post" and r.run_index == run])
-        for run in sorted({r.run_index for r in result.trace})
+        np.mean(trace.log_lik[trace.post & (trace.run_index == run)]) for run in np.unique(trace.run_index)
     ]
-    peak = max(r.log_lik for r in result.trace)
+    peak = trace.log_lik.max()
     alpha = mcmc.resolve_alpha(bayes_desk_run["cfg"].dirichlet_alpha, canonical_data[0].class_count)
     plug_in, max_lik = np.mean(
         [_plug_in_and_max_log_lik(s.tree, alpha) for s in result.samples], axis=0

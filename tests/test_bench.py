@@ -3,7 +3,10 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,8 +332,9 @@ class TestCli:
             (["--step", "nan"], "sweep step must be finite, got nan"),
             (["--stop", "inf"], "sweep stop must be finite, got inf"),
             (["--start", "1.0", "--stop", "0.9"], "sweep stop 0.9 lies below start 1.0"),
+            (["--step", "1e-9"], "sweep step 1e-09 is too fine: 0.9..1.0 would take 100000001 thresholds"),
         ],
-        ids=["step_zero", "step_negative", "step_nan", "stop_infinite", "stop_below_start"],
+        ids=["step_zero", "step_negative", "step_nan", "stop_infinite", "stop_below_start", "step_too_fine"],
     )
     def test_bad_sweep_bound_is_named(self, tmp_path, capsys, flags, message):
         votes = tmp_path / "votes.csv"
@@ -623,3 +627,29 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"treeuq.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_tracer_hooks_count_predicted_samples(tmp_path):
+    """The benchmark tracer's `predict_average` hook takes `len(samples)`
+    and `{s.tree for s in samples}` of its argument: a traced `bayes --test`
+    run records the sample count and between 1 and that many distinct
+    trees."""
+    root = Path(__file__).resolve().parents[1]
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 2))
+    y = (X[:, 0] > 0).astype(np.int64)
+    write_csv(Dataset(X[:40], y[:40], 2, ("a", "b")), tmp_path / "train.csv")
+    write_csv(Dataset(X[40:], y[40:], 2, ("a", "b")), tmp_path / "test.csv")
+    spans = tmp_path / "spans.npz"
+    subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans), "--run-id", "guard", "cli",
+         "--", "bayes", "--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv"),
+         "--restarts", "2", "--burn-in", "30", "--post-burn-in", "40", "--min-leaf-rows", "3",
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1"),
+        check=True, capture_output=True, timeout=300,
+    )
+    with np.load(spans) as recorded:
+        counters = dict(zip(recorded["counter_keys"].tolist(), recorded["counter_values"].tolist()))
+    assert counters["predict.samples"] == 2 * 40
+    assert 1 <= counters["predict.distinct"] <= 2 * 40

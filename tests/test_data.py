@@ -22,6 +22,9 @@ def _write(tmp_path, text, name="data.csv"):
     return path
 
 
+UNSEEN_FIRST_LABEL = "4,label\n1.0,a\n2.0,b\n3.0,a\n"
+
+
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
         ds = load_csv(_write(tmp_path, "1.0,2.0,0\n3.5,4.0,1\n0.5,0.1,0\n"))
@@ -39,11 +42,26 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="header=true or header=false"):
             load_csv(_write(tmp_path, "4,no\n5,1\n6,0\n"))
 
+    def test_unseen_first_label_asks_for_header_key(self, tmp_path, capsys):
+        # numeric features and a label no later row has, above repeating
+        # labels: a header of numeric names, or a class of one row
+        train = _write(tmp_path, UNSEEN_FIRST_LABEL)
+        with pytest.raises(DataError, match="header=true or header=false"):
+            load_csv(train)
+        assert cli.main(["bayes", "--train", str(train), "--out", str(tmp_path / "out")]) == 3
+        assert "header=true or header=false" in capsys.readouterr().err
+
     @pytest.mark.parametrize("header, rows, names", [("true", 2, ("4",)), ("false", 3, ("col0",))])
     def test_schema_header_settles_ambiguous_first_row(self, tmp_path, header, rows, names):
         schema = _write(tmp_path, f"header={header}\n", name="schema.txt")
         ds = load_csv(_write(tmp_path, "4,no\n5,1\n6,0\n"), schema=schema)
         assert (ds.row_count, ds.feature_names) == (rows, names)
+
+    @pytest.mark.parametrize("header, rows, classes", [("true", 3, ("a", "b")), ("false", 4, ("label", "a", "b"))])
+    def test_schema_header_settles_unseen_first_label(self, tmp_path, header, rows, classes):
+        schema = _write(tmp_path, f"header={header}\n", name="schema.txt")
+        ds = load_csv(_write(tmp_path, UNSEEN_FIRST_LABEL), schema=schema)
+        assert (ds.row_count, ds.label_names) == (rows, classes)
 
     def test_ambiguous_first_row_exits_3(self, tmp_path, capsys):
         train = _write(tmp_path, "4,no\n5,1\n6,0\n")

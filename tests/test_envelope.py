@@ -12,6 +12,7 @@ from treeuq.envelope import (
     evaluate,
     read_votes_csv,
     sweep,
+    SWEEP_MAX_POINTS,
     sweep_grid,
     write_votes_csv,
 )
@@ -177,6 +178,11 @@ class TestSweep:
         assert grid[0] == pytest.approx(0.9)
         assert grid[-1] == pytest.approx(1.0)
         assert grid[1] - grid[0] == pytest.approx(0.001)
+
+    def test_grid_size_is_bounded(self):
+        assert len(sweep_grid(0.0, 1.0, 1.0 / (SWEEP_MAX_POINTS - 1))) == SWEEP_MAX_POINTS
+        with pytest.raises(ValueError, match="sweep step 1e-06 is too fine"):
+            sweep_grid(0.0, 1.0, 1e-6)
 
     def test_monotonicity(self):
         curve = sweep(self._random_matrix())

@@ -45,7 +45,7 @@ from treeuq.mcmc import (
     run_restarts,
     valid_rules,
 )
-from treeuq.tree import DecisionTree, Leaf, Split, fit_partition, leaf_predictive, serialize, single_leaf_tree
+from treeuq.tree import DecisionTree, FlatTree, Leaf, Split, fit_partition, leaf_predictive, serialize, single_leaf_tree
 
 ALPHA2 = np.ones(2)
 
@@ -57,6 +57,16 @@ def small_dataset(n=40, seed=0, m=2):
     if y.min() == y.max():  # force both classes
         y[0] = 1 - y[0]
     return Dataset(X, y, 2, tuple(f"f{i}" for i in range(m)))
+
+
+def samples_of(trees, counts=None) -> mcmc.Samples:
+    """Run-length samples of chain 0 at sample rate 1: trees[i] held by
+    counts[i] consecutive samples (one each by default)."""
+    counts = counts or [1] * len(trees)
+    firsts = np.cumsum([1] + counts[:-1]).tolist()
+    return mcmc.Samples(
+        [mcmc.SampleRun(0, first, count, FlatTree.of(tree)) for tree, first, count in zip(trees, firsts, counts)], 1
+    )
 
 
 def make_state(ds, cfg, tree=None) -> ChainState:
@@ -369,11 +379,11 @@ class TestMhStep:
         train, _ = canonical_data
         cfg = McmcConfig(min_leaf_rows=5, seed=0)
         state = make_state(train, cfg)
-        before_tree = state.tree
+        before = state.flat
         rng = FakeRng(randoms=[0.15])  # death on a single leaf
         kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_DEATH and not accepted
-        assert state.tree is before_tree
+        assert state.flat is before
         assert state.counters.proposed[MOVE_DEATH] == 1
         assert state.counters.accepted[MOVE_DEATH] == 0
 
@@ -586,6 +596,84 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
                     assert repr(got) == repr(want)
 
 
+class TestChainRng:
+    KS = (1, 2, 3, 7, 250, 2**31 + 11, 2**32)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_generator_draw_for_draw(self, seed):
+        """Interleaved random() and integers(k) calls give the generator's
+        own values, so the high half a draw keeps is served next."""
+        want, got = np.random.default_rng(seed), mcmc.ChainRng(np.random.default_rng(seed))
+        script = np.random.default_rng(100 + seed)
+        for _ in range(3 * mcmc.WORD_BLOCK):
+            if script.random() < 0.3:
+                assert got.random() == want.random()
+            else:
+                k = self.KS[script.integers(len(self.KS))]
+                assert got.integers(k) == want.integers(k)
+
+    @pytest.mark.parametrize("k", [0, 2**32 + 1, 2**40])
+    def test_refuses_k_outside_the_32_bit_draw(self, k):
+        with pytest.raises(ValueError, match="integers"):
+            mcmc.ChainRng(np.random.default_rng(0)).integers(k)
+
+
+@pytest.mark.parametrize("window", [1, 2, None])
+@pytest.mark.parametrize("min_rows", [1, 2, 5, 12, 30])
+def test_every_state_keeps_leaves_at_min_rows(window, min_rows):
+    """Every state a chain reaches keeps every leaf at min_leaf_rows rows or
+    more, so a proposal need only check the leaves it touches."""
+    ds = small_dataset(n=90, seed=min_rows, m=3)
+    cfg = McmcConfig(move_probs=(0.3, 0.2, 0.2, 0.3), min_leaf_rows=min_rows, change_rule_window=window,
+                     max_leaves=6 if min_rows < 5 else None, seed=min_rows)
+    rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
+    start = draw_initial_split(RowTables(ds.features, ds.labels, 2, 1.0), min_rows, rng)
+    state = make_state(ds, cfg, DecisionTree((Split(*start, 1, 2), Leaf(), Leaf())))
+    accepted = 0
+    for _ in range(400):
+        accepted += mh_step(state, cfg, rng)[1]
+        assert min(state.leaf_sizes) >= min_rows
+        assert state.leaf_count <= (cfg.max_leaves or ds.row_count)
+    assert accepted > 0
+
+
+def per_iteration_records(ds, cfg, run_index):
+    """`run_chain`'s loop recording one (run, iteration, tree text) per
+    sample and one trace row per iteration: the records the chain kept
+    before it recorded runs and columns."""
+    tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
+    rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, run_index))
+    start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
+    state = ChainState(tables, None if start is None else DecisionTree((Split(*start, 1, 2), Leaf(), Leaf())))
+    samples, rows = [], []
+    for i in range(1, cfg.burn_in + cfg.post_burn_in + 1):
+        kind, accepted = mh_step(state, cfg, rng)
+        rows.append((run_index, i, i > cfg.burn_in, state.log_lik, state.split_count, kind, accepted))
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.sample_rate == 0:
+            samples.append((run_index, i, serialize(state.tree)))
+    return samples, rows
+
+
+def test_thinned_runs_and_columns_hold_the_per_iteration_records():
+    ds = small_dataset(n=60, seed=4)
+    cfg = McmcConfig(burn_in=150, post_burn_in=350, sample_rate=7, restarts=3, min_leaf_rows=3, seed=9)
+    result = run_restarts(ds, cfg)
+    want_samples, want_rows = [], []
+    for run in range(cfg.restarts):
+        samples, rows = per_iteration_records(ds, cfg, run)
+        want_samples += samples
+        want_rows += rows
+    got = [(s.run_index, s.iteration, serialize(s.tree)) for s in result.samples]
+    assert got == want_samples and len(result.samples) == 3 * (350 // 7)
+    assert len(result.samples.runs) < len(result.samples)  # some runs hold several samples
+    trace = result.trace
+    moves = [mcmc.MOVE_KINDS[code] for code in trace.move.tolist()]
+    assert list(zip(trace.run_index.tolist(), trace.iteration.tolist(), trace.post.tolist(), trace.log_lik.tolist(),
+                    trace.split_count.tolist(), moves, trace.accepted.tolist())) == want_rows
+    for step in (1, 2, 5, 64):
+        assert [(s.run_index, s.iteration, serialize(s.tree)) for s in result.samples.every(step)] == got[::step]
+
+
 class TestRunChain:
     def test_sample_counts(self):
         ds = small_dataset(n=50, seed=2)
@@ -599,9 +687,8 @@ class TestRunChain:
         ds = small_dataset(n=50, seed=2)
         cfg = McmcConfig(burn_in=50, post_burn_in=50, min_leaf_rows=3, seed=3)
         result = run_chain(ds, cfg)
-        assert len(result.trace) == 100
-        assert all(r.phase == "burn" for r in result.trace[:50])
-        assert all(r.phase == "post" for r in result.trace[50:])
+        assert result.trace.iteration.tolist() == list(range(1, 101))
+        assert result.trace.post.tolist() == [False] * 50 + [True] * 50
         assert all(s.iteration > cfg.burn_in for s in result.samples)
 
     def test_sampled_trees_respect_constraints(self):
@@ -689,8 +776,11 @@ def chain_digest(ds, cfg) -> str:
     h = hashlib.sha256()
     for s in result.samples:
         h.update(f"{s.run_index} {s.iteration}\n{serialize(s.tree)}\n".encode())
-    for r in result.trace:
-        h.update(f"{r.iteration},{r.move},{int(r.accepted)},{r.split_count},{r.log_lik:.10g}\n".encode())
+    trace = result.trace
+    for i, move, accepted, splits, log_lik in zip(trace.iteration.tolist(), trace.move.tolist(),
+                                                  trace.accepted.tolist(), trace.split_count.tolist(),
+                                                  trace.log_lik.tolist()):
+        h.update(f"{i},{mcmc.MOVE_KINDS[move]},{int(accepted)},{splits},{log_lik:.10g}\n".encode())
     return h.hexdigest()
 
 
@@ -724,7 +814,7 @@ def test_negative_zero_features_sample_as_zero():
     cfg = McmcConfig(burn_in=400, post_burn_in=400, **GOLDEN_CONFIGS["ties_window1"][1])
     got, want = run_chain(ds, cfg), run_chain(plus, cfg)
     assert [serialize(s.tree) for s in got.samples] == [serialize(s.tree) for s in want.samples]
-    assert got.trace == want.trace
+    assert all(np.array_equal(a, b) for a, b in zip(got.trace, want.trace))
     zeros = [nd.threshold for s in got.samples for nd in s.tree.nodes if isinstance(nd, Split) and nd.threshold == 0.0]
     assert zeros and not np.signbit(zeros).any()
 
@@ -744,8 +834,7 @@ def test_golden_predict_average():
     cfg = McmcConfig(burn_in=200, post_burn_in=300, restarts=2, min_leaf_rows=3,
                      dirichlet_alpha=(0.5, 1.0, 2.0), seed=7)
     samples = run_restarts(ds, cfg).samples
-    distinct_runs = len(list(mcmc._runs(samples)))
-    assert 64 < distinct_runs < len(samples)  # repeats, and more than one routing block
+    assert 64 < len(samples.runs) < len(samples)  # repeats, and more than one routing block
     pred = predict_average(samples, test_X, cfg.dirichlet_alpha)
     digests = {name: hashlib.sha256(getattr(pred, name).tobytes()).hexdigest() for name in GOLDEN_PREDICTION}
     assert digests == GOLDEN_PREDICTION
@@ -780,19 +869,13 @@ class TestRunRestarts:
 
 class TestPredictAverage:
     def test_single_sample_equals_leaf_predictive(self):
-        tree = single_leaf_tree(counts=(3, 1))
-        sample = mcmc.PosteriorSample(tree=tree, run_index=0, iteration=1)
-        pred = predict_average([sample], np.zeros((1, 1)), 1.0)
+        pred = predict_average(samples_of([single_leaf_tree(counts=(3, 1))]), np.zeros((1, 1)), 1.0)
         assert pred.probabilities[0] == pytest.approx(leaf_predictive((3, 1), ALPHA2))
 
     def test_two_opposed_samples_average_out(self):
         a = single_leaf_tree(counts=(50, 0))
         b = single_leaf_tree(counts=(0, 50))
-        samples = [
-            mcmc.PosteriorSample(tree=a, run_index=0, iteration=1),
-            mcmc.PosteriorSample(tree=b, run_index=0, iteration=2),
-        ]
-        pred = predict_average(samples, np.zeros((1, 1)), 1.0)
+        pred = predict_average(samples_of([a, b]), np.zeros((1, 1)), 1.0)
         assert pred.probabilities[0] == pytest.approx([0.5, 0.5])
         assert pred.votes[0].tolist() == [1, 1]
 
@@ -802,16 +885,15 @@ class TestPredictAverage:
 
     @pytest.mark.parametrize("alpha", [(1.0, 1.0, 1.0), (1.0, 0.0), -1.0])
     def test_bad_alpha_names_class_count(self, alpha):
-        sample = mcmc.PosteriorSample(tree=single_leaf_tree(counts=(3, 1)), run_index=0, iteration=1)
+        samples = samples_of([single_leaf_tree(counts=(3, 1))])
         with pytest.raises(ValueError, match=r"\b2 (entries|classes)"):
-            predict_average([sample], np.zeros((1, 1)), alpha)
+            predict_average(samples, np.zeros((1, 1)), alpha)
 
 
 class TestPathSummary:
     def test_identical_samples_single_row(self):
         tree = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
-        samples = [mcmc.PosteriorSample(tree=tree, run_index=0, iteration=i) for i in range(10)]
-        rows, histogram = posterior_path_summary(samples)
+        rows, histogram = posterior_path_summary(samples_of([tree], [10]))
         assert len(rows) == 1
         assert rows[0].weight == 1.0
         assert rows[0].feature_path == (0,)
@@ -828,10 +910,10 @@ class TestPathSummary:
 
 @st.composite
 def edited_tree_samples(draw):
-    """Samples holding trees reached from one leaf by `replace_leaf`,
-    `collapse_split` and `with_split_params` edits, each tree held by a run
-    of 1-3 consecutive samples as a chain's rejected steps hold it."""
-    tree, samples = single_leaf_tree(), []
+    """Trees reached from one leaf by `replace_leaf`, `collapse_split` and
+    `with_split_params` edits, each held by a run of 1-3 consecutive samples
+    as a chain's rejected steps hold it."""
+    tree, trees, counts = single_leaf_tree(), [], []
     for i in range(draw(st.integers(1, 12))):
         edit = draw(st.sampled_from(("grow", "prune", "change")))
         feature, threshold = draw(st.integers(0, 3)), draw(st.floats(-1.0, 1.0))
@@ -844,8 +926,9 @@ def edited_tree_samples(draw):
             tree = with_split_params(tree, draw(st.sampled_from(tree.split_ids)), feature, threshold)
         else:
             tree = replace_leaf(tree, draw(st.sampled_from(tree.leaf_ids)), feature, threshold)
-        samples += [mcmc.PosteriorSample(tree=tree, run_index=0, iteration=i)] * draw(st.integers(1, 3))
-    return samples
+        trees.append(tree)
+        counts.append(draw(st.integers(1, 3)))
+    return samples_of(trees, counts)
 
 
 @given(edited_tree_samples())
