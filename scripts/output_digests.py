@@ -17,6 +17,10 @@ this script:
   - `treeuq bayes --sample-rate 7` on them too, 3 restarts x (500 + 700):
     thinned samples, so every sampled iteration number and the trees
     `samples.txt` keeps;
+  - `treeuq bayes --min-leaf-rows 200` on them too, 2 restarts x (200 +
+    200): no split leaves both sides 200 rows of the 250-row train, so
+    every chain holds the root-only tree, and `samples.txt` and the
+    predictions come from one-leaf trees;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -97,6 +101,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_alpha")
     treeuq(work, "bayes", *csvs, "--sample-rate", "7", "--restarts", "3", "--burn-in", "500",
            "--post-burn-in", "700", *common, "--out", "bayes_thinned")
+    treeuq(work, "bayes", *csvs, "--min-leaf-rows", "200", "--restarts", "2", "--burn-in", "200",
+           "--post-burn-in", "200", *common, "--out", "bayes_root_only")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

@@ -129,7 +129,6 @@ _OPTIONS = (
     _Opt("--split-prior", _SAMPLER, _parse_split_prior, "mcmc.split_prior", "uniform or depth:<base>:<decay>"),
     _Opt("--paper-scale", _SAMPLER, _parse_bool, "paper_scale", "50 restarts x (2000+2000)"),
     _Opt("--min-leaf-rows", "bayes forest bench", int, "mcmc.min_leaf_rows forest.min_leaf_rows", "pruning factor"),
-    _Opt("--forest-min-leaf-rows", "forest", int, "forest.min_leaf_rows"),
     _Opt("--tree-count", _FOREST, int, "forest.tree_count"),
     _Opt("--top-k", _FOREST, int, "forest.top_k"),
     _Opt("--validation-fraction", _FOREST, float, "forest.validation_fraction"),

@@ -220,9 +220,13 @@ def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
         # features are all numbers but whose label is not may be a header of
         # numeric names or a data row: ask, when it sits above a numeric
         # label, or when its label is seen in no later row while later
-        # labels repeat (a class of one row, at the top).
-        has_header = any(not _is_float_token(tok) and not tok == "" for tok in rows[0][:-1])
-        label, later = rows[0][-1], [row[-1] for row in rows[1:]]
+        # labels repeat (a class of one row, at the top).  The label is the
+        # schema's label column: an index, or the cell of row 1 that names it.
+        key = schema.get("label_column", str(width - 1))
+        at = int(key) if _is_int_token(key) else rows[0].index(key) if key in rows[0] else width - 1
+        at = at if 0 <= at < width else width - 1  # an index out of range is refused below
+        has_header = any(not _is_float_token(tok) and not tok == "" for j, tok in enumerate(rows[0]) if j != at)
+        label, later = rows[0][at], [row[at] for row in rows[1:]]
         if not has_header and later and not _is_float_token(label):
             reason = None
             if _is_float_token(later[0]):

@@ -227,7 +227,14 @@ def read_votes_csv(path) -> VoteMatrix:
             raise DataError(f"empty votes file: {path}") from None
         if header[:1] != ["target"] or len(header) < 3:
             raise DataError("votes CSV must start with header target,vote_0,...")
-        rows = [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):  # blank lines skipped
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num} has {len(row)} cells, the header {len(header)} "
+                    f"(target and {len(header) - 1} vote columns)"
+                )
+            rows.append(row)
     if not rows:
         raise DataError(f"votes file has no data rows: {path}")
     try:
@@ -235,8 +242,6 @@ def read_votes_csv(path) -> VoteMatrix:
         votes = np.array([[int(v) for v in r[1:]] for r in rows], dtype=np.int64)
     except ValueError as exc:
         raise DataError(f"non-integer cell in votes file: {exc}") from None
-    if votes.shape[1] != len(header) - 1:
-        raise DataError("votes rows do not match the header width")
     try:
         return VoteMatrix.build(votes, targets)
     except ValueError as exc:

@@ -14,7 +14,9 @@ nodes together.  Nodes of different trees that hold the same rows, such as
 every root at the first step, share one segment, so a step never computes
 a row set twice.  Each tree then draws its split from its own generator,
 in the same pre-order as growing it alone, so the forest does not depend
-on how many trees grow together or on the worker count.
+on how many trees grow together or on the worker count.  A tree's nodes
+are appended to its pre-order `tree.DecisionTree` columns as they are
+reached, so no tree is converted afterwards.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, split_validation
-from .tree import DecisionTree, Leaf, Split, ensemble_average, predict_trees
+from .tree import DecisionTree, ensemble_average, predict_trees
 
 
 @dataclass(frozen=True)
@@ -172,31 +174,38 @@ def grow_trees(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot grow a tree from zero rows")
-    # per tree: nodes in pre-order, a split as [feature, threshold, right child id]
-    # until it is frozen; its left child is always the next node
-    nodes: list[list] = [[] for _ in rngs]
-    # per tree: (rows, id of the split whose right child this is, or None)
-    stacks = [[(rows, None)] for _ in rngs]
+    # per tree, in pre-order: each node's feature (-1 at a leaf), threshold and
+    # right child (its own position until a split's right child is reached; a
+    # split's left child is always the next node), the leaves' class counts
+    # and the deepest node's depth
+    feature, threshold, right = ([[] for _ in rngs] for _ in range(3))
+    leaf_counts, depth = [[] for _ in rngs], [0] * len(rngs)
+    # per tree: (rows, depth, position of the split whose right child this is, or None)
+    stacks = [[(rows, 0, None)] for _ in rngs]
     active = list(range(len(rngs)))
     while active:
-        pending = []  # (tree, node id, rows, class counts) of the nodes that need candidates
+        pending = []  # (tree, position, rows, class counts, depth) of the nodes that need candidates
         for t in active:
-            stack, tree_nodes = stacks[t], nodes[t]
+            stack = stacks[t]
             while stack:
-                node_rows, parent = stack.pop()
+                node_rows, node_depth, parent = stack.pop()
+                at = len(feature[t])
                 if parent is not None:
-                    tree_nodes[parent][2] = len(tree_nodes)
+                    right[t][parent] = at
+                feature[t].append(-1)
+                threshold[t].append(0.0)
+                right[t].append(at)
+                depth[t] = max(depth[t], node_depth)
                 counts = np.bincount(y[node_rows], minlength=class_count)
                 if len(node_rows) < 2 * cfg.min_leaf_rows or np.count_nonzero(counts) < 2:
-                    tree_nodes.append(Leaf(counts=tuple(int(c) for c in counts)))
+                    leaf_counts[t].append(tuple(int(c) for c in counts))
                     continue
-                pending.append((t, len(tree_nodes), node_rows, counts))
-                tree_nodes.append(None)
+                pending.append((t, at, node_rows, counts, node_depth))
                 break
         if pending:
             segment_of: dict[bytes, int] = {}
             row_sets, node_segments = [], []
-            for _, _, node_rows, _ in pending:
+            for _, _, node_rows, _, _ in pending:
                 # a node's rows keep the order of `rows`, so equal row sets have equal bytes
                 key = node_rows.tobytes()
                 if key not in segment_of:
@@ -206,26 +215,23 @@ def grow_trees(
             features, thresholds, _, bounds = _candidate_arrays(
                 X, y, class_count, row_sets, cfg.min_leaf_rows, cfg.top_k
             )
-            for (t, node_id, node_rows, counts), s in zip(pending, node_segments):
+            for (t, at, node_rows, counts, node_depth), s in zip(pending, node_segments):
                 first, count = int(bounds[s]), int(bounds[s + 1] - bounds[s])
                 if count == 0:
-                    nodes[t][node_id] = Leaf(counts=tuple(int(c) for c in counts))
+                    leaf_counts[t].append(tuple(int(c) for c in counts))
                     continue
                 pick = first + int(rngs[t].integers(count))
-                feature, threshold = int(features[pick]), float(thresholds[pick])
-                mask = X[node_rows, feature] <= threshold
-                nodes[t][node_id] = [feature, threshold, None]
-                stacks[t].append((node_rows[~mask], node_id))
-                stacks[t].append((node_rows[mask], None))
+                f, thr = int(features[pick]), float(thresholds[pick])
+                feature[t][at], threshold[t][at] = f, thr
+                mask = X[node_rows, f] <= thr
+                stacks[t].append((node_rows[~mask], node_depth + 1, at))
+                stacks[t].append((node_rows[mask], node_depth + 1, None))
         active = [t for t in active if stacks[t]]
     return [
         DecisionTree(
-            nodes=tuple(
-                nd if isinstance(nd, Leaf) else Split(feature=nd[0], threshold=nd[1], left=i + 1, right=nd[2])
-                for i, nd in enumerate(tree_nodes)
-            )
+            tuple(f), tuple(thr), tuple(i + 1 if fi >= 0 else i for i, fi in enumerate(f)), tuple(r), d, tuple(c)
         )
-        for tree_nodes in nodes
+        for f, thr, r, d, c in zip(feature, threshold, right, depth, leaf_counts)
     ]
 
 

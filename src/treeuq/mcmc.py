@@ -29,16 +29,17 @@ reaches the node).  Each chain builds its own `RowTables` from its data
 and prior: per feature the sorted distinct values and the bitsets of the
 rows at and below each value, one bitset per class, and the log-gamma
 terms for every count 0..n.  The tables read -0.0 as 0.0, so every zero
-threshold the chain draws is 0.0.  `ChainState(tables, tree)` routes a
-tree's rows from the root with the tables and reads its counts and
-log-likelihood from them; the chain's start and every move go through it.
-A split is then `rows & below` and `rows ^ left`, counts are
-`int.bit_count`, a change keeps every subtree whose rows it does not move,
-and the windowed change-rule step walks the per-value bitsets without a
-numpy call.  `RowTables.log_lik` adds the table terms with `pairwise_sum`,
-in the order numpy's reduction in `log_marginal_of_counts` adds them, so
-every bit and every accept decision is the same as evaluating the count
-matrix directly.
+threshold the chain draws is 0.0.  `ChainState(tables, tree)` reads the
+split columns of a `tree.DecisionTree` (the chain's start is one of a
+single split), routes its rows from the root with the tables and reads its
+counts and log-likelihood from them; `ChainState.tree` gives the state
+back in that form.  A split is then `rows & below` and `rows ^ left`,
+counts are `int.bit_count`, a change keeps every subtree whose rows it
+does not move, and the windowed change-rule step walks the per-value
+bitsets without a numpy call.  `RowTables.log_lik` adds the table terms
+with `pairwise_sum`, in the order numpy's reduction in
+`log_marginal_of_counts` adds them, so every bit and every accept decision
+is the same as evaluating the count matrix directly.
 
 Log-gamma is `lgam`, a port of the Cephes routine behind
 `scipy.special.gammaln` that gives the same bits, so the sampler needs
@@ -54,13 +55,10 @@ would draw, at about a quarter of the cost per integer draw.
 
 `run_chain` records its samples as runs (`Samples`): consecutive samples
 with no accepted move between them are one `SampleRun`, which holds the
-state's `FlatTree` snapshot (pre-order columns, and the state's leaf
-class-count list itself, which moves replace and never edit) and a count.
-The trace is recorded as columns (`Trace`).  `predict_average` routes each
-run's tree once and `posterior_path_summary` reads each run's path once; a
-`DecisionTree` is built only where a caller iterates over the samples,
-such as for the trees `samples.txt` keeps.  A chain's records pickle in a
-few milliseconds, so pooled chains return cheaply.
+state's `DecisionTree` snapshot and a count.  The trace is recorded as
+columns (`Trace`).  `predict_average` routes each run's tree once and
+`posterior_path_summary` reads each run's path once.  A chain's records
+pickle in a few milliseconds, so pooled chains return cheaply.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import DecisionTree, FlatTree, Leaf, Split, ensemble_average, resolve_alpha, single_leaf_tree
+from .tree import DecisionTree, ensemble_average, resolve_alpha
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
@@ -202,7 +200,7 @@ class SampleRun(NamedTuple):
     run_index: int
     first: int
     count: int
-    flat: FlatTree
+    tree: DecisionTree
 
 
 @dataclass
@@ -210,8 +208,8 @@ class Samples:
     """Posterior samples, run-length encoded: each run of consecutive
     samples that hold one tree is one `SampleRun`, in chain and iteration
     order.  The j-th sample of a run was taken at iteration first +
-    j * sample_rate.  Iterating yields one `PosteriorSample` per sample;
-    each run's `DecisionTree` is built once, when the run is reached."""
+    j * sample_rate.  Iterating yields one `PosteriorSample` per sample,
+    which holds its run's tree itself."""
 
     runs: list
     sample_rate: int
@@ -224,18 +222,14 @@ class Samples:
 
     def split_counts(self) -> np.ndarray:
         """The split count of each sample's tree, in sample order."""
-        return np.repeat([len(run.flat.leaf_counts) - 1 for run in self.runs], [run.count for run in self.runs])
+        return np.repeat([run.tree.split_count for run in self.runs], [run.count for run in self.runs])
 
     def every(self, step: int):
-        """Sample 0, step, 2 * step, ... as `PosteriorSample`s; a tree is
-        built only for a run that holds one of them."""
+        """Sample 0, step, 2 * step, ... as `PosteriorSample`s."""
         at = 0  # position of the run's first sample
         for run in self.runs:
-            j = -at % step
-            if j < run.count:
-                tree = run.flat.tree()
-                for k in range(j, run.count, step):
-                    yield PosteriorSample(tree, run.run_index, run.first + k * self.sample_rate)
+            for k in range(-at % step, run.count, step):
+                yield PosteriorSample(run.tree, run.run_index, run.first + k * self.sample_rate)
             at += run.count
 
 
@@ -389,15 +383,11 @@ def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
 
 
 def log_marginal_likelihood(tree: DecisionTree, alpha) -> float:
-    """Log probability of the attached leaf counts with class probabilities
+    """Log probability of the tree's leaf counts with class probabilities
     integrated out under a per-leaf Dirichlet(alpha) prior."""
-    counts = []
-    for nid in tree.leaf_ids:
-        leaf = tree.nodes[nid]
-        if leaf.counts is None:
-            raise ValueError("leaf counts not fitted")
-        counts.append(leaf.counts)
-    return log_marginal_of_counts(np.asarray(counts, dtype=np.float64), DirichletTerms.of(alpha))
+    if None in tree.leaf_counts:
+        raise ValueError("leaf counts not fitted")
+    return log_marginal_of_counts(np.asarray(tree.leaf_counts, dtype=np.float64), DirichletTerms.of(alpha))
 
 
 def valid_rules(values: np.ndarray) -> np.ndarray:
@@ -564,21 +554,22 @@ class ChainState:
     """The chain's current tree as per-node lists that accepted moves edit
     in place.
 
-    `ChainState(tables, tree)` is the state at `tree` (numbered in
-    pre-order from root 0; None for the root-only tree) on the data and
-    prior of `tables`.  The tree's splits are all it reads: its rows are
-    routed down from the root with `RowTables.below`, and its leaf sizes,
-    class counts, log-gamma terms and `log_lik` are read from the tables.
+    `ChainState(tables, tree)` is the state at `tree` (None for the
+    root-only tree) on the data and prior of `tables`.  The tree's split
+    columns are all it reads, and it refuses a tree whose child positions
+    are not a pre-order numbering from root 0: its rows are routed down
+    from the root with `RowTables.below`, and its leaf sizes, class counts,
+    log-gamma terms and `log_lik` are read from the tables.
 
     Node ids index the per-node lists (split feature, -1 for a leaf;
     threshold; children; parent; depth; `bits`, the set of training rows
     that reach the node as an int with bit r set for row r) and stay fixed
     while the node lives; a death frees two ids for later births.  `order`
-    lists the live ids in pre-order, the numbering of `flat` and `tree`.  Per leaf, in pre-order, `leaf_sizes` holds the
-    row count, `leaf_class` the class counts, `leaf_terms` (flat,
-    class_count per leaf) and `leaf_totals` the log-gamma terms of the
-    marginal likelihood.  These lists are replaced, never edited, so the
-    state and a proposal drawn on it may share them.
+    lists the live ids in pre-order, the positions of `tree`.  Per leaf, in
+    pre-order, `leaf_sizes` holds the row count, `leaf_class` the class
+    counts, `leaf_terms` (flat, class_count per leaf) and `leaf_totals` the
+    log-gamma terms of the marginal likelihood.  These lists are replaced,
+    never edited, so the state and a proposal drawn on it may share them.
 
     A split routes its row set with two integer operations (left =
     rows & below, right = rows ^ left) and counts with `int.bit_count`, so
@@ -587,35 +578,35 @@ class ChainState:
     distinct values of a feature, should a move need their count, are
     the `RowTables.eq` sets that meet its row set.
 
-    `flat`, the tree as a pre-order `FlatTree`, is built when read and
-    cached until the next accepted move, so the samples of a run of
-    rejected steps share one snapshot.  It holds `leaf_class` itself,
-    which is never edited.  `tree` builds the `DecisionTree` of that
-    snapshot.
+    `tree`, the state as a `DecisionTree`, is built when read and cached
+    until the next accepted move, so the samples of a run of rejected
+    steps share one snapshot.
     """
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
-        tree = single_leaf_tree() if tree is None else tree
-        nodes, n = tree.nodes, len(tree.nodes)
-        preorder, stack = [], [tree.root]
-        while stack:
+        if tree is None:
+            feature, threshold, left, right = (-1,), (0.0,), (0,), (0,)
+        else:
+            feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+        n, preorder, stack = len(feature), [], [0]
+        while stack and len(preorder) <= n:  # bounded, should the child positions form a cycle
             nid = stack.pop()
             preorder.append(nid)
-            if isinstance(nodes[nid], Split):
-                stack += (nodes[nid].right, nodes[nid].left)
+            if 0 <= nid < n and feature[nid] >= 0:
+                stack += (right[nid], left[nid])
         if preorder != list(range(n)):
             raise ValueError("chain state needs a tree numbered in pre-order from root 0")
-        self.tables, self.counters, self._flat = tables, MoveCounters(), None
-        self.feature, self.threshold = [-1] * n, [0.0] * n
+        self.tables, self.counters, self._tree = tables, MoveCounters(), None
+        self.feature, self.threshold = list(feature), list(threshold)
         self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
         self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
-        for nid, node in enumerate(nodes):  # pre-order: a parent's rows are routed before its children's
-            if isinstance(node, Split):
-                self.feature[nid], self.threshold[nid] = node.feature, node.threshold
-                self.left[nid], self.right[nid] = node.left, node.right
-                goes_left = self.bits[nid] & tables.below(node.feature, node.threshold)
-                self.bits[node.left], self.bits[node.right] = goes_left, self.bits[nid] ^ goes_left
-                for child in (node.left, node.right):
+        for nid, f in enumerate(feature):  # pre-order: a parent's rows are routed before its children's
+            if f >= 0:
+                lo, hi = left[nid], right[nid]
+                self.left[nid], self.right[nid] = lo, hi
+                goes_left = self.bits[nid] & tables.below(f, threshold[nid])
+                self.bits[lo], self.bits[hi] = goes_left, self.bits[nid] ^ goes_left
+                for child in (lo, hi):
                     self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
         self.order, self._free = list(range(n)), []
         self._index_structure()
@@ -625,23 +616,19 @@ class ChainState:
         self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals)
 
     @property
-    def flat(self) -> FlatTree:
-        if self._flat is None:
+    def tree(self) -> DecisionTree:
+        if self._tree is None:
             order, left, right = self.order, self.left, self.right
             position = {nid: i for i, nid in enumerate(order)}
-            self._flat = FlatTree(
-                [self.feature[nid] for nid in order],
-                [self.threshold[nid] for nid in order],
-                [position.get(left[nid], i) for i, nid in enumerate(order)],  # a leaf's child is -1
-                [position.get(right[nid], i) for i, nid in enumerate(order)],
+            self._tree = DecisionTree(
+                tuple([self.feature[nid] for nid in order]),
+                tuple([self.threshold[nid] for nid in order]),
+                tuple([position.get(left[nid], i) for i, nid in enumerate(order)]),  # a leaf's child is -1
+                tuple([position.get(right[nid], i) for i, nid in enumerate(order)]),
                 max([self.depth[nid] for nid in self.leaf_ids]),
-                self.leaf_class,
+                tuple(self.leaf_class),
             )
-        return self._flat
-
-    @property
-    def tree(self) -> DecisionTree:
-        return self.flat.tree()
+        return self._tree
 
     @property
     def leaf_count(self) -> int:
@@ -743,7 +730,7 @@ class ChainState:
         self.log_lik = proposal.log_lik
         if kind in (MOVE_BIRTH, MOVE_DEATH):
             self._index_structure()
-        self._flat = None
+        self._tree = None
 
 
 class Proposal:
@@ -1015,10 +1002,10 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
         warnings = ("no valid split under min_leaf_rows; chain holds the root-only model",)
     else:
         feature, threshold = start
-        tree = DecisionTree((Split(feature, threshold, 1, 2), Leaf(), Leaf()))
+        tree = DecisionTree((feature, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1, (None, None))
     state = ChainState(tables, tree)
 
-    firsts, counts, flats = [], [], []
+    firsts, counts, trees = [], [], []
     log_liks, split_counts, moves, accepts = [], [], [], []
     total_iters = cfg.burn_in + cfg.post_burn_in
     for i in range(1, total_iters + 1):
@@ -1028,20 +1015,20 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
         moves.append(kind)
         accepts.append(accepted)
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.sample_rate == 0:
-            flat = state.flat
-            if flats and flats[-1] is flat:
+            tree = state.tree
+            if trees and trees[-1] is tree:
                 counts[-1] += 1
             else:
                 firsts.append(i)
                 counts.append(1)
-                flats.append(flat)
+                trees.append(tree)
     iterations = np.arange(1, total_iters + 1, dtype=np.int32)
     trace = Trace(
         run_index=np.full(total_iters, run_index, dtype=np.int32), iteration=iterations,
         post=iterations > cfg.burn_in, log_lik=np.array(log_liks), split_count=np.array(split_counts, dtype=np.int32),
         move=np.array([_MOVE_CODE[kind] for kind in moves], dtype=np.int8), accepted=np.array(accepts),
     )
-    samples = Samples([SampleRun(run_index, *run) for run in zip(firsts, counts, flats)], cfg.sample_rate)
+    samples = Samples([SampleRun(run_index, *run) for run in zip(firsts, counts, trees)], cfg.sample_rate)
     return ChainResult(samples=samples, trace=trace, counters=state.counters, warnings=warnings)
 
 
@@ -1092,7 +1079,7 @@ def predict_average(samples: Samples, X: np.ndarray, alpha) -> PredictionSummary
     if not samples:
         raise ValueError("no posterior samples to average")
     probs, votes = ensemble_average(
-        [run.flat for run in samples.runs], [run.count for run in samples.runs], X, alpha
+        [run.tree for run in samples.runs], [run.count for run in samples.runs], X, alpha
     )
     return PredictionSummary(probabilities=probs, votes=votes)
 
@@ -1107,7 +1094,7 @@ class PathRow(NamedTuple):
 def posterior_path_summary(samples: Samples) -> tuple[list[PathRow], dict[int, int]]:
     """Group samples by their pre-order feature path.
 
-    The path is read off each run's flat tree in order.  Returns rows
+    The path is read off each run's tree once.  Returns rows
     sorted by posterior weight (descending, ties by path) and the histogram
     of split counts across samples.
     """
@@ -1116,7 +1103,7 @@ def posterior_path_summary(samples: Samples) -> tuple[list[PathRow], dict[int, i
     groups: dict[tuple, int] = {}
     histogram: dict[int, int] = {}
     for run in samples.runs:
-        path = tuple(f for f in run.flat.feature if f >= 0)
+        path = tuple(f for f in run.tree.feature if f >= 0)
         groups[path] = groups.get(path, 0) + run.count
         histogram[len(path)] = histogram.get(len(path), 0) + run.count
     total = len(samples)

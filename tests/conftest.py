@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from treeuq import synth
-from oracles import replace_leaf
-from treeuq.tree import fit_partition, single_leaf_tree
+from oracles import arena, columns, replace_leaf, single_leaf_tree
+from treeuq.tree import fit_partition
 
 
 @pytest.fixture(scope="session")
@@ -14,10 +14,11 @@ def canonical_data():
 
 @pytest.fixture(scope="session")
 def random_tree_factory():
-    """Build random fitted trees by repeated random valid births."""
+    """Build random fitted arena trees by repeated random valid births."""
 
     def build(X, y, class_count, split_budget, rng, min_leaf_rows=1):
-        tree, parts = fit_partition(single_leaf_tree(), X, y, class_count)
+        fitted, parts = fit_partition(columns(single_leaf_tree()), X, y, class_count)
+        tree = arena(fitted)
         for _ in range(split_budget):
             leaves = tree.leaf_ids
             leaf = leaves[int(rng.integers(len(leaves)))]
@@ -28,9 +29,9 @@ def random_tree_factory():
             values = np.unique(X[rows, feature])
             threshold = float(values[int(rng.integers(len(values)))])
             candidate = replace_leaf(tree, leaf, feature, threshold)
-            fitted, new_parts = fit_partition(candidate, X, y, class_count)
-            if min(fitted.nodes[i].n for i in fitted.leaf_ids) >= min_leaf_rows:
-                tree, parts = fitted, new_parts
+            fitted, new_parts = fit_partition(columns(candidate), X, y, class_count)
+            if min(sum(counts) for counts in fitted.leaf_counts) >= min_leaf_rows:
+                tree, parts = arena(fitted), new_parts
         return tree
 
     return build

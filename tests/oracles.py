@@ -1,10 +1,23 @@
 """Reference implementations the tests check the package against.
 
-The package itself never edits a `DecisionTree` or scores a move on whole
-trees: the sampler edits its `mcmc.ChainState` in place and reads every
-acceptance term from `RowTables`.  These tree-level versions are the
-independent references:
+The package holds a tree in one form, the pre-order columns of
+`treeuq.tree.DecisionTree`, and never edits one: the sampler edits its
+`mcmc.ChainState` in place and reads every acceptance term from
+`RowTables`.  The references here are written on a second, independent
+model of a tree, a node arena:
 
+- `ArenaTree`, `Split` and `Leaf`: a tree as a tuple of `Split` (feature,
+  threshold, child ids) and `Leaf` (class counts) nodes with a root id,
+  and `single_leaf_tree`.  `columns` and `arena` convert between it and
+  the package's `DecisionTree`; `columns` refuses an arena whose children
+  do not come after their parent.
+- `_flatten`, `deserialize`, `read_tree_file` and `serialize_arena`: the
+  nested (feature, threshold, left, right) form, and the tree text read
+  and written by walking the arena.  `test_tree`'s `TestSerialization`
+  checks the package's `serialize` against `serialize_arena`, and reads
+  `samples.txt` and `forest.txt` back with `read_tree_file`.
+- `leaf_predictive`: one leaf's Dirichlet posterior mean, the oracle of
+  `test_tree`'s `TestPredictTrees` and of criterion 7c.
 - `replace_leaf`, `collapse_split` and `with_split_params` (through `_edit`
   and `_nested`): the edit oracles of `test_mcmc`'s
   `test_proposals_match_tree_edits`, the random trees of `conftest`'s
@@ -45,7 +58,182 @@ from treeuq.mcmc import (
     _split_prior_term,
     _structure_log_ratio,
 )
-from treeuq.tree import DecisionTree, Leaf, Split, _flatten
+from treeuq.tree import DecisionTree
+
+
+@dataclass(frozen=True, slots=True)
+class Split:
+    feature: int
+    threshold: float
+    left: int
+    right: int
+
+
+@dataclass(frozen=True, slots=True)
+class Leaf:
+    counts: tuple[int, ...] | None = None  # per-class rows; None until fitted
+
+    @property
+    def n(self) -> int:
+        if self.counts is None:
+            raise ValueError("leaf counts not fitted")
+        return int(sum(self.counts))
+
+
+Node = Split | Leaf
+
+
+@dataclass(frozen=True, slots=True)
+class ArenaTree:
+    nodes: tuple[Node, ...]
+    root: int = 0
+
+    @property
+    def leaf_ids(self) -> tuple[int, ...]:
+        return tuple(i for i, nd in enumerate(self.nodes) if isinstance(nd, Leaf))
+
+    @property
+    def split_ids(self) -> tuple[int, ...]:
+        return tuple(i for i, nd in enumerate(self.nodes) if isinstance(nd, Split))
+
+    @property
+    def split_count(self) -> int:
+        return len(self.nodes) // 2  # a full binary tree with k splits has 2k + 1 nodes
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.nodes) - self.split_count
+
+
+def single_leaf_tree(counts=None) -> ArenaTree:
+    return ArenaTree(nodes=(Leaf(counts=tuple(counts) if counts is not None else None),))
+
+
+def columns(tree: ArenaTree) -> DecisionTree:
+    """The arena as the package's pre-order columns."""
+    n = len(tree.nodes)
+    feature, threshold, left, right = [-1] * n, [0.0] * n, list(range(n)), list(range(n))
+    depth, leaf_counts = [0] * n, []
+    if tree.root != 0:
+        raise ValueError("tree is not numbered in pre-order")
+    for i, node in enumerate(tree.nodes):
+        if isinstance(node, Split):
+            if min(node.left, node.right) <= i:
+                raise ValueError("tree is not numbered in pre-order")
+            feature[i], threshold[i], left[i], right[i] = node.feature, node.threshold, node.left, node.right
+            depth[node.left] = depth[node.right] = depth[i] + 1
+        else:
+            leaf_counts.append(node.counts)
+    return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), max(depth), tuple(leaf_counts))
+
+
+def arena(tree: DecisionTree) -> ArenaTree:
+    """The package's columns as an arena with the same node ids."""
+    counts = iter(tree.leaf_counts)
+    return ArenaTree(nodes=tuple(
+        Leaf(counts=next(counts)) if f < 0 else Split(feature=f, threshold=t, left=lo, right=hi)
+        for f, t, lo, hi in zip(tree.feature, tree.threshold, tree.left, tree.right)
+    ))
+
+
+# ---------------------------------------------------------------------------
+# Nested (feature, threshold, left, right) form -> pre-order arena
+# ---------------------------------------------------------------------------
+
+
+def _flatten(nested) -> ArenaTree:
+    nodes: list[Node] = []
+
+    def emit(sub) -> int:
+        my_id = len(nodes)
+        nodes.append(None)  # placeholder, patched below
+        if isinstance(sub, Leaf):
+            nodes[my_id] = sub
+        else:
+            feature, threshold, left, right = sub
+            left_id = emit(left)
+            right_id = emit(right)
+            nodes[my_id] = Split(feature=feature, threshold=float(threshold), left=left_id, right=right_id)
+        return my_id
+
+    emit(nested)
+    return ArenaTree(nodes=tuple(nodes))
+
+
+def leaf_predictive(counts, alpha) -> np.ndarray:
+    """Dirichlet posterior-mean class probabilities for one leaf."""
+    counts = np.asarray(counts, dtype=np.float64)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if np.any(alpha <= 0):
+        raise ValueError("Dirichlet prior must be strictly positive")
+    return (counts + alpha) / (counts.sum() + alpha.sum())
+
+
+# ---------------------------------------------------------------------------
+# Serialization: one node per line, pre-order
+#   S <feature> <threshold>
+#   L <count_0> <count_1> ...
+# ---------------------------------------------------------------------------
+
+
+def serialize_arena(tree: ArenaTree) -> str:
+    lines = []
+
+    def walk(nid: int) -> None:
+        node = tree.nodes[nid]
+        if isinstance(node, Split):
+            lines.append(f"S {node.feature} {node.threshold!r}")
+            walk(node.left)
+            walk(node.right)
+        else:
+            if node.counts is None:
+                raise ValueError("cannot serialize a tree with unfitted leaves")
+            lines.append("L " + " ".join(str(c) for c in node.counts))
+
+    walk(tree.root)
+    return "\n".join(lines)
+
+
+def deserialize(text: str) -> ArenaTree:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    pos = 0
+
+    def read():
+        nonlocal pos
+        if pos >= len(lines):
+            raise ValueError("truncated tree text")
+        parts = lines[pos].split()
+        pos += 1
+        if parts[0] == "L":
+            return Leaf(counts=tuple(int(tok) for tok in parts[1:]))
+        if parts[0] == "S":
+            feature, threshold = int(parts[1]), float(parts[2])
+            return (feature, threshold, read(), read())
+        raise ValueError(f"bad node line: {lines[pos - 1]!r}")
+
+    nested = read()
+    if pos != len(lines):
+        raise ValueError("trailing content after tree")
+    return _flatten(nested)
+
+
+def read_tree_file(path) -> list[tuple[ArenaTree, dict]]:
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        if not lines[i].startswith("tree "):
+            raise ValueError(f"expected tree header at line {i + 1}")
+        meta = dict(tok.split("=", 1) for tok in lines[i].split()[1:])
+        node_count = int(meta.pop("nodes"))
+        body = "\n".join(lines[i + 1 : i + 1 + node_count])
+        out.append((deserialize(body), meta))
+        i += 1 + node_count
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,14 +244,14 @@ class TreeSummary:
     feature_path: tuple[int, ...]  # split features in pre-order
 
 
-def _nested(tree: DecisionTree, nid: int):
+def _nested(tree: ArenaTree, nid: int):
     node = tree.nodes[nid]
     if isinstance(node, Leaf):
         return node
     return (node.feature, node.threshold, _nested(tree, node.left), _nested(tree, node.right))
 
 
-def _edit(tree: DecisionTree, target: int, replace) -> DecisionTree:
+def _edit(tree: ArenaTree, target: int, replace) -> ArenaTree:
     def walk(nid: int):
         node = tree.nodes[nid]
         if nid == target:
@@ -75,14 +263,14 @@ def _edit(tree: DecisionTree, target: int, replace) -> DecisionTree:
     return _flatten(walk(tree.root))
 
 
-def replace_leaf(tree: DecisionTree, leaf_id: int, feature: int, threshold: float) -> DecisionTree:
+def replace_leaf(tree: ArenaTree, leaf_id: int, feature: int, threshold: float) -> ArenaTree:
     """Grow: turn a leaf into a split with two unfitted leaves."""
     if not isinstance(tree.nodes[leaf_id], Leaf):
         raise ValueError(f"node {leaf_id} is not a leaf")
     return _edit(tree, leaf_id, lambda _: (feature, threshold, Leaf(), Leaf()))
 
 
-def collapse_split(tree: DecisionTree, split_id: int) -> DecisionTree:
+def collapse_split(tree: ArenaTree, split_id: int) -> ArenaTree:
     """Prune: replace a split whose children are both leaves by one leaf."""
     node = tree.nodes[split_id]
     if not isinstance(node, Split):
@@ -97,7 +285,7 @@ def collapse_split(tree: DecisionTree, split_id: int) -> DecisionTree:
     return _edit(tree, split_id, lambda _: Leaf(counts=merged))
 
 
-def with_split_params(tree: DecisionTree, node_id: int, feature: int, threshold: float) -> DecisionTree:
+def with_split_params(tree: ArenaTree, node_id: int, feature: int, threshold: float) -> ArenaTree:
     """Re-parameterize one split in place (structure unchanged)."""
     node = tree.nodes[node_id]
     if not isinstance(node, Split):
@@ -109,7 +297,7 @@ def with_split_params(tree: DecisionTree, node_id: int, feature: int, threshold:
     )
 
 
-def route(tree: DecisionTree, point) -> int:
+def route(tree: ArenaTree, point) -> int:
     """Leaf id reached by the point (left iff value <= threshold)."""
     point = np.asarray(point, dtype=np.float64)
     nid = tree.root
@@ -120,7 +308,7 @@ def route(tree: DecisionTree, point) -> int:
     return nid
 
 
-def summarize(tree: DecisionTree) -> TreeSummary:
+def summarize(tree: ArenaTree) -> TreeSummary:
     path: list[int] = []
     max_depth = 0
 
@@ -142,7 +330,7 @@ def summarize(tree: DecisionTree) -> TreeSummary:
     )
 
 
-def prunable_splits(tree: DecisionTree) -> int:
+def prunable_splits(tree: ArenaTree) -> int:
     """Splits whose two children are both leaves (death-move candidates)."""
     count = 0
     for nid in tree.split_ids:
@@ -152,7 +340,7 @@ def prunable_splits(tree: DecisionTree) -> int:
     return count
 
 
-def proposal_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree, cfg: McmcConfig) -> float:
+def proposal_log_ratio(kind: str, old_tree: ArenaTree, new_tree: ArenaTree, cfg: McmcConfig) -> float:
     """Log proposal-times-structure-prior ratio for the move.
 
     Birth (k -> k+1 leaves) uses the prunable-split count of the proposed
@@ -177,7 +365,7 @@ def proposal_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _growth_depth(small: DecisionTree, large: DecisionTree) -> int:
+def _growth_depth(small: ArenaTree, large: ArenaTree) -> int:
     """Depth of the one leaf of `small` that `large` splits."""
 
     def walk(sid: int, lid: int, depth: int):
@@ -199,7 +387,7 @@ def _growth_depth(small: DecisionTree, large: DecisionTree) -> int:
     return depth
 
 
-def split_prior_log_ratio(kind: str, old_tree: DecisionTree, new_tree: DecisionTree, cfg: McmcConfig) -> float:
+def split_prior_log_ratio(kind: str, old_tree: ArenaTree, new_tree: ArenaTree, cfg: McmcConfig) -> float:
     """Extra prior term for depth-penalized split priors (zero if uniform)."""
     prior = cfg.split_prior
     if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
@@ -218,7 +406,7 @@ def rows_of(bits: int) -> np.ndarray:
 
 
 def rows_by_node(state) -> dict:
-    """Ascending row indices reaching each node, keyed by the ids of `state.tree`."""
+    """Ascending row indices reaching each node, keyed by their positions in `state.tree`."""
     return {i: rows_of(state.bits[nid]) for i, nid in enumerate(state.order)}
 
 

@@ -19,10 +19,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import proposal_log_ratio, proposed_state, replace_leaf, route
+from oracles import (
+    ArenaTree,
+    Leaf,
+    Split,
+    arena,
+    columns,
+    leaf_predictive,
+    proposal_log_ratio,
+    proposed_state,
+    replace_leaf,
+    route,
+    single_leaf_tree,
+)
 from treeuq import bench, envelope, forest, mcmc, synth
 from treeuq.data import make_folds
-from treeuq.tree import fit_partition, leaf_predictive, single_leaf_tree
+from treeuq.tree import fit_partition
 
 
 def _criterion(num: str, ok: bool, desc: str, detail: str = "") -> None:
@@ -191,8 +203,8 @@ def test_criterion_5_envelope_stability_ordering(canonical_data):
 def _plug_in_and_max_log_lik(tree, alpha) -> tuple[float, float]:
     """Leaf-count log-likelihood at the Dirichlet posterior mean and at the MLE."""
     plug_in = max_lik = 0.0
-    for nid in tree.leaf_ids:
-        counts = np.asarray(tree.nodes[nid].counts, dtype=np.float64)
+    for leaf_counts in tree.leaf_counts:
+        counts = np.asarray(leaf_counts, dtype=np.float64)
         seen = counts[counts > 0]
         plug_in += float(counts @ np.log(leaf_predictive(counts, alpha)))
         max_lik += float(seen @ np.log(seen / seen.sum()))
@@ -252,8 +264,6 @@ def _exact_marginal(counts_rows, alphas) -> Fraction:
 
 def test_criterion_7_oracle_equivalence(canonical_data):
     # 7a: marginal likelihood against the exact big-integer oracle
-    from treeuq.tree import DecisionTree, Leaf, Split
-
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(25):
@@ -262,15 +272,15 @@ def test_criterion_7_oracle_equivalence(canonical_data):
         alphas = [int(a) for a in rng.integers(1, 4, size=classes)]
         counts_rows = [tuple(int(c) for c in rng.integers(0, 8, size=classes)) for _ in range(leaves)]
         if leaves == 1:
-            tree = DecisionTree(nodes=(Leaf(counts=counts_rows[0]),))
+            tree = ArenaTree(nodes=(Leaf(counts=counts_rows[0]),))
         else:
             nodes = []
             for i, c in enumerate(counts_rows[:-1]):
                 nodes.append(Split(0, float(i), 2 * i + 1, 2 * i + 2))
                 nodes.append(Leaf(counts=c))
             nodes.append(Leaf(counts=counts_rows[-1]))
-            tree = DecisionTree(nodes=tuple(nodes))
-        got = mcmc.log_marginal_likelihood(tree, np.array(alphas, float))
+            tree = ArenaTree(nodes=tuple(nodes))
+        got = mcmc.log_marginal_likelihood(columns(tree), np.array(alphas, float))
         exact = _exact_marginal(counts_rows, alphas)
         want = math.log(exact.numerator) - math.log(exact.denominator)
         worst = max(worst, abs(got - want))
@@ -294,11 +304,11 @@ def test_criterion_7_oracle_equivalence(canonical_data):
     alpha = np.ones(2)
 
     def fitted(tree):
-        t, parts = fit_partition(tree, X, y, 2)
-        return t, parts
+        t, parts = fit_partition(columns(tree), X, y, 2)
+        return arena(t), parts
 
     def tree_weight(tree, parts):
-        lik = math.exp(mcmc.log_marginal_likelihood(tree, alpha))
+        lik = math.exp(mcmc.log_marginal_likelihood(columns(tree), alpha))
         w = lik / math.exp(mcmc.log_catalan(tree.leaf_count))
         for nid in tree.split_ids:
             w /= len(np.unique(X[parts[nid], 0]))  # m == 1
@@ -371,7 +381,7 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
     while checked < 10_000:
         prop = mcmc.propose_move(state, cfg, rng)
         if prop.valid and prop.kind == mcmc.MOVE_BIRTH:
-            back = proposal_log_ratio(mcmc.MOVE_DEATH, proposed_state(state, prop).tree, state.tree, cfg)
+            back = proposal_log_ratio(mcmc.MOVE_DEATH, arena(proposed_state(state, prop).tree), arena(state.tree), cfg)
             worst = max(worst, abs(prop.log_proposal_ratio + back))
             checked += 1
         if prop.valid and rng.random() < 0.5:
@@ -409,11 +419,11 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
 
     # 8e: pruning factor respected by every sampled and grown tree
     sampled_ok = all(
-        min(s.tree.nodes[i].n for i in s.tree.leaf_ids) >= 5
+        min(sum(counts) for counts in s.tree.leaf_counts) >= 5
         for s in bayes_desk_run["result"].samples
     )
     grown_ok = all(
-        min(t.nodes[i].n for i in t.leaf_ids) >= 5 for t in forest_desk_run["forest"].trees
+        min(sum(counts) for counts in t.leaf_counts) >= 5 for t in forest_desk_run["forest"].trees
     )
     _criterion("8e", sampled_ok and grown_ok, "every sampled/grown leaf holds >= pruning-factor rows")
 

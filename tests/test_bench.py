@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from treeuq import bench, cli, forest, mcmc
 from treeuq.bench import ConfigError, ExperimentConfig, pruning_factor
 from treeuq.data import Dataset, DataError, write_csv
-from treeuq.tree import read_tree_file
+from oracles import read_tree_file
 
 
 def tiny_config(out_dir, **overrides) -> ExperimentConfig:
@@ -397,7 +397,7 @@ PINNED_OPTIONS = {
     "bayes": "--alpha --burn-in --change-rule-window --confidence --help --max-leaves --min-leaf-rows --move-probs "
     "--out --paper-scale --post-burn-in --restarts --sample-rate --schema --seed --split-prior --test --train "
     "--workers -h",
-    "forest": "--confidence --forest-min-leaf-rows --help --min-leaf-rows --out --schema --seed --test --top-k "
+    "forest": "--confidence --help --min-leaf-rows --out --schema --seed --test --top-k "
     "--train --tree-count --validation-fraction --workers -h",
     "envelope": "--confidence --help --out --votes -h",
     "sweep": "--help --out --start --step --stop --votes -h",

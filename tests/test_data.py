@@ -113,6 +113,17 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1]
         assert ds.feature_count == 1
 
+    def test_header_test_reads_the_schema_label_column(self, tmp_path):
+        # a string label in column 0 is not a non-numeric feature cell, so
+        # row 1 is data; by name, the label column is the cell that names it
+        schema = _write(tmp_path, "label_column=0\n", name="schema.txt")
+        ds = load_csv(_write(tmp_path, "a,1.0,2.0\nb,2.0,3.0\na,3.0,1.0\nb,4.0,0.5\n"), schema=schema)
+        assert (ds.row_count, ds.label_names, ds.feature_count) == (4, ("a", "b"), 2)
+        assert ds.features[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        schema = _write(tmp_path, "label_column=y\n", name="schema.txt")
+        ds = load_csv(_write(tmp_path, "y,x1,x2\na,1.0,2.0\nb,2.0,3.0\na,3.0,1.0\n"), schema=schema)
+        assert (ds.row_count, ds.label_names, ds.feature_names) == (3, ("a", "b"), ("x1", "x2"))
+
     def test_schema_categorical_must_be_integer(self, tmp_path):
         schema = _write(tmp_path, "categorical=0\nheader=false\n", name="schema.txt")
         with pytest.raises(DataError, match="integer codes"):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeuq import cli
 from treeuq.data import DataError
 from treeuq.envelope import (
     EnvelopeReport,
@@ -244,3 +245,12 @@ class TestVoteMatrix:
         nonint.write_text("target,vote_0,vote_1\n0,1.5,2\n")
         with pytest.raises(DataError):
             read_votes_csv(nonint)
+
+    @pytest.mark.parametrize("rows, line, cells", [("0,3,1\n1,4\n", 3, 2), ("\n0,3,1,2\n", 3, 4)])
+    def test_ragged_row_is_named(self, tmp_path, capsys, rows, line, cells):
+        path = tmp_path / "votes.csv"
+        path.write_text("target,vote_0,vote_1\n" + rows)
+        with pytest.raises(DataError, match=f"line {line} has {cells} cells, the header 3"):
+            read_votes_csv(path)
+        assert cli.main(["envelope", "--votes", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert f"line {line} has {cells} cells" in capsys.readouterr().err

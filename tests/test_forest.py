@@ -20,7 +20,8 @@ from treeuq.forest import (
     grow_randomized_tree,
     grow_trees,
 )
-from treeuq.tree import DecisionTree, Leaf, Split, serialize, single_leaf_tree, tree_predictive
+from oracles import ArenaTree, Leaf, Split, columns, single_leaf_tree
+from treeuq.tree import serialize, tree_predictive
 
 
 # The recursive per-tree grower that lockstep growth replaced, kept unchanged
@@ -97,7 +98,7 @@ def oracle_grow_randomized_tree(
     rows: np.ndarray,
     cfg: ForestConfig,
     rng: np.random.Generator,
-) -> DecisionTree:
+) -> ArenaTree:
     """Recursive induction choosing uniformly among the top-k gain splits.
 
     Growth stops at pure nodes, nodes below 2 * min_leaf_rows rows (no valid
@@ -129,7 +130,7 @@ def oracle_grow_randomized_tree(
         return my_id
 
     build(rows)
-    return DecisionTree(nodes=tuple(nodes))
+    return ArenaTree(nodes=tuple(nodes))
 
 
 def seeded_generators(seed, count):
@@ -227,7 +228,7 @@ class TestGrowRandomizedTree:
         cfg = ForestConfig(tree_count=1, top_k=20, min_leaf_rows=3, seed=0)
         tree = grow_randomized_tree(ds.features, ds.labels, 2, np.arange(6), cfg, np.random.default_rng(0))
         assert tree.split_count == 1
-        assert tree.nodes[0].threshold == pytest.approx(3.5)
+        assert tree.threshold[0] == pytest.approx(3.5)
 
     def test_pure_training_set_single_leaf(self):
         ds = dataset_from([1, 2, 3, 4], [0, 0, 0, 0])
@@ -244,7 +245,7 @@ class TestGrowRandomizedTree:
         trials = 10_000
         for _ in range(trials):
             tree = grow_randomized_tree(ds.features, ds.labels, 2, np.arange(4), cfg, rng)
-            counts[round(tree.nodes[0].threshold, 1)] += 1
+            counts[round(tree.threshold[0], 1)] += 1
         for c in counts.values():
             assert c / trials == pytest.approx(1 / 3, abs=0.02)
 
@@ -257,7 +258,7 @@ class TestGrowRandomizedTree:
         y = rng.integers(0, 2, size=n)
         cfg = ForestConfig(tree_count=1, min_leaf_rows=p_min, seed=0)
         tree = grow_randomized_tree(X, y, 2, np.arange(n), cfg, rng)
-        assert min(tree.nodes[i].n for i in tree.leaf_ids) >= p_min
+        assert min(sum(counts) for counts in tree.leaf_counts) >= p_min
 
     def test_top_k_one_is_greedy_and_seed_free(self, canonical_data):
         train, _ = canonical_data
@@ -312,7 +313,7 @@ class TestLockstepGrowth:
         with time_limit(10):
             got = grow_trees(X, y, class_count, rows, cfg, rngs)
         want = [oracle_grow_randomized_tree(X, y, class_count, rows, cfg, r) for r in oracle_rngs]
-        assert [serialize(t) for t in got] == [serialize(t) for t in want]
+        assert got == [columns(t) for t in want]
         assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in oracle_rngs]
 
     def test_trees_sharing_row_sets_still_draw_their_own_splits(self, canonical_data):
@@ -328,7 +329,7 @@ class TestLockstepGrowth:
                 oracle_grow_randomized_tree(train.features, train.labels, 2, rows, cfg, r)
                 for r in seeded_generators(4, 12)
             ]
-            assert [serialize(t) for t in got] == [serialize(t) for t in want]
+            assert got == [columns(t) for t in want]
         assert len({serialize(t) for t in got}) > 1  # at top_k 3 the trees do differ
 
     @given(
@@ -413,7 +414,7 @@ class TestBuildForest:
 
 class TestForestVotes:
     def _forest_of_leaves(self, leaves):
-        trees = tuple(single_leaf_tree(counts=c) for c in leaves)
+        trees = tuple(columns(single_leaf_tree(counts=c)) for c in leaves)
         return Forest(trees=trees, validation_acc=tuple(0.0 for _ in trees))
 
     def test_unanimous(self):

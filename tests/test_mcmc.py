@@ -11,12 +11,19 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from oracles import (
+    ArenaTree,
+    Leaf,
+    Split,
+    arena,
     collapse_split,
+    columns,
+    leaf_predictive,
     proposal_log_ratio,
     proposed_state,
     replace_leaf,
     rows_by_node,
     rows_of,
+    single_leaf_tree,
     split_prior_log_ratio,
     summarize,
     with_split_params,
@@ -45,7 +52,7 @@ from treeuq.mcmc import (
     run_restarts,
     valid_rules,
 )
-from treeuq.tree import DecisionTree, FlatTree, Leaf, Split, fit_partition, leaf_predictive, serialize, single_leaf_tree
+from treeuq.tree import DecisionTree, fit_partition, serialize
 
 ALPHA2 = np.ones(2)
 
@@ -60,12 +67,12 @@ def small_dataset(n=40, seed=0, m=2):
 
 
 def samples_of(trees, counts=None) -> mcmc.Samples:
-    """Run-length samples of chain 0 at sample rate 1: trees[i] held by
-    counts[i] consecutive samples (one each by default)."""
+    """Run-length samples of chain 0 at sample rate 1: arena trees[i] held
+    by counts[i] consecutive samples (one each by default)."""
     counts = counts or [1] * len(trees)
     firsts = np.cumsum([1] + counts[:-1]).tolist()
     return mcmc.Samples(
-        [mcmc.SampleRun(0, first, count, FlatTree.of(tree)) for tree, first, count in zip(trees, firsts, counts)], 1
+        [mcmc.SampleRun(0, first, count, columns(tree)) for tree, first, count in zip(trees, firsts, counts)], 1
     )
 
 
@@ -135,22 +142,22 @@ def exact_marginal(counts_rows, alphas) -> Fraction:
 def tree_of_leaves(counts_rows) -> DecisionTree:
     """Right-leaning chain of splits whose leaves carry the given counts."""
     if len(counts_rows) == 1:
-        return DecisionTree(nodes=(Leaf(counts=counts_rows[0]),))
+        return columns(ArenaTree(nodes=(Leaf(counts=counts_rows[0]),)))
     nodes = []
     for i, counts in enumerate(counts_rows[:-1]):
         nodes.append(Split(feature=0, threshold=float(i), left=2 * i + 1, right=2 * i + 2))
         nodes.append(Leaf(counts=counts))
     nodes.append(Leaf(counts=counts_rows[-1]))
-    return DecisionTree(nodes=tuple(nodes))
+    return columns(ArenaTree(nodes=tuple(nodes)))
 
 
 class TestLogMarginalLikelihood:
     def test_single_leaf_one_one(self):
-        tree = single_leaf_tree(counts=(1, 1))
+        tree = columns(single_leaf_tree(counts=(1, 1)))
         assert log_marginal_likelihood(tree, ALPHA2) == pytest.approx(math.log(1 / 6), abs=1e-12)
 
     def test_single_leaf_two_zero(self):
-        tree = single_leaf_tree(counts=(2, 0))
+        tree = columns(single_leaf_tree(counts=(2, 0)))
         assert log_marginal_likelihood(tree, ALPHA2) == pytest.approx(math.log(1 / 3), abs=1e-12)
 
     def test_empty_leaves_give_zero(self):
@@ -159,7 +166,7 @@ class TestLogMarginalLikelihood:
 
     def test_unfitted_counts_error(self):
         with pytest.raises(ValueError, match="not fitted"):
-            log_marginal_likelihood(single_leaf_tree(), ALPHA2)
+            log_marginal_likelihood(columns(single_leaf_tree()), ALPHA2)
 
     def test_against_big_integer_oracle(self):
         rng = np.random.default_rng(12)
@@ -274,7 +281,7 @@ class TestProposeMove:
             prop = propose_move(state, cfg, rng)
             if prop.kind == MOVE_BIRTH and prop.valid:
                 seen_valid = True
-                tree = proposed_state(state, prop).tree
+                tree = arena(proposed_state(state, prop).tree)
                 assert tree.leaf_count == 2
                 assert min(tree.nodes[i].n for i in tree.leaf_ids) >= 5
                 assert prop.log_proposal_ratio == pytest.approx(math.log(0.5))
@@ -285,20 +292,20 @@ class TestProposalLogRatio:
     def test_birth_one_to_two(self):
         cfg = McmcConfig()
         old = single_leaf_tree(counts=(5, 5))
-        new = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        new = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
         # (d/b) * (k / Q(new)) * (S_1/S_2) = 1 * 1 * 1/2
         assert proposal_log_ratio(MOVE_BIRTH, old, new, cfg) == pytest.approx(math.log(0.5))
 
     def test_death_reverses_birth(self):
         cfg = McmcConfig()
         old = single_leaf_tree(counts=(5, 5))
-        new = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        new = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
         assert proposal_log_ratio(MOVE_DEATH, new, old, cfg) == pytest.approx(math.log(2.0))
 
     def test_change_moves_are_zero(self):
         cfg = McmcConfig()
-        tree = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
-        other = DecisionTree(nodes=(Split(1, 2.0, 1, 2), Leaf(counts=(3, 2)), Leaf(counts=(2, 3))))
+        tree = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        other = ArenaTree(nodes=(Split(1, 2.0, 1, 2), Leaf(counts=(3, 2)), Leaf(counts=(2, 3))))
         assert proposal_log_ratio(MOVE_CHANGE_SPLIT, tree, other, cfg) == 0.0
         assert proposal_log_ratio(MOVE_CHANGE_RULE, tree, other, cfg) == 0.0
 
@@ -319,7 +326,7 @@ class TestProposalLogRatio:
         for _ in range(2000):
             prop = propose_move(state, cfg, rng)
             if prop.valid and prop.kind == MOVE_BIRTH:
-                back = proposal_log_ratio(MOVE_DEATH, proposed_state(state, prop).tree, state.tree, cfg)
+                back = proposal_log_ratio(MOVE_DEATH, arena(proposed_state(state, prop).tree), arena(state.tree), cfg)
                 assert prop.log_proposal_ratio + back == pytest.approx(0.0, abs=1e-12)
                 checked += 1
             if prop.valid and rng.random() < 0.5:  # evolve to vary tree shapes
@@ -330,7 +337,7 @@ class TestProposalLogRatio:
 class TestSplitPriorLogRatio:
     def _birth_pair(self):
         old = single_leaf_tree(counts=(5, 5))
-        new = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        new = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
         return old, new
 
     def test_uniform_is_zero(self):
@@ -352,7 +359,7 @@ class TestSplitPriorLogRatio:
 
     def test_deeper_birth_uses_node_depth(self):
         cfg = McmcConfig(split_prior=DepthPenaltySplitPrior(base=0.5, decay=1.0))
-        base = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        base = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
         grown = replace_leaf(base, 1, feature=0, threshold=-1.0)
         p1, p2 = 0.25, 0.5 / 3
         want = math.log(p1) + 2 * math.log(1 - p2) - math.log(1 - p1)
@@ -367,23 +374,23 @@ class TestMhStep:
         y = np.array([0, 0, 1, 1])
         ds = Dataset(X, y, 2, ("a", "b"))
         cfg = McmcConfig(min_leaf_rows=1, change_rule_window=None, seed=0)
-        state = make_state(ds, cfg, replace_leaf(single_leaf_tree(), 0, feature=0, threshold=1.0))
+        state = make_state(ds, cfg, columns(replace_leaf(single_leaf_tree(), 0, feature=0, threshold=1.0)))
         # kind draw -> change_split slot (0.2..0.3); node pick 0; feature 1; rule index 1 (=1.0)
         rng = FakeRng(randoms=[0.25], integers=[0, 1, 1])
         kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_CHANGE_SPLIT and accepted
-        assert state.tree.nodes[0].feature == 1
+        assert state.tree.feature[0] == 1
         assert state.log_lik == pytest.approx(log_marginal_likelihood(state.tree, ALPHA2))
 
     def test_invalid_proposal_leaves_state_unchanged(self, canonical_data):
         train, _ = canonical_data
         cfg = McmcConfig(min_leaf_rows=5, seed=0)
         state = make_state(train, cfg)
-        before = state.flat
+        before = state.tree
         rng = FakeRng(randoms=[0.15])  # death on a single leaf
         kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_DEATH and not accepted
-        assert state.flat is before
+        assert state.tree is before
         assert state.counters.proposed[MOVE_DEATH] == 1
         assert state.counters.accepted[MOVE_DEATH] == 0
 
@@ -414,12 +421,12 @@ class TestMhStep:
         cfg = McmcConfig(min_leaf_rows=3, split_prior=DepthPenaltySplitPrior(base=0.5, decay=1.0), seed=0)
         rules = valid_rules(X[:, 1])
         j = len(rules) // 2
-        old, _ = fit_partition(single_leaf_tree(), X, y, 2)
-        want, _ = fit_partition(replace_leaf(old, 0, 1, float(rules[j])), X, y, 2)
+        old, _ = fit_partition(columns(single_leaf_tree()), X, y, 2)
+        want, _ = fit_partition(columns(replace_leaf(arena(old), 0, 1, float(rules[j]))), X, y, 2)
         total = (
             (log_marginal_likelihood(want, ALPHA2) - log_marginal_likelihood(old, ALPHA2))
-            + proposal_log_ratio(MOVE_BIRTH, old, want, cfg)
-            + split_prior_log_ratio(MOVE_BIRTH, old, want, cfg)
+            + proposal_log_ratio(MOVE_BIRTH, arena(old), arena(want), cfg)
+            + split_prior_log_ratio(MOVE_BIRTH, arena(old), arena(want), cfg)
         )
         assert total < 0.0  # so mh_step draws the accept uniform
         bound = math.exp(total)
@@ -451,23 +458,23 @@ class TestIncrementalKernel:
             prop = propose_move(state, cfg, rng)
             if not prop.valid:
                 continue
-            tree, at = state.tree, state.order.index(prop.node)
+            tree, at = arena(state.tree), state.order.index(prop.node)
             if prop.kind == MOVE_BIRTH:
                 edited = replace_leaf(tree, at, prop.feature, prop.threshold)
             elif prop.kind == MOVE_DEATH:
                 edited = collapse_split(tree, at)
             else:
                 edited = with_split_params(tree, at, prop.feature, prop.threshold)
-            want, parts = fit_partition(edited, X, y, 2)
+            want, parts = fit_partition(columns(edited), X, y, 2)
             after = proposed_state(state, prop)
             assert after.tree == want
             rows = rows_by_node(after)
             assert rows.keys() == parts.keys()
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
             assert prop.log_lik == log_marginal_likelihood(want, ALPHA2)
-            assert prop.log_proposal_ratio == proposal_log_ratio(prop.kind, tree, want, cfg)
+            assert prop.log_proposal_ratio == proposal_log_ratio(prop.kind, tree, arena(want), cfg)
             assert mcmc._split_prior_term(prop.kind, prop.depth, cfg.split_prior) == split_prior_log_ratio(
-                prop.kind, tree, want, cfg
+                prop.kind, tree, arena(want), cfg
             )
             checked[prop.kind] += 1
             if rng.random() < 0.5:
@@ -476,9 +483,33 @@ class TestIncrementalKernel:
         assert min(checked.values()) >= 20
 
     def test_state_needs_pre_order_numbering(self):
-        shuffled = DecisionTree(nodes=(Split(0, 0.0, 2, 1), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
-        with pytest.raises(ValueError, match="pre-order"):
-            make_state(small_dataset(n=10), McmcConfig(), shuffled)
+        """Columns whose child positions are not a pre-order numbering from
+        root 0 are refused: children swapped, a child before its parent (a
+        cycle), a node no walk reaches, and a child past the last node."""
+        counts = ((1, 0), (0, 1))
+        malformed = [
+            ((0, -1, -1), (2, 1, 2), (1, 1, 2)),
+            ((0, -1, -1), (0, 1, 2), (2, 1, 2)),
+            ((-1, -1, -1), (0, 1, 2), (0, 1, 2)),
+            ((0, -1, -1), (1, 1, 2), (3, 1, 2)),
+        ]
+        for feature, left, right in malformed:
+            tree = DecisionTree(feature, (0.0, 0.0, 0.0), left, right, 1, counts)
+            with pytest.raises(ValueError, match="pre-order"):
+                make_state(small_dataset(n=10), McmcConfig(), tree)
+
+    def test_state_of_a_fitted_tree_snapshots_it(self, random_tree_factory):
+        """`ChainState(tables, t).tree == t` for fitted trees, root-only included,
+        and the state's log-likelihood is the tree's."""
+        ds = small_dataset(n=50, seed=14, m=3)
+        cfg = McmcConfig()
+        rng = np.random.default_rng(14)
+        for budget in [0] + list(rng.integers(1, 12, size=40)):
+            tree = columns(random_tree_factory(ds.features, ds.labels, 2, int(budget), rng))
+            state = make_state(ds, cfg, tree)
+            assert state.tree == tree
+            assert state.log_lik == log_marginal_likelihood(tree, ALPHA2)
+        assert make_state(ds, cfg).tree == fit_partition(columns(single_leaf_tree()), ds.features, ds.labels, 2)[0]
 
 
 # The index-array kernel that the bitset one replaced, kept as oracles.
@@ -628,7 +659,7 @@ def test_every_state_keeps_leaves_at_min_rows(window, min_rows):
                      max_leaves=6 if min_rows < 5 else None, seed=min_rows)
     rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
     start = draw_initial_split(RowTables(ds.features, ds.labels, 2, 1.0), min_rows, rng)
-    state = make_state(ds, cfg, DecisionTree((Split(*start, 1, 2), Leaf(), Leaf())))
+    state = make_state(ds, cfg, columns(ArenaTree((Split(*start, 1, 2), Leaf(), Leaf()))))
     accepted = 0
     for _ in range(400):
         accepted += mh_step(state, cfg, rng)[1]
@@ -644,7 +675,7 @@ def per_iteration_records(ds, cfg, run_index):
     tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
     rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, run_index))
     start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
-    state = ChainState(tables, None if start is None else DecisionTree((Split(*start, 1, 2), Leaf(), Leaf())))
+    state = ChainState(tables, None if start is None else columns(ArenaTree((Split(*start, 1, 2), Leaf(), Leaf()))))
     samples, rows = [], []
     for i in range(1, cfg.burn_in + cfg.post_burn_in + 1):
         kind, accepted = mh_step(state, cfg, rng)
@@ -696,9 +727,10 @@ class TestRunChain:
         cfg = McmcConfig(burn_in=200, post_burn_in=200, min_leaf_rows=4, max_leaves=6, seed=6)
         result = run_chain(ds, cfg)
         for s in result.samples:
-            assert s.tree.leaf_count <= 6
-            assert s.tree.split_count == s.tree.leaf_count - 1
-            assert min(s.tree.nodes[i].n for i in s.tree.leaf_ids) >= 4
+            tree = arena(s.tree)
+            assert tree.leaf_count <= 6
+            assert s.tree.split_count == tree.split_count == tree.leaf_count - 1
+            assert min(tree.nodes[i].n for i in tree.leaf_ids) >= 4
 
     def test_root_only_fallback_when_no_split_fits(self):
         ds = small_dataset(n=6, seed=7)
@@ -815,7 +847,7 @@ def test_negative_zero_features_sample_as_zero():
     got, want = run_chain(ds, cfg), run_chain(plus, cfg)
     assert [serialize(s.tree) for s in got.samples] == [serialize(s.tree) for s in want.samples]
     assert all(np.array_equal(a, b) for a, b in zip(got.trace, want.trace))
-    zeros = [nd.threshold for s in got.samples for nd in s.tree.nodes if isinstance(nd, Split) and nd.threshold == 0.0]
+    zeros = [t for s in got.samples for f, t in zip(s.tree.feature, s.tree.threshold) if f >= 0 and t == 0.0]
     assert zeros and not np.signbit(zeros).any()
 
 
@@ -892,7 +924,7 @@ class TestPredictAverage:
 
 class TestPathSummary:
     def test_identical_samples_single_row(self):
-        tree = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
+        tree = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(5, 0)), Leaf(counts=(0, 5))))
         rows, histogram = posterior_path_summary(samples_of([tree], [10]))
         assert len(rows) == 1
         assert rows[0].weight == 1.0
@@ -934,10 +966,10 @@ def edited_tree_samples(draw):
 @given(edited_tree_samples())
 @settings(max_examples=60, deadline=None)
 def test_path_summary_matches_summarize_property(samples):
-    """The arena-order path of each sample equals `summarize`'s recursive one."""
+    """The column-order path of each sample equals `summarize`'s recursive one."""
     groups, histogram = {}, {}
     for sample in samples:
-        summary = summarize(sample.tree)
+        summary = summarize(arena(sample.tree))
         groups[summary.feature_path] = groups.get(summary.feature_path, 0) + 1
         histogram[summary.split_count] = histogram.get(summary.split_count, 0) + 1
     want = sorted(

@@ -3,21 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collapse_split, prunable_splits, replace_leaf, route, summarize, with_split_params
+from oracles import (
+    ArenaTree,
+    Leaf,
+    Split,
+    _flatten,
+    arena,
+    collapse_split,
+    columns,
+    deserialize,
+    leaf_predictive,
+    prunable_splits,
+    read_tree_file,
+    replace_leaf,
+    route,
+    serialize_arena,
+    single_leaf_tree,
+    summarize,
+    with_split_params,
+)
 from treeuq.tree import (
     PREDICT_BLOCK,
     DecisionTree,
-    Leaf,
-    Split,
-    deserialize,
     fit_partition,
     format_feature_path,
-    leaf_predictive,
     predict_trees,
-    read_tree_file,
     resolve_alpha,
     serialize,
-    single_leaf_tree,
     tree_predictive,
     write_tree_file,
 )
@@ -27,7 +39,7 @@ ALPHA = np.ones(2)
 
 def two_level_tree():
     """Root splits feature 0 at 0.5; left child splits feature 1 at 0.0."""
-    return DecisionTree(
+    return ArenaTree(
         nodes=(
             Split(feature=0, threshold=0.5, left=1, right=4),
             Split(feature=1, threshold=0.0, left=2, right=3),
@@ -44,7 +56,7 @@ class TestRouting:
         assert route(tree, (0.0, 0.0)) == 0
 
     def test_boundary_goes_left(self):
-        tree = DecisionTree(
+        tree = ArenaTree(
             nodes=(Split(0, 0.5, 1, 2), Leaf(counts=(1, 0)), Leaf(counts=(0, 1)))
         )
         assert route(tree, (0.5, 9.9)) == 1
@@ -57,13 +69,13 @@ class TestRouting:
         for p, want in zip(points, expected):
             assert route(tree, p) == want
         want_rows = [leaf_predictive(tree.nodes[i].counts, ALPHA) for i in expected]
-        assert np.array_equal(tree_predictive(tree, points, ALPHA), want_rows)
+        assert np.array_equal(tree_predictive(columns(tree), points, ALPHA), want_rows)
 
     def test_every_point_reaches_exactly_one_leaf(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(200, 2))
         tree = two_level_tree()
-        probs = tree_predictive(tree, X, ALPHA)
+        probs = tree_predictive(columns(tree), X, ALPHA)
         for i in range(len(X)):
             leaf = route(tree, X[i])
             assert leaf in tree.leaf_ids
@@ -73,28 +85,28 @@ class TestRouting:
 class TestRefitCounts:
     def test_counts_sum_to_n(self, canonical_data):
         train, _ = canonical_data
-        tree, _ = fit_partition(two_level_tree(), train.features, train.labels, 2)
-        total = sum(tree.nodes[i].n for i in tree.leaf_ids)
+        tree, _ = fit_partition(columns(two_level_tree()), train.features, train.labels, 2)
+        total = sum(sum(counts) for counts in tree.leaf_counts)
         assert total == train.row_count
 
     def test_single_leaf_matches_histogram(self, canonical_data):
         train, _ = canonical_data
-        tree, _ = fit_partition(single_leaf_tree(), train.features, train.labels, 2)
-        assert tree.nodes[0].counts == tuple(train.class_histogram())
+        tree, _ = fit_partition(columns(single_leaf_tree()), train.features, train.labels, 2)
+        assert tree.leaf_counts == (tuple(train.class_histogram()),)
 
     def test_empty_leaf_reported(self):
         X = np.array([[0.0], [0.1], [0.2]])
         y = np.array([0, 1, 0])
-        tree = DecisionTree(nodes=(Split(0, 99.0, 1, 2), Leaf(), Leaf()))
-        fitted, _ = fit_partition(tree, X, y, 2)
-        assert fitted.nodes[2].n == 0
-        assert fitted.nodes[1].n == 3
+        tree = ArenaTree(nodes=(Split(0, 99.0, 1, 2), Leaf(), Leaf()))
+        fitted, _ = fit_partition(columns(tree), X, y, 2)
+        assert fitted.leaf_counts == ((2, 1), (0, 0))
+        assert arena(fitted) == ArenaTree(nodes=(Split(0, 99.0, 1, 2), Leaf((2, 1)), Leaf((0, 0))))
 
     def test_partition_covers_every_node(self):
         X = np.random.default_rng(1).normal(size=(50, 2))
         y = (X[:, 0] > 0).astype(int)
-        fitted, parts = fit_partition(two_level_tree(), X, y, 2)
-        assert set(parts) == set(range(len(fitted.nodes)))
+        fitted, parts = fit_partition(columns(two_level_tree()), X, y, 2)
+        assert set(parts) == set(range(len(fitted.feature)))
         assert len(parts[0]) == 50
 
 
@@ -125,17 +137,17 @@ class TestLeafPredictive:
 
 class TestHardLabel:
     def test_majority(self):
-        tree = single_leaf_tree(counts=(3, 1))
+        tree = columns(single_leaf_tree(counts=(3, 1)))
         assert next(predict_trees((tree,), [(0.0,)], ALPHA))[1].tolist() == [0]
 
     def test_tie_breaks_low(self):
-        tree = single_leaf_tree(counts=(2, 2))
+        tree = columns(single_leaf_tree(counts=(2, 2)))
         assert next(predict_trees((tree,), [(0.0,)], ALPHA))[1].tolist() == [0]
 
     def test_agrees_with_predictive_argmax(self, canonical_data, random_tree_factory):
         train, test = canonical_data
         rng = np.random.default_rng(5)
-        tree = random_tree_factory(train.features, train.labels, 2, 8, rng, min_leaf_rows=5)
+        tree = columns(random_tree_factory(train.features, train.labels, 2, 8, rng, min_leaf_rows=5))
         probs = tree_predictive(tree, test.features, ALPHA)
         _, labels = next(predict_trees((tree,), test.features, ALPHA))
         assert np.array_equal(labels, np.argmax(probs, axis=1))
@@ -163,7 +175,7 @@ class TestPredictTrees:
         # every split's threshold; the extra rows fall outside the grid.
         points = np.vstack([X, rng.integers(-1, 6, size=(20, 3))])
         alpha_vec = resolve_alpha(alpha, class_count)
-        got = list(predict_trees(trees, points, alpha))
+        got = list(predict_trees([columns(tree) for tree in trees], points, alpha))
         assert len(got) == len(trees)
         for tree, (probs, labels) in zip(trees, got):
             want = np.array([leaf_predictive(tree.nodes[route(tree, x)].counts, alpha_vec) for x in points])
@@ -172,12 +184,7 @@ class TestPredictTrees:
 
     def test_feature_beyond_columns_refused(self):
         with pytest.raises(ValueError, match="split on feature 1"):
-            tree_predictive(two_level_tree(), np.zeros((3, 1)), ALPHA)
-
-    def test_tree_not_in_pre_order_refused(self):
-        tree = DecisionTree(nodes=(Leaf(counts=(1, 0)), Leaf(counts=(0, 1)), Split(0, 0.5, 0, 1)), root=2)
-        with pytest.raises(ValueError, match="pre-order"):
-            tree_predictive(tree, np.zeros((1, 1)), ALPHA)
+            tree_predictive(columns(two_level_tree()), np.zeros((3, 1)), ALPHA)
 
 
 class TestSummarize:
@@ -192,8 +199,6 @@ class TestSummarize:
             if len(features) == 1:
                 return (features[0], 0.0, Leaf(counts=(1, 0)), Leaf(counts=(0, 1)))
             return (features[0], 0.0, chain(features[1:]), Leaf(counts=(0, 1)))
-
-        from treeuq.tree import _flatten
 
         tree = _flatten(chain([1, 0, 0, 0, 1, 1, 0, 0, 0]))
         s = summarize(tree)
@@ -211,16 +216,18 @@ class TestSummarize:
             assert len(s.feature_path) == s.split_count
 
     def test_counts_read_off_a_slotted_arena(self, random_tree_factory):
-        """Trees hold no instance dict, and split_count / leaf_count, read
-        off the node count, equal the Split / Leaf nodes of random trees."""
+        """Neither tree form holds an instance dict, and the split counts of
+        the columns and of the arena, each read off its own lengths, equal
+        the Split nodes of random trees; the leaf counts the Leaf nodes."""
         rng = np.random.default_rng(13)
         X = rng.normal(size=(60, 3))
         y = rng.integers(0, 2, size=60)
         for _ in range(100):
             tree = random_tree_factory(X, y, 2, int(rng.integers(0, 12)), rng)
-            assert not hasattr(tree, "__dict__")
-            assert tree.split_count == sum(isinstance(nd, Split) for nd in tree.nodes) == len(tree.split_ids)
-            assert tree.leaf_count == sum(isinstance(nd, Leaf) for nd in tree.nodes) == len(tree.leaf_ids)
+            flat = columns(tree)
+            assert not hasattr(tree, "__dict__") and not hasattr(flat, "__dict__")
+            assert flat.split_count == tree.split_count == sum(isinstance(nd, Split) for nd in tree.nodes)
+            assert len(flat.leaf_counts) == tree.leaf_count == sum(isinstance(nd, Leaf) for nd in tree.nodes)
 
     def test_many_features_dash_path(self):
         assert format_feature_path((0, 11, 3), 12) == "1-12-4"
@@ -231,11 +238,11 @@ class TestPrunableSplits:
         assert prunable_splits(single_leaf_tree(counts=(1, 1))) == 0
 
     def test_one_split(self):
-        tree = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
+        tree = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(1, 0)), Leaf(counts=(0, 1))))
         assert prunable_splits(tree) == 1
 
     def test_balanced_four_leaves(self):
-        tree = DecisionTree(
+        tree = ArenaTree(
             nodes=(
                 Split(0, 0.0, 1, 4),
                 Split(1, 0.0, 2, 3),
@@ -268,7 +275,7 @@ class TestEdits:
         assert back.nodes[0].counts is None  # children were unfitted
 
     def test_collapse_merges_counts(self):
-        tree = DecisionTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(1, 2)), Leaf(counts=(3, 0))))
+        tree = ArenaTree(nodes=(Split(0, 0.0, 1, 2), Leaf(counts=(1, 2)), Leaf(counts=(3, 0))))
         merged = collapse_split(tree, 0)
         assert merged.nodes[0].counts == (4, 2)
 
@@ -293,7 +300,7 @@ class TestEdits:
 class TestSerialization:
     def test_round_trip(self):
         tree = two_level_tree()
-        again = deserialize(serialize(tree))
+        again = deserialize(serialize(columns(tree)))
         assert again == tree
         assert summarize(again).feature_path == summarize(tree).feature_path
 
@@ -302,17 +309,28 @@ class TestSerialization:
         X = rng.normal(size=(40, 2))
         y = rng.integers(0, 2, size=40)
         tree = random_tree_factory(X, y, 2, 6, rng)
-        assert summarize(deserialize(serialize(tree))).feature_path == summarize(tree).feature_path
+        assert summarize(deserialize(serialize(columns(tree)))).feature_path == summarize(tree).feature_path
+
+    def test_columns_text_equals_arena_walk(self, random_tree_factory):
+        """`serialize`'s one loop over the columns writes, byte for byte,
+        the text of the recursive walk over the arena."""
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            class_count = int(rng.integers(2, 4))
+            X = rng.normal(size=(50, 3))
+            y = rng.integers(0, class_count, size=50)
+            tree = random_tree_factory(X, y, class_count, int(rng.integers(0, 14)), rng)
+            assert serialize(columns(tree)) == serialize_arena(tree)
 
     def test_unfitted_leaf_rejected(self):
         with pytest.raises(ValueError):
-            serialize(single_leaf_tree())
+            serialize(columns(single_leaf_tree()))
 
     def test_tree_file_round_trip(self, tmp_path):
         trees = [two_level_tree(), single_leaf_tree(counts=(4, 4))]
         metas = [{"run": 1, "iteration": 10}, {"run": 2, "iteration": 20}]
         path = tmp_path / "trees.txt"
-        write_tree_file(path, trees, metas)
+        write_tree_file(path, [columns(t) for t in trees], metas)
         loaded = read_tree_file(path)
         assert [t for t, _ in loaded] == trees
         assert loaded[0][1] == {"run": "1", "iteration": "10"}
@@ -320,3 +338,26 @@ class TestSerialization:
     def test_deserialize_rejects_garbage(self):
         with pytest.raises(ValueError):
             deserialize("S 0 0.5\nL 1 2")  # truncated: missing right child
+
+
+class TestColumns:
+    def test_converters_are_inverse(self, random_tree_factory):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(50, 2))
+        y = rng.integers(0, 2, size=50)
+        for _ in range(100):
+            tree = random_tree_factory(X, y, 2, int(rng.integers(0, 12)), rng)
+            assert arena(columns(tree)) == tree
+            assert columns(arena(columns(tree))) == columns(tree)
+
+    def test_an_immutable_value(self):
+        """Equal columns built apart are equal and hash alike, so a set of
+        sampled trees counts distinct trees; no field can be reassigned."""
+        a, b = columns(two_level_tree()), columns(two_level_tree())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, columns(single_leaf_tree(counts=(3, 0)))}) == 2
+        assert all(isinstance(getattr(a, name), tuple) for name in ("feature", "threshold", "left", "right", "leaf_counts"))
+        assert a == DecisionTree((0, 1, -1, -1, -1), (0.5, 0.0, 0.0, 0.0, 0.0), (1, 2, 2, 3, 4), (4, 3, 2, 3, 4), 2,
+                                 ((1, 0), (0, 1), (2, 0)))
+        with pytest.raises(AttributeError):
+            a.depth = 3
