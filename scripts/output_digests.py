@@ -21,6 +21,9 @@ this script:
     200): no split leaves both sides 200 rows of the 250-row train, so
     every chain holds the root-only tree, and `samples.txt` and the
     predictions come from one-leaf trees;
+  - `treeuq bayes --move-probs 0.4,0.4,0.1,0.1 --min-leaf-rows 2` on them
+    too, 2 restarts x (1000 + 1000): mostly births and deaths, so most
+    accepted moves insert or delete the chain state's node positions;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -103,6 +106,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--post-burn-in", "700", *common, "--out", "bayes_thinned")
     treeuq(work, "bayes", *csvs, "--min-leaf-rows", "200", "--restarts", "2", "--burn-in", "200",
            "--post-burn-in", "200", *common, "--out", "bayes_root_only")
+    treeuq(work, "bayes", *csvs, "--move-probs", "0.4,0.4,0.1,0.1", "--min-leaf-rows", "2", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_structural")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

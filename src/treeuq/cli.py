@@ -227,12 +227,12 @@ def _cmd_bayes(args) -> int:
     }
     if test is not None:
         pred = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
-        vm = envelope.VoteMatrix.build(pred.votes, test.labels)
-        envelope.write_votes_csv(vm, out / "votes.csv")
-        summary["vote_accuracy"] = envelope.evaluate(vm, cfg.confidence).accuracy
-        summary["soft_accuracy"] = float(
-            np.mean(np.argmax(pred.probabilities, axis=1) == test.labels)
+        outcome = bench._fold_outcome(
+            pred.votes, pred.probabilities, test.labels, result.samples.split_counts(), cfg, {}, False
         )
+        envelope.write_votes_csv(outcome.votes, out / "votes.csv")
+        summary["vote_accuracy"] = outcome.report.accuracy
+        summary["soft_accuracy"] = outcome.soft_accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -250,16 +250,17 @@ def _cmd_forest(args) -> int:
         train, np.arange(train.row_count), evaluated.features, evaluated.labels, fcfg, workers=cfg.workers
     )
     bench._emit_forest_diagnostics(out, "", built, trace, {})
+    sizes = [t.split_count for t in built.trees]
     summary = {
         "tree_count": len(built.trees),
         "ensemble_acc_final": float(trace.ensemble_acc[-1]),
         "best_validation_acc": trace.best_validation_acc,
-        "size_mean": float(np.mean([t.split_count for t in built.trees])),
+        "size_mean": float(np.mean(sizes)),
     }
     if test is not None:
-        vm = envelope.VoteMatrix.build(trace.votes, test.labels)
-        envelope.write_votes_csv(vm, out / "votes.csv")
-        summary["vote_accuracy"] = envelope.evaluate(vm, cfg.confidence).accuracy
+        outcome = bench._fold_outcome(trace.votes, trace.probabilities, test.labels, sizes, cfg, {}, False)
+        envelope.write_votes_csv(outcome.votes, out / "votes.csv")
+        summary["vote_accuracy"] = outcome.report.accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -216,16 +216,18 @@ def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
     elif header_mode == "false":
         has_header = False
     elif header_mode == "auto":
-        # A first row with a non-numeric feature cell is a header.  One whose
-        # features are all numbers but whose label is not may be a header of
-        # numeric names or a data row: ask, when it sits above a numeric
-        # label, or when its label is seen in no later row while later
-        # labels repeat (a class of one row, at the top).  The label is the
-        # schema's label column: an index, or the cell of row 1 that names it.
+        # A first row that holds the schema's label column name, or a
+        # non-numeric feature cell, is a header.  One whose features are all
+        # numbers but whose label is not may be a header of numeric names or
+        # a data row: ask, when it sits above a numeric label, or when its
+        # label is seen in no later row while later labels repeat (a class of
+        # one row, at the top).  The label is the schema's label column: an
+        # index, or the cell of row 1 that names it.
         key = schema.get("label_column", str(width - 1))
-        at = int(key) if _is_int_token(key) else rows[0].index(key) if key in rows[0] else width - 1
+        named = not _is_int_token(key) and key in rows[0]  # a name can only come from a header row
+        at = rows[0].index(key) if named else int(key) if _is_int_token(key) else width - 1
         at = at if 0 <= at < width else width - 1  # an index out of range is refused below
-        has_header = any(not _is_float_token(tok) and not tok == "" for j, tok in enumerate(rows[0]) if j != at)
+        has_header = named or any(not _is_float_token(tok) and tok != "" for j, tok in enumerate(rows[0]) if j != at)
         label, later = rows[0][at], [row[at] for row in rows[1:]]
         if not has_header and later and not _is_float_token(label):
             reason = None

@@ -16,11 +16,14 @@ N_d, the number of distinct values of split d's feature among d's rows and
 so d's rule-prior support, for every split d beneath it, and the total
 ignores that.
 
-The chain keeps one mutable `ChainState`; a proposal touches only the
-subtree it edits.  Every state the chain reaches keeps every leaf at
-min_leaf_rows rows or more: the start's split is drawn among those that
-leave both sides that many, a birth checks its two children, a death its
-merged leaf, and a change (`ChainState.reroute`) every node whose rows it
+The chain keeps one mutable `ChainState`: the tree's own pre-order
+columns, plus each node's parent, depth and row set, where a node is its
+pre-order position; a birth or death inserts or deletes two positions and
+renumbers those above them.  A proposal touches only the subtree it
+edits.  Every state the chain reaches keeps every leaf at min_leaf_rows
+rows or more: the start's split is drawn among those that leave both
+sides that many, a birth checks its two children, a death its merged
+leaf, and a change (`ChainState.reroute`) every node whose rows it
 moves.  A move leaves the rows of every other leaf as they are, so no
 proposal checks them again.  (A root-only chain on fewer rows than
 min_leaf_rows is the one exception, and no move from it is valid.)  Each
@@ -112,9 +115,10 @@ class McmcConfig:
     """Sampler settings.
 
     move_probs is (birth, death, change_split, change_rule) and must sum
-    to 1.  min_leaf_rows is the pruning factor: any proposal leaving a leaf
-    with fewer rows is rejected outright.  max_leaves defaults to n - 1 at
-    run time.
+    to 1; birth and death are both positive, or both zero for a chain of
+    change moves at a fixed size.  min_leaf_rows is the pruning factor:
+    any proposal leaving a leaf with fewer rows is rejected outright.
+    max_leaves defaults to n - 1 at run time.
     """
 
     move_probs: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.7)
@@ -136,6 +140,8 @@ class McmcConfig:
             raise ValueError("move_probs must be four non-negative numbers")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise ValueError(f"move_probs must sum to 1, got {sum(probs)}")
+        if (probs[0] == 0) != (probs[1] == 0):
+            raise ValueError(f"move_probs: birth and death must both be positive or both zero, got {probs}")
         for name in ("burn_in", "post_burn_in", "sample_rate", "restarts", "min_leaf_rows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -408,8 +414,6 @@ def _structure_log_ratio(kind: str, k_old: int, q: int, cfg: McmcConfig) -> floa
     if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
         return 0.0
     birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
-    if birth_p == 0 or death_p == 0:
-        raise ValueError("birth/death ratio undefined with zero move probability")
     if kind == MOVE_BIRTH:
         return (
             math.log(death_p / birth_p)
@@ -533,10 +537,9 @@ class RowTables:
         return [lg[k] for lg, k in zip(self.lg_class, counts)]
 
     def leaf(self, bits: int) -> tuple:
-        """(size, class counts, per-class log-gamma terms, total term) of a leaf."""
-        size = bits.bit_count()
+        """(class counts, per-class log-gamma terms, total term) of a leaf."""
         counts = tuple([(bits & c).bit_count() for c in self.class_bits])
-        return size, counts, self.terms(counts), self.lg_total[size]
+        return counts, self.terms(counts), self.lg_total[bits.bit_count()]
 
     def log_lik(self, terms: list, totals: list) -> float:
         """`log_marginal_of_counts` of the leaves whose flat per-class terms
@@ -551,25 +554,29 @@ class RowTables:
 
 
 class ChainState:
-    """The chain's current tree as per-node lists that accepted moves edit
-    in place.
+    """The chain's current tree as its pre-order columns, edited in place
+    by accepted moves.
 
     `ChainState(tables, tree)` is the state at `tree` (None for the
     root-only tree) on the data and prior of `tables`.  The tree's split
     columns are all it reads, and it refuses a tree whose child positions
     are not a pre-order numbering from root 0: its rows are routed down
-    from the root with `RowTables.below`, and its leaf sizes, class counts,
+    from the root with `RowTables.below`, and its leaf class counts,
     log-gamma terms and `log_lik` are read from the tables.
 
-    Node ids index the per-node lists (split feature, -1 for a leaf;
-    threshold; children; parent; depth; `bits`, the set of training rows
-    that reach the node as an int with bit r set for row r) and stay fixed
-    while the node lives; a death frees two ids for later births.  `order`
-    lists the live ids in pre-order, the positions of `tree`.  Per leaf, in
-    pre-order, `leaf_sizes` holds the row count, `leaf_class` the class
-    counts, `leaf_terms` (flat, class_count per leaf) and `leaf_totals` the
-    log-gamma terms of the marginal likelihood.  These lists are replaced,
-    never edited, so the state and a proposal drawn on it may share them.
+    A node is its pre-order position.  The per-node lists are the
+    `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0
+    for a leaf; the two children's positions, a leaf's own twice) plus the
+    parent's position (-1 for the root), the depth and `bits`, the set of
+    training rows that reach the node as an int with bit r set for row r.
+    A birth at leaf p adds 2 to every position above p and inserts the two
+    new leaves at p + 1 and p + 2; a death at split p deletes p + 1 and
+    p + 2 and subtracts 2 from every position above them; a change renames
+    nothing.  A leaf's row count is its `bits.bit_count()`.  Per leaf, in
+    pre-order, `leaf_class` holds the class counts, `leaf_terms` (flat,
+    class_count per leaf) and `leaf_totals` the log-gamma terms of the
+    marginal likelihood.  These lists are replaced, never edited, so the
+    state and a proposal drawn on it may share them.
 
     A split routes its row set with two integer operations (left =
     rows & below, right = rows ^ left) and counts with `int.bit_count`, so
@@ -598,35 +605,29 @@ class ChainState:
             raise ValueError("chain state needs a tree numbered in pre-order from root 0")
         self.tables, self.counters, self._tree = tables, MoveCounters(), None
         self.feature, self.threshold = list(feature), list(threshold)
-        self.left, self.right, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n, [0] * n
+        self.left = [left[nid] if f >= 0 else nid for nid, f in enumerate(feature)]  # a leaf points to itself
+        self.right = [right[nid] if f >= 0 else nid for nid, f in enumerate(feature)]
+        self.parent, self.depth = [-1] * n, [0] * n
         self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
         for nid, f in enumerate(feature):  # pre-order: a parent's rows are routed before its children's
             if f >= 0:
                 lo, hi = left[nid], right[nid]
-                self.left[nid], self.right[nid] = lo, hi
                 goes_left = self.bits[nid] & tables.below(f, threshold[nid])
                 self.bits[lo], self.bits[hi] = goes_left, self.bits[nid] ^ goes_left
                 for child in (lo, hi):
                     self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
-        self.order, self._free = list(range(n)), []
         self._index_structure()
-        sizes, classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
-        self.leaf_sizes, self.leaf_class, self.leaf_totals = list(sizes), list(classes), list(totals)
+        classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
+        self.leaf_class, self.leaf_totals = list(classes), list(totals)
         self.leaf_terms = [t for lg in terms for t in lg]
         self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals)
 
     @property
     def tree(self) -> DecisionTree:
         if self._tree is None:
-            order, left, right = self.order, self.left, self.right
-            position = {nid: i for i, nid in enumerate(order)}
             self._tree = DecisionTree(
-                tuple([self.feature[nid] for nid in order]),
-                tuple([self.threshold[nid] for nid in order]),
-                tuple([position.get(left[nid], i) for i, nid in enumerate(order)]),  # a leaf's child is -1
-                tuple([position.get(right[nid], i) for i, nid in enumerate(order)]),
-                max([self.depth[nid] for nid in self.leaf_ids]),
-                tuple(self.leaf_class),
+                tuple(self.feature), tuple(self.threshold), tuple(self.left), tuple(self.right),
+                max(self.depth), tuple(self.leaf_class),
             )
         return self._tree
 
@@ -639,39 +640,25 @@ class ChainState:
         return len(self.split_ids)
 
     def _index_structure(self) -> None:
-        """Pre-order leaf and split ids, death candidates and leaf positions."""
+        """Pre-order leaf and split positions, death candidates and leaf indices."""
         feature, left, right = self.feature, self.left, self.right
-        self.leaf_ids = [nid for nid in self.order if feature[nid] < 0]
-        self.split_ids = [nid for nid in self.order if feature[nid] >= 0]
+        self.leaf_ids = [nid for nid, f in enumerate(feature) if f < 0]
+        self.split_ids = [nid for nid, f in enumerate(feature) if f >= 0]
         self.prunable = [nid for nid in self.split_ids if feature[left[nid]] < 0 and feature[right[nid]] < 0]
         self.leaf_pos = {nid: i for i, nid in enumerate(self.leaf_ids)}
-
-    def _new_node(self, parent: int, bits: int) -> int:
-        fields = (-1, 0.0, -1, -1, parent, self.depth[parent] + 1, bits)
-        lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.bits)
-        if self._free:
-            nid = self._free.pop()
-            for values, value in zip(lists, fields):
-                values[nid] = value
-        else:
-            nid = len(self.feature)
-            for values, value in zip(lists, fields):
-                values.append(value)
-        return nid
 
     def reroute(self, node: int, feature: int, threshold: float, tables: RowTables, min_rows: int):
         """Route the rows reaching `node` down its subtree with the node's
         rule set to (feature, threshold).
 
         Returns the (node, row set) pairs of the nodes below `node` whose
-        row set changes, the subtree's leaf ids in pre-order, and the
+        row set changes, the subtree's leaf positions in pre-order, and the
         (leaf, `RowTables.leaf` entry) pairs of its changed leaves; or None
         if a node holds fewer than min_rows rows (some leaf below it would
         too).  A subtree whose row set is unchanged is kept whole, after
         its leaves' sizes are checked.
         """
         features, thresholds, left, right, bits = self.feature, self.threshold, self.left, self.right, self.bits
-        sizes, leaf_pos = self.leaf_sizes, self.leaf_pos
         moved, leaves, fresh = [], [], []
         stack = [(node, bits[node], True)]
         while stack:
@@ -679,7 +666,7 @@ class ChainState:
             f = features[nid]
             if not changed:
                 if f < 0:
-                    if sizes[leaf_pos[nid]] < min_rows:
+                    if bits[nid].bit_count() < min_rows:
                         return None
                     leaves.append(nid)
                 else:
@@ -706,42 +693,44 @@ class ChainState:
 
     def apply(self, proposal: "Proposal") -> None:
         """Make the proposed tree current, editing the lists in place."""
-        node, kind = proposal.node, proposal.kind
-        if kind == MOVE_BIRTH:
-            children = [self._new_node(node, rows) for rows in proposal.rows]
-            self.feature[node], self.threshold[node] = proposal.feature, proposal.threshold
-            self.left[node], self.right[node] = children
-            at = self.order.index(node) + 1
-            self.order[at:at] = children
-        elif kind == MOVE_DEATH:
-            for child in (self.left[node], self.right[node]):
-                self.bits[child] = 0
-                self._free.append(child)
-            self.feature[node] = self.left[node] = self.right[node] = -1
-            self.threshold[node] = 0.0
-            at = self.order.index(node) + 1
-            del self.order[at : at + 2]
+        p, kind = proposal.node, proposal.kind
+        if kind in (MOVE_BIRTH, MOVE_DEATH):
+            # a birth at leaf p inserts positions p + 1 and p + 2, a death at
+            # split p deletes them: every position above p moves by 2
+            shift = 2 if kind == MOVE_BIRTH else -2
+            for links in (self.left, self.right, self.parent):
+                links[:] = [i + shift if i > p else i for i in links]
+            lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.bits)
+            if kind == MOVE_BIRTH:
+                d = self.depth[p] + 1
+                new = ((-1, -1), (0.0, 0.0), (p + 1, p + 2), (p + 1, p + 2), (p, p), (d, d), proposal.rows)
+                for values, pair in zip(lists, new):
+                    values[p + 1 : p + 1] = pair
+                self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
+                self.left[p], self.right[p] = p + 1, p + 2
+            else:
+                for values in lists:
+                    del values[p + 1 : p + 3]
+                self.feature[p], self.threshold[p], self.left[p], self.right[p] = -1, 0.0, p, p
+            self._index_structure()
         else:
-            self.feature[node], self.threshold[node] = proposal.feature, proposal.threshold
+            self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
             for nid, rows in proposal.rows:
                 self.bits[nid] = rows
-        self.leaf_sizes, self.leaf_class = proposal.leaf_sizes, proposal.leaf_class
-        self.leaf_terms, self.leaf_totals = proposal.leaf_terms, proposal.leaf_totals
+        self.leaf_class, self.leaf_terms, self.leaf_totals = proposal.leaf_class, proposal.leaf_terms, proposal.leaf_totals
         self.log_lik = proposal.log_lik
-        if kind in (MOVE_BIRTH, MOVE_DEATH):
-            self._index_structure()
         self._tree = None
 
 
 class Proposal:
     """One drawn move, as a plain record.
 
-    A valid proposal holds the edit: the node it acts on, the new rule, the
-    new row sets (birth: the two children's; change: those of the nodes
-    below the changed one whose rows move), the proposed per-leaf lists
-    (sizes, class counts, log-gamma terms), their `log_lik`, read once from
-    `tables`, and the depth the split prior term needs.  It keeps no
-    reference to the state it was drawn on; `ChainState.apply` makes it
+    A valid proposal holds the edit: the pre-order position it acts on, the
+    new rule, the new row sets (birth: the two children's; change: those of
+    the positions below the changed one whose rows move), the proposed
+    per-leaf lists (class counts, log-gamma terms), their `log_lik`, read
+    once from `tables`, and the depth the split prior term needs.  It keeps
+    no reference to the state it was drawn on; `ChainState.apply` makes it
     that state's current tree.
     """
 
@@ -749,7 +738,7 @@ class Proposal:
                  node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(), leaves=None, depth: int = 0):
         self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
         self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
-        self.leaf_sizes, self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 4
+        self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 3
         self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals) if valid else None
         self.depth = depth
 
@@ -836,9 +825,8 @@ def _spliced(state: ChainState, lo: int, hi: int, entries: list) -> tuple:
     """The state's per-leaf lists with the leaves at pre-order positions
     [lo, hi) replaced by `entries` (see `RowTables.leaf`)."""
     width = state.tables.class_count
-    sizes, classes, terms, totals = zip(*entries)
+    classes, terms, totals = zip(*entries)
     return (
-        state.leaf_sizes[:lo] + list(sizes) + state.leaf_sizes[hi:],
         state.leaf_class[:lo] + list(classes) + state.leaf_class[hi:],
         state.leaf_terms[: lo * width] + [t for lg in terms for t in lg] + state.leaf_terms[hi * width :],
         state.leaf_totals[:lo] + list(totals) + state.leaf_totals[hi:],
@@ -859,7 +847,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
     """
     tables = state.tables
     kind = _draw_kind(rng, cfg.move_bounds)
-    min_rows, sizes = cfg.min_leaf_rows, state.leaf_sizes
+    min_rows = cfg.min_leaf_rows
 
     if kind == MOVE_BIRTH:
         if state.leaf_count + 1 > _effective_max_leaves(cfg, tables.n):
@@ -886,11 +874,12 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         if not candidates:
             return Proposal(kind, False)
         node = _pick(rng, candidates)
-        at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
-        if sizes[at] + sizes[at + 1] < min_rows:
+        size = state.bits[node].bit_count()
+        if size < min_rows:
             return Proposal(kind, False)
+        at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
         counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
-        merged = (state.bits[node].bit_count(), counts, tables.terms(counts), tables.lg_total[sum(counts)])
+        merged = (counts, tables.terms(counts), tables.lg_total[size])
         return Proposal(
             kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), tables=tables,
             node=node, leaves=_spliced(state, at, at + 2, [merged]), depth=state.depth[node],
@@ -924,13 +913,13 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
     if routed is None:
         return Proposal(kind, False)
     moved, _, fresh = routed
-    lists = (state.leaf_sizes, state.leaf_class, state.leaf_terms, state.leaf_totals)
+    lists = (state.leaf_class, state.leaf_terms, state.leaf_totals)
     if fresh:
         lists = tuple(list(old) for old in lists)
-        new_sizes, new_class, new_terms, new_totals = lists
-        for leaf, (size, counts, terms, total) in fresh:
+        new_class, new_terms, new_totals = lists
+        for leaf, (counts, terms, total) in fresh:
             at = state.leaf_pos[leaf]
-            new_sizes[at], new_class[at], new_totals[at] = size, counts, total
+            new_class[at], new_totals[at] = counts, total
             new_terms[at * tables.class_count : (at + 1) * tables.class_count] = terms
     return Proposal(
         kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), tables=tables,

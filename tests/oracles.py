@@ -407,7 +407,7 @@ def rows_of(bits: int) -> np.ndarray:
 
 def rows_by_node(state) -> dict:
     """Ascending row indices reaching each node, keyed by their positions in `state.tree`."""
-    return {i: rows_of(state.bits[nid]) for i, nid in enumerate(state.order)}
+    return {i: rows_of(bits) for i, bits in enumerate(state.bits)}
 
 
 def proposed_state(state, proposal):

@@ -318,6 +318,13 @@ class TestCli:
         )
         assert rc == 2
 
+    def test_one_sided_move_probs_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        rc = cli.main(["bench", "synthetic", "--move-probs", "0,0.5,0.2,0.3", "--out", str(out)])
+        assert rc == 2
+        assert "birth and death" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_sweep_grid_is_config_error(self, tmp_path):
         votes = tmp_path / "votes.csv"
         votes.write_text("target,vote_0,vote_1\n0,5,0\n")

@@ -124,6 +124,13 @@ class TestLoadCsv:
         ds = load_csv(_write(tmp_path, "y,x1,x2\na,1.0,2.0\nb,2.0,3.0\na,3.0,1.0\n"), schema=schema)
         assert (ds.row_count, ds.label_names, ds.feature_names) == (3, ("a", "b"), ("x1", "x2"))
 
+    def test_row_that_names_the_label_column_is_a_header(self, tmp_path):
+        # numeric feature names, but row 1 holds the schema's label column
+        # name, which only a header row can
+        schema = _write(tmp_path, "label_column=y\n", name="schema.txt")
+        ds = load_csv(_write(tmp_path, "y,1,2\na,1.0,2.0\nb,2.0,3.0\na,3.0,1.0\n"), schema=schema)
+        assert (ds.row_count, ds.label_names, ds.feature_names) == (3, ("a", "b"), ("1", "2"))
+
     def test_schema_categorical_must_be_integer(self, tmp_path):
         schema = _write(tmp_path, "categorical=0\nheader=false\n", name="schema.txt")
         with pytest.raises(DataError, match="integer codes"):

@@ -204,6 +204,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McmcConfig(move_probs=(0.5, 0.5, 0.5, 0.5))
 
+    def test_birth_and_death_both_positive_or_both_zero(self):
+        for probs in [(0.0, 0.5, 0.2, 0.3), (0.5, 0.0, 0.2, 0.3)]:
+            with pytest.raises(ValueError, match="birth and death"):
+                McmcConfig(move_probs=probs)
+        McmcConfig(move_probs=(0.0, 0.0, 0.5, 0.5))
+
     def test_negative_move_prob(self):
         with pytest.raises(ValueError):
             McmcConfig(move_probs=(-0.1, 0.5, 0.3, 0.3))
@@ -458,7 +464,7 @@ class TestIncrementalKernel:
             prop = propose_move(state, cfg, rng)
             if not prop.valid:
                 continue
-            tree, at = arena(state.tree), state.order.index(prop.node)
+            tree, at = arena(state.tree), prop.node
             if prop.kind == MOVE_BIRTH:
                 edited = replace_leaf(tree, at, prop.feature, prop.threshold)
             elif prop.kind == MOVE_DEATH:
@@ -510,6 +516,28 @@ class TestIncrementalKernel:
             assert state.tree == tree
             assert state.log_lik == log_marginal_likelihood(tree, ALPHA2)
         assert make_state(ds, cfg).tree == fit_partition(columns(single_leaf_tree()), ds.features, ds.labels, 2)[0]
+
+    def test_state_equals_the_state_rebuilt_from_its_snapshot(self):
+        """After every accepted move, the state's lists equal those of the
+        state built afresh from its snapshot: births and deaths renumber
+        `parent`, `depth` and `bits` too, which `state.tree` never reads."""
+        ds = small_dataset(n=60, seed=21, m=3)
+        cfg = McmcConfig(move_probs=(0.35, 0.35, 0.1, 0.2), min_leaf_rows=1, seed=21)
+        tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
+        rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
+        start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
+        state = ChainState(tables, columns(ArenaTree((Split(*start, 1, 2), Leaf(), Leaf()))))
+        names = ("feature", "threshold", "left", "right", "parent", "depth", "bits", "leaf_ids", "split_ids",
+                 "prunable", "leaf_class", "leaf_terms", "leaf_totals", "log_lik")
+        accepted = {k: 0 for k in mcmc.MOVE_KINDS}
+        for _ in range(1500):
+            kind, ok = mh_step(state, cfg, rng)
+            if ok:
+                accepted[kind] += 1
+                rebuilt = ChainState(state.tables, state.tree)
+                for name in names:
+                    assert getattr(rebuilt, name) == getattr(state, name), name
+        assert min(accepted.values()) >= 10, accepted
 
 
 # The index-array kernel that the bitset one replaced, kept as oracles.
@@ -615,8 +643,8 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
                             if nid not in fresh:
                                 assert state.leaf_class[state.leaf_pos[nid]] == tuple(counts.tolist())
                                 continue
-                            size, got_counts, lg, total = fresh[nid]
-                            assert (size, got_counts) == (counts.sum(), tuple(counts.tolist()))
+                            got_counts, lg, total = fresh[nid]
+                            assert got_counts == tuple(counts.tolist())
                             assert lg == gammaln(counts.astype(np.float64) + terms.alpha).tolist()
                             assert total == gammaln(counts.sum() + terms.alpha_sum)
             rows = state.bits[node]
@@ -663,7 +691,7 @@ def test_every_state_keeps_leaves_at_min_rows(window, min_rows):
     accepted = 0
     for _ in range(400):
         accepted += mh_step(state, cfg, rng)[1]
-        assert min(state.leaf_sizes) >= min_rows
+        assert min(state.bits[leaf].bit_count() for leaf in state.leaf_ids) >= min_rows
         assert state.leaf_count <= (cfg.max_leaves or ds.row_count)
     assert accepted > 0
 
