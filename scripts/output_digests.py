@@ -24,6 +24,11 @@ this script:
   - `treeuq bayes --move-probs 0.4,0.4,0.1,0.1 --min-leaf-rows 2` on them
     too, 2 restarts x (1000 + 1000): mostly births and deaths, so most
     accepted moves insert or delete the chain state's node positions;
+  - `treeuq bayes --move-probs 0.1,0.1,0.4,0.4 --min-leaf-rows 1
+    --change-rule-window 3` on them too, 2 restarts x (1000 + 1000):
+    mostly change moves on trees of up to about 14 splits, so most
+    proposals re-route the rows of a subtree several levels deep, and
+    change-rule steps of up to three grid values;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -108,6 +113,9 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--post-burn-in", "200", *common, "--out", "bayes_root_only")
     treeuq(work, "bayes", *csvs, "--move-probs", "0.4,0.4,0.1,0.1", "--min-leaf-rows", "2", "--restarts", "2",
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_structural")
+    treeuq(work, "bayes", *csvs, "--move-probs", "0.1,0.1,0.4,0.4", "--min-leaf-rows", "1",
+           "--change-rule-window", "3", "--restarts", "2", "--burn-in", "1000", "--post-burn-in", "1000",
+           *common, "--out", "bayes_changes")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, envelope, forest, mcmc, synth
 from .data import Dataset, DataError, load_csv, make_folds, split_holdout_count, write_csv
-from .tree import format_feature_path, write_tree_file
+from .tree import format_feature_path, resolve_alpha, write_tree_file
 
 
 class ConfigError(Exception):
@@ -139,6 +139,17 @@ class ExperimentConfig:
                 datasets=tuple(snap["datasets"]),
             )
         )
+
+
+def check_classes(cfg: ExperimentConfig, class_count: int) -> None:
+    """Refuse, before any run on data of class_count classes, a confidence
+    at or below 1/class_count, which every plurality vote share reaches
+    (ConfigError), and a Dirichlet alpha whose marginal likelihood is not
+    finite (ValueError)."""
+    if cfg.confidence <= 1.0 / class_count:
+        raise ConfigError(f"confidence must lie in (1/{class_count}, 1] for {class_count} classes, "
+                          f"got {cfg.confidence}")
+    mcmc.DirichletTerms.of(resolve_alpha(cfg.mcmc.dirichlet_alpha, class_count))
 
 
 @dataclass
@@ -413,6 +424,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
     if cfg.fold_count > cfg.train_size:  # refused before anything is written
         raise DataError(f"cannot make {cfg.fold_count} folds from {cfg.train_size} rows")
+    check_classes(cfg, synth.benchmark_mixture().class_count)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -523,6 +535,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
             raise DataError(
                 f"{name}: expected {expected_c} classes, found {ds.class_count}"
             )
+        check_classes(cfg, ds.class_count)
         notes = []
         if ds.feature_count != expected_m:
             notes.append(f"expected {expected_m} features, found {ds.feature_count}")

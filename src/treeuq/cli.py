@@ -210,6 +210,7 @@ def _load_test(args, train: Dataset) -> Dataset | None:
 def _cmd_bayes(args) -> int:
     cfg = _config(args)
     train = load_csv(args.train, schema=args.schema)
+    bench.check_classes(cfg, train.class_count)
     test = _load_test(args, train)
     mcfg = dataclasses.replace(cfg.mcmc, seed=cfg.seed)
     out = cfg.out_dir
@@ -241,6 +242,7 @@ def _cmd_bayes(args) -> int:
 def _cmd_forest(args) -> int:
     cfg = _config(args)
     train = load_csv(args.train, schema=args.schema)
+    bench.check_classes(cfg, train.class_count)
     test = _load_test(args, train)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -17,32 +17,35 @@ so d's rule-prior support, for every split d beneath it, and the total
 ignores that.
 
 The chain keeps one mutable `ChainState`: the tree's own pre-order
-columns, plus each node's parent, depth and row set, where a node is its
-pre-order position; a birth or death inserts or deletes two positions and
-renumbers those above them.  A proposal touches only the subtree it
-edits.  Every state the chain reaches keeps every leaf at min_leaf_rows
-rows or more: the start's split is drawn among those that leave both
-sides that many, a birth checks its two children, a death its merged
-leaf, and a change (`ChainState.reroute`) every node whose rows it
-moves.  A move leaves the rows of every other leaf as they are, so no
-proposal checks them again.  (A root-only chain on fewer rows than
-min_leaf_rows is the one exception, and no move from it is valid.)  Each
-node's training rows are one Python-int bitset (bit r set iff row r
-reaches the node).  Each chain builds its own `RowTables` from its data
-and prior: per feature the sorted distinct values and the bitsets of the
-rows at and below each value, one bitset per class, and the log-gamma
-terms for every count 0..n.  The tables read -0.0 as 0.0, so every zero
-threshold the chain draws is 0.0.  `ChainState(tables, tree)` reads the
-split columns of a `tree.DecisionTree` (the chain's start is one of a
-single split), routes its rows from the root with the tables and reads its
-counts and log-likelihood from them; `ChainState.tree` gives the state
-back in that form.  A split is then `rows & below` and `rows ^ left`,
-counts are `int.bit_count`, a change keeps every subtree whose rows it
-does not move, and the windowed change-rule step walks the per-value
-bitsets without a numpy call.  `RowTables.log_lik` adds the table terms
-with `pairwise_sum`, in the order numpy's reduction in
-`log_marginal_of_counts` adds them, so every bit and every accept decision
-is the same as evaluating the count matrix directly.
+columns, plus each node's depth and row set, where a node is its
+pre-order position; a birth or death inserts or deletes two positions
+and renumbers those above them, and a change rewrites the row sets of
+the changed split's subtree, the contiguous range of positions after it.
+A proposal touches only the subtree it edits.  Every state the chain
+reaches keeps every leaf at min_leaf_rows rows or more: the start's
+split is drawn among those that leave both sides that many, a birth
+checks its two children, a death its merged leaf, and a change
+(`ChainState.reroute`) every node whose rows it moves.  A move leaves
+the rows of every other leaf as they are, so no proposal checks them
+again.  (A root-only chain on fewer rows than min_leaf_rows is the one
+exception, and no move from it is valid.)  Each node's training rows are
+one Python-int bitset (bit r set iff row r reaches the node).  Each
+chain builds its own `RowTables` from its data and prior: per feature
+the sorted distinct values and the bitsets of the rows at and below each
+value, one bitset per class, and the log-gamma terms for every count
+0..n.  The tables read -0.0 as 0.0, so every zero threshold the chain
+draws is 0.0.  `ChainState(tables, tree)` reads the split columns of a
+`tree.DecisionTree` (the chain's start is one of a single split), routes
+its rows from the root with the tables and reads its counts and
+log-likelihood from them; `ChainState.tree` gives the state back in that
+form.  A split is then `rows & below` and `rows ^ left`, counts are
+`int.bit_count`, a change routes its range in one forward pass that
+passes over every node whose rows it does not move, and the windowed
+change-rule step walks the per-value bitsets without a numpy call.
+`RowTables.log_lik` adds the table terms with `pairwise_sum`, in the
+order numpy's reduction in `log_marginal_of_counts` adds them, so every
+bit and every accept decision is the same as evaluating the count matrix
+directly.
 
 Log-gamma is `lgam`, a port of the Cephes routine behind
 `scipy.special.gammaln` that gives the same bits, so the sampler needs
@@ -68,7 +71,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -145,18 +148,20 @@ class McmcConfig:
         for name in ("burn_in", "post_burn_in", "sample_rate", "restarts", "min_leaf_rows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.sample_rate > self.post_burn_in:
+            raise ValueError(f"sample_rate {self.sample_rate} exceeds post_burn_in {self.post_burn_in}: no sample")
         if self.max_leaves is not None and self.max_leaves < 1:
             raise ValueError("max_leaves must be positive")
         if self.change_rule_window is not None and self.change_rule_window < 1:
             raise ValueError("change_rule_window must be positive (or None for a global redraw)")
         if isinstance(self.dirichlet_alpha, (int, float)):
-            if self.dirichlet_alpha <= 0:
-                raise ValueError("dirichlet_alpha must be positive")
+            if not 0 < self.dirichlet_alpha < math.inf:
+                raise ValueError(f"dirichlet_alpha must be positive and finite, got {self.dirichlet_alpha}")
         else:
             alpha = tuple(float(a) for a in self.dirichlet_alpha)
             object.__setattr__(self, "dirichlet_alpha", alpha)
-            if not alpha or any(a <= 0 for a in alpha):
-                raise ValueError("dirichlet_alpha entries must be positive")
+            if not alpha or not all(0 < a < math.inf for a in alpha):
+                raise ValueError(f"dirichlet_alpha entries must be positive and finite, got {alpha}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -372,7 +377,10 @@ class DirichletTerms(NamedTuple):
     def of(cls, alpha) -> "DirichletTerms":
         alpha = np.asarray(alpha, dtype=np.float64)
         alpha_sum = float(alpha.sum())
-        return cls(alpha, alpha_sum, lgam(alpha_sum) - pairwise_sum([lgam(a) for a in alpha.tolist()]))
+        log_norm = lgam(alpha_sum) - pairwise_sum([lgam(a) for a in alpha.tolist()])
+        if not math.isfinite(log_norm):
+            raise ValueError(f"alpha {alpha.tolist()} is too large: log Gamma of its sum overflows")
+        return cls(alpha, alpha_sum, log_norm)
 
 
 def log_marginal_of_counts(counts: np.ndarray, terms: DirichletTerms) -> float:
@@ -565,23 +573,25 @@ class ChainState:
     log-gamma terms and `log_lik` are read from the tables.
 
     A node is its pre-order position.  The per-node lists are the
-    `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0
-    for a leaf; the two children's positions, a leaf's own twice) plus the
-    parent's position (-1 for the root), the depth and `bits`, the set of
-    training rows that reach the node as an int with bit r set for row r.
-    A birth at leaf p adds 2 to every position above p and inserts the two
-    new leaves at p + 1 and p + 2; a death at split p deletes p + 1 and
-    p + 2 and subtracts 2 from every position above them; a change renames
-    nothing.  A leaf's row count is its `bits.bit_count()`.  Per leaf, in
-    pre-order, `leaf_class` holds the class counts, `leaf_terms` (flat,
-    class_count per leaf) and `leaf_totals` the log-gamma terms of the
-    marginal likelihood.  These lists are replaced, never edited, so the
-    state and a proposal drawn on it may share them.
+    `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0 for
+    a leaf; the two children's positions, a leaf's own twice) plus the depth
+    and `bits`, the set of training rows that reach the node as an int with
+    bit r set for row r.  A node's subtree is the positions from it to the
+    leaf its right children lead to.  A birth at leaf p adds 2 to every
+    position above p and inserts the two new leaves at p + 1 and p + 2; a
+    death at split p deletes p + 1 and p + 2 and subtracts 2 from every
+    position above them; a change at split p renames nothing and overwrites
+    the `bits` of p's subtree after p.  A leaf's row count is its
+    `bits.bit_count()`.  Per leaf, in pre-order, `leaf_class` holds the
+    class counts, `leaf_terms` (flat, class_count per leaf) and
+    `leaf_totals` the log-gamma terms of the marginal likelihood.  These
+    lists are replaced, never edited, so the state and a proposal drawn on
+    it may share them.
 
     A split routes its row set with two integer operations (left =
     rows & below, right = rows ^ left) and counts with `int.bit_count`, so
     a proposal costs a few big-integer operations per touched node; a
-    change keeps every subtree whose row set it does not alter.  A node's
+    change routes no subtree whose row set it does not alter.  A node's
     distinct values of a feature, should a move need their count, are
     the `RowTables.eq` sets that meet its row set.
 
@@ -607,15 +617,14 @@ class ChainState:
         self.feature, self.threshold = list(feature), list(threshold)
         self.left = [left[nid] if f >= 0 else nid for nid, f in enumerate(feature)]  # a leaf points to itself
         self.right = [right[nid] if f >= 0 else nid for nid, f in enumerate(feature)]
-        self.parent, self.depth = [-1] * n, [0] * n
+        self.depth = [0] * n
         self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
         for nid, f in enumerate(feature):  # pre-order: a parent's rows are routed before its children's
             if f >= 0:
                 lo, hi = left[nid], right[nid]
                 goes_left = self.bits[nid] & tables.below(f, threshold[nid])
                 self.bits[lo], self.bits[hi] = goes_left, self.bits[nid] ^ goes_left
-                for child in (lo, hi):
-                    self.parent[child], self.depth[child] = nid, self.depth[nid] + 1
+                self.depth[lo] = self.depth[hi] = self.depth[nid] + 1
         self._index_structure()
         classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
         self.leaf_class, self.leaf_totals = list(classes), list(totals)
@@ -640,56 +649,40 @@ class ChainState:
         return len(self.split_ids)
 
     def _index_structure(self) -> None:
-        """Pre-order leaf and split positions, death candidates and leaf indices."""
+        """Pre-order leaf and split positions and death candidates."""
         feature, left, right = self.feature, self.left, self.right
         self.leaf_ids = [nid for nid, f in enumerate(feature) if f < 0]
         self.split_ids = [nid for nid, f in enumerate(feature) if f >= 0]
         self.prunable = [nid for nid in self.split_ids if feature[left[nid]] < 0 and feature[right[nid]] < 0]
-        self.leaf_pos = {nid: i for i, nid in enumerate(self.leaf_ids)}
 
     def reroute(self, node: int, feature: int, threshold: float, tables: RowTables, min_rows: int):
-        """Route the rows reaching `node` down its subtree with the node's
-        rule set to (feature, threshold).
+        """Route the rows reaching split `node` down its subtree with the
+        node's rule set to (feature, threshold).
 
-        Returns the (node, row set) pairs of the nodes below `node` whose
-        row set changes, the subtree's leaf positions in pre-order, and the
-        (leaf, `RowTables.leaf` entry) pairs of its changed leaves; or None
-        if a node holds fewer than min_rows rows (some leaf below it would
-        too).  A subtree whose row set is unchanged is kept whole, after
-        its leaves' sizes are checked.
+        The subtree is the pre-order range node..end-1, one forward pass
+        over it routes each node whose row set changes, and a node whose
+        row set does not change keeps it, as does everything below it.
+        Returns (end, the row sets of positions node+1..end-1), or None if
+        a node whose row set changes holds fewer than min_rows rows; the
+        others hold enough already (see the module docstring).
         """
         features, thresholds, left, right, bits = self.feature, self.threshold, self.left, self.right, self.bits
-        moved, leaves, fresh = [], [], []
-        stack = [(node, bits[node], True)]
-        while stack:
-            nid, rows, changed = stack.pop()
-            f = features[nid]
-            if not changed:
-                if f < 0:
-                    if bits[nid].bit_count() < min_rows:
-                        return None
-                    leaves.append(nid)
-                else:
-                    stack += ((right[nid], 0, False), (left[nid], 0, False))
+        last = node
+        while features[last] >= 0:
+            last = right[last]
+        new = bits[node : last + 1]
+        goes_left = new[0] & tables.below(feature, threshold)
+        new[1], new[right[node] - node] = goes_left, new[0] ^ goes_left
+        for p in range(node + 1, last + 1):
+            rows = new[p - node]
+            if rows == bits[p]:
                 continue
             if rows.bit_count() < min_rows:
                 return None
-            if nid == node:
-                f, t = feature, threshold
-            else:
-                moved.append((nid, rows))
-                if f < 0:
-                    leaves.append(nid)
-                    fresh.append((nid, tables.leaf(rows)))
-                    continue
-                t = thresholds[nid]
-            goes_left = rows & tables.below(f, t)
-            goes_right = rows ^ goes_left
-            stack += (
-                (right[nid], goes_right, goes_right != bits[right[nid]]),
-                (left[nid], goes_left, goes_left != bits[left[nid]]),
-            )
-        return moved, leaves, fresh
+            if features[p] >= 0:
+                goes_left = rows & tables.below(features[p], thresholds[p])
+                new[left[p] - node], new[right[p] - node] = goes_left, rows ^ goes_left
+        return last + 1, new[1:]
 
     def apply(self, proposal: "Proposal") -> None:
         """Make the proposed tree current, editing the lists in place."""
@@ -698,12 +691,12 @@ class ChainState:
             # a birth at leaf p inserts positions p + 1 and p + 2, a death at
             # split p deletes them: every position above p moves by 2
             shift = 2 if kind == MOVE_BIRTH else -2
-            for links in (self.left, self.right, self.parent):
+            for links in (self.left, self.right):
                 links[:] = [i + shift if i > p else i for i in links]
-            lists = (self.feature, self.threshold, self.left, self.right, self.parent, self.depth, self.bits)
+            lists = (self.feature, self.threshold, self.left, self.right, self.depth, self.bits)
             if kind == MOVE_BIRTH:
                 d = self.depth[p] + 1
-                new = ((-1, -1), (0.0, 0.0), (p + 1, p + 2), (p + 1, p + 2), (p, p), (d, d), proposal.rows)
+                new = ((-1, -1), (0.0, 0.0), (p + 1, p + 2), (p + 1, p + 2), (d, d), proposal.rows)
                 for values, pair in zip(lists, new):
                     values[p + 1 : p + 1] = pair
                 self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
@@ -715,8 +708,7 @@ class ChainState:
             self._index_structure()
         else:
             self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
-            for nid, rows in proposal.rows:
-                self.bits[nid] = rows
+            self.bits[p + 1 : p + 1 + len(proposal.rows)] = proposal.rows
         self.leaf_class, self.leaf_terms, self.leaf_totals = proposal.leaf_class, proposal.leaf_terms, proposal.leaf_totals
         self.log_lik = proposal.log_lik
         self._tree = None
@@ -727,11 +719,11 @@ class Proposal:
 
     A valid proposal holds the edit: the pre-order position it acts on, the
     new rule, the new row sets (birth: the two children's; change: those of
-    the positions below the changed one whose rows move), the proposed
-    per-leaf lists (class counts, log-gamma terms), their `log_lik`, read
-    once from `tables`, and the depth the split prior term needs.  It keeps
-    no reference to the state it was drawn on; `ChainState.apply` makes it
-    that state's current tree.
+    every position of the changed split's subtree after it, in order), the
+    proposed per-leaf lists (class counts, log-gamma terms), their
+    `log_lik`, read once from `tables`, and the depth the split prior term
+    needs.  It keeps no reference to the state it was drawn on;
+    `ChainState.apply` makes it that state's current tree.
     """
 
     def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, tables: RowTables | None = None,
@@ -852,7 +844,8 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
     if kind == MOVE_BIRTH:
         if state.leaf_count + 1 > _effective_max_leaves(cfg, tables.n):
             return Proposal(kind, False)
-        leaf = _pick(rng, state.leaf_ids)
+        at = rng.integers(state.leaf_count)
+        leaf = state.leaf_ids[at]
         rows = state.bits[leaf]
         feature = rng.integers(len(tables.columns))
         threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
@@ -860,9 +853,10 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         children = (goes_left, rows ^ goes_left)
         if min(children[0].bit_count(), children[1].bit_count()) < min_rows:
             return Proposal(kind, False)
-        at = state.leaf_pos[leaf]
-        # the new split is prunable, and its parent no longer is
-        q = len(state.prunable) + 1 - (state.parent[leaf] in state.prunable)
+        # the new split is prunable, and the leaf's parent (the split before a
+        # left child, else the one whose right child it is) no longer is
+        parent = leaf - 1 if state.feature[leaf - 1] >= 0 else state.right.index(leaf)
+        q = len(state.prunable) + 1 - (parent in state.prunable)
         return Proposal(
             kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), tables=tables,
             node=leaf, feature=feature, threshold=threshold, rows=children,
@@ -877,7 +871,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         size = state.bits[node].bit_count()
         if size < min_rows:
             return Proposal(kind, False)
-        at = state.leaf_pos[state.left[node]]  # the right child is the next leaf
+        at = bisect_left(state.leaf_ids, node + 1)  # the left child; the right one is the next leaf
         counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
         merged = (counts, tables.terms(counts), tables.lg_total[size])
         return Proposal(
@@ -912,18 +906,17 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
     routed = state.reroute(node, feature, threshold, tables, min_rows)
     if routed is None:
         return Proposal(kind, False)
-    moved, _, fresh = routed
-    lists = (state.leaf_class, state.leaf_terms, state.leaf_totals)
-    if fresh:
-        lists = tuple(list(old) for old in lists)
-        new_class, new_terms, new_totals = lists
-        for leaf, (counts, terms, total) in fresh:
-            at = state.leaf_pos[leaf]
-            new_class[at], new_totals[at] = counts, total
-            new_terms[at * tables.class_count : (at + 1) * tables.class_count] = terms
+    end, rows = routed
+    new_class, new_terms, new_totals = list(state.leaf_class), list(state.leaf_terms), list(state.leaf_totals)
+    width = tables.class_count
+    for at in range(bisect_left(state.leaf_ids, node), bisect_left(state.leaf_ids, end)):
+        leaf = state.leaf_ids[at]
+        leaf_rows = rows[leaf - node - 1]
+        if leaf_rows != state.bits[leaf]:
+            new_class[at], new_terms[at * width : (at + 1) * width], new_totals[at] = tables.leaf(leaf_rows)
     return Proposal(
         kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), tables=tables,
-        node=node, feature=feature, threshold=threshold, rows=moved, leaves=lists,
+        node=node, feature=feature, threshold=threshold, rows=rows, leaves=(new_class, new_terms, new_totals),
     )
 
 

@@ -25,6 +25,7 @@ are predicted.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -84,15 +85,18 @@ def fit_partition(
 
 
 def resolve_alpha(alpha, class_count: int) -> np.ndarray:
-    """The Dirichlet prior as a vector of class_count positive pseudo-counts."""
+    """The Dirichlet prior as a vector of class_count positive pseudo-counts
+    with a finite sum."""
     if isinstance(alpha, (int, float)):
         out = np.full(class_count, float(alpha))
     else:
         out = np.asarray(alpha, dtype=np.float64)
         if out.shape != (class_count,):
             raise ValueError(f"alpha must have {class_count} entries, one per class, got shape {out.shape}")
-    if np.any(out <= 0):
-        raise ValueError(f"alpha entries must be positive, got {out.tolist()} for {class_count} classes")
+    if not (np.all(out > 0) and math.isfinite(sum(out.tolist()))):
+        raise ValueError(
+            f"alpha entries must be positive with a finite sum, got {out.tolist()} for {class_count} classes"
+        )
     return out
 
 

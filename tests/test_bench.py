@@ -198,6 +198,20 @@ class TestUciProtocol:
         with pytest.raises(DataError, match="expected 2 classes"):
             bench.run_uci_protocol(cfg)
 
+    def test_confidence_refused_before_the_dataset_runs(self, tmp_path):
+        """A confidence at or below 1/C is refused per dataset, before its
+        folds: nothing of sonar (2 classes) is written at 0.5."""
+        root = tmp_path / "data"
+        root.mkdir()
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(208, 60))
+        y = (X[:, 0] > 0).astype(int)
+        write_csv(Dataset(X, y, 2, tuple(f"a{i}" for i in range(60))), root / "sonar.csv")
+        cfg = tiny_config(tmp_path / "out", data_dir=root, datasets=("sonar",), confidence=0.5)
+        with pytest.raises(ConfigError, match=r"confidence must lie in \(1/2, 1\] for 2 classes"):
+            bench.run_uci_protocol(cfg)
+        assert not (tmp_path / "out" / "sonar").exists()
+
     def test_too_few_rows_rejected(self, tmp_path):
         root = tmp_path / "data"
         root.mkdir()
@@ -482,6 +496,32 @@ class TestOptionTable:
         rc = cli.main([*argv, "--workers", workers, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("bayes", ["--alpha", "inf"], "dirichlet_alpha must be positive and finite, got inf"),
+            ("bayes", ["--alpha", "nan"], "dirichlet_alpha must be positive and finite, got nan"),
+            ("bayes", ["--alpha", "1e308"], "alpha entries must be positive with a finite sum"),
+            ("bayes", ["--alpha", "1e306"], "log Gamma of its sum overflows"),
+            ("bayes", ["--burn-in", "10", "--post-burn-in", "10", "--sample-rate", "20"],
+             "sample_rate 20 exceeds post_burn_in 10"),
+            ("bayes", ["--confidence", "0.5"], "confidence must lie in (1/2, 1] for 2 classes, got 0.5"),
+            ("forest", ["--confidence", "0.5"], "confidence must lie in (1/2, 1] for 2 classes, got 0.5"),
+            ("bench", ["--confidence", "0.5"], "confidence must lie in (1/2, 1] for 2 classes, got 0.5"),
+            ("bench", ["--alpha", "1e308"], "alpha entries must be positive with a finite sum"),
+        ],
+        ids=["alpha_inf", "alpha_nan", "alpha_sum_inf", "alpha_lgam_inf", "sample_rate", "bayes_confidence",
+             "forest_confidence", "bench_confidence", "bench_alpha"],
+    )
+    def test_refused_before_any_output(self, tmp_path, capsys, tiny_csvs, command, flags, message):
+        argv = ["bench", "synthetic"] if command == "bench" else [command, *tiny_csvs]
+        rc = cli.main([*argv, *flags, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", ["true", "1", "yes", "on", "TRUE", "On"])

@@ -218,11 +218,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McmcConfig(burn_in=0)
 
+    def test_sample_rate_within_post_burn_in(self):
+        McmcConfig(post_burn_in=10, sample_rate=10)
+        with pytest.raises(ValueError, match="sample_rate 11 exceeds post_burn_in 10"):
+            McmcConfig(post_burn_in=10, sample_rate=11)
+
     def test_alpha_positive(self):
         with pytest.raises(ValueError):
             McmcConfig(dirichlet_alpha=0.0)
         with pytest.raises(ValueError):
             McmcConfig(dirichlet_alpha=(1.0, -1.0))
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, (1.0, math.inf), (math.nan, 1.0)])
+    def test_alpha_finite(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            McmcConfig(dirichlet_alpha=alpha)
 
     def test_depth_prior_base_below_one(self):
         # split probability must stay < 1 at every reachable depth
@@ -236,6 +246,17 @@ class TestConfigValidation:
         assert resolve_alpha((1.0, 2.0), 2).tolist() == [1.0, 2.0]
         with pytest.raises(ValueError):
             resolve_alpha((1.0, 2.0), 3)
+
+    def test_resolve_alpha_needs_a_finite_sum(self):
+        assert resolve_alpha(1e300, 2).tolist() == [1e300, 1e300]
+        for alpha in (1e308, (1e308, 1e308), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite sum"):
+                resolve_alpha(alpha, 2)
+
+    def test_dirichlet_terms_refuse_an_overflowing_log_gamma(self):
+        assert math.isfinite(mcmc.DirichletTerms.of([1e305, 1e305]).log_norm)
+        with pytest.raises(ValueError, match="log Gamma of its sum overflows"):
+            mcmc.DirichletTerms.of([1e306, 1e306])
 
 
 class TestProposeMove:
@@ -520,15 +541,15 @@ class TestIncrementalKernel:
     def test_state_equals_the_state_rebuilt_from_its_snapshot(self):
         """After every accepted move, the state's lists equal those of the
         state built afresh from its snapshot: births and deaths renumber
-        `parent`, `depth` and `bits` too, which `state.tree` never reads."""
+        `depth` and `bits` too, which `state.tree` never reads."""
         ds = small_dataset(n=60, seed=21, m=3)
         cfg = McmcConfig(move_probs=(0.35, 0.35, 0.1, 0.2), min_leaf_rows=1, seed=21)
         tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
         rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
         start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
         state = ChainState(tables, columns(ArenaTree((Split(*start, 1, 2), Leaf(), Leaf()))))
-        names = ("feature", "threshold", "left", "right", "parent", "depth", "bits", "leaf_ids", "split_ids",
-                 "prunable", "leaf_class", "leaf_terms", "leaf_totals", "log_lik")
+        names = ("feature", "threshold", "left", "right", "depth", "bits", "leaf_ids", "split_ids", "prunable",
+                 "leaf_class", "leaf_terms", "leaf_totals", "log_lik")
         accepted = {k: 0 for k in mcmc.MOVE_KINDS}
         for _ in range(1500):
             kind, ok = mh_step(state, cfg, rng)
@@ -613,7 +634,13 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
     """On data with many ties (and zeros of both signs), for every split of
     states reached by real steps: the bitset reroute agrees with the
     index-array one at every feature and threshold, and the window step with
-    the searchsorted one at every current value and offset of windows 1-3."""
+    the searchsorted one at every current value and offset of windows 1-3.
+
+    The bitset reroute checks only the nodes whose rows move, the index one
+    every node below the changed one; they agree on validity at min_rows up
+    to the chain's min_leaf_rows, which every node of a reached state
+    holds.  Above it the bitset one may pass a range that the index one
+    refuses, but only for a node whose rows it keeps."""
     ds, cfg = chain
     X, y, classes = ds.features, ds.labels, ds.class_count
     terms = mcmc.DirichletTerms.of(resolve_alpha(cfg.dirichlet_alpha, classes))
@@ -626,27 +653,26 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
         for node in state.split_ids:
             for feature in range(X.shape[1]):
                 for threshold in tables.values[feature] + [-9.0, 0.25]:
+                    moved, leaves, counts = oracle_reroute(old, node, feature, threshold, X, y, classes, 0)
                     for min_rows in (1, 2, 3):
                         want = oracle_reroute(old, node, feature, threshold, X, y, classes, min_rows)
                         got = state.reroute(node, feature, threshold, tables, min_rows)
-                        assert (got is None) == (want is None)
+                        if got is None or min_rows <= cfg.min_leaf_rows:
+                            assert (got is None) == (want is None)
                         if got is None:
                             continue
-                        moved, leaves, fresh = got
-                        assert leaves == want[1]
-                        rows = dict(moved)
-                        for nid, idx in want[0]:
-                            assert np.array_equal(rows_of(rows.get(nid, state.bits[nid])), idx)
-                        fresh = dict(fresh)
-                        assert set(fresh) <= set(leaves)
-                        for nid, counts in zip(leaves, want[2]):
-                            if nid not in fresh:
-                                assert state.leaf_class[state.leaf_pos[nid]] == tuple(counts.tolist())
-                                continue
-                            got_counts, lg, total = fresh[nid]
-                            assert got_counts == tuple(counts.tolist())
-                            assert lg == gammaln(counts.astype(np.float64) + terms.alpha).tolist()
-                            assert total == gammaln(counts.sum() + terms.alpha_sum)
+                        end, rows = got
+                        assert sorted(nid for nid, _ in moved) == list(range(node + 1, end))
+                        for nid, idx in moved:
+                            assert np.array_equal(rows_of(rows[nid - node - 1]), idx)
+                            if len(idx) < min_rows:
+                                assert rows[nid - node - 1] == state.bits[nid]
+                        assert [p for p in range(node + 1, end) if state.feature[p] < 0] == leaves
+                        for nid, want_counts in zip(leaves, counts):
+                            got_counts, lg, total = tables.leaf(rows[nid - node - 1])
+                            assert got_counts == tuple(want_counts.tolist())
+                            assert lg == gammaln(want_counts.astype(np.float64) + terms.alpha).tolist()
+                            assert total == gammaln(want_counts.sum() + terms.alpha_sum)
             rows = state.bits[node]
             for current in {state.threshold[node], *tables.values[state.feature[node]]}:
                 for offset in (-3, -2, -1, 1, 2, 3):
