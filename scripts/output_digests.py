@@ -36,7 +36,11 @@ this script:
     alpha, split_prior=depth:0.95:1.5, min_leaf_rows, tree_count, top_k
     and sweep=true: the config-file path into every kind of setting;
   - `treeuq bench synthetic --manifest bench/manifest.json --out
-    bench_replay`: a rerun from the first bench run's manifest.
+    bench_replay`: a rerun from the first bench run's manifest;
+  - `treeuq bench synthetic --train-size 10 --fold-count 5 --restarts 1
+    --burn-in 5 --post-burn-in 5 --tree-count 2`: folds of 8 rows, where
+    no split leaves 5 rows a side, so every tree is root-only and the
+    report's size ratio is null.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
 file.  Each manifest.json is digested with its `stage_seconds` removed:
@@ -121,6 +125,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")
     treeuq(work, "bench", "synthetic", "--config", "bench.cfg", *common, "--out", "bench_config")
     treeuq(work, "bench", "synthetic", "--manifest", "bench/manifest.json", "--out", "bench_replay")
+    treeuq(work, "bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "1", "--burn-in", "5",
+           "--post-burn-in", "5", "--tree-count", "2", *common, "--out", "bench_zero_split")
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file():

@@ -168,12 +168,8 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
-    _write_cells(path, header, ([str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row] for row in rows))
-
-
-def _write_cells(path: Path, header: list, rows) -> None:
-    """A CSV of rows of cells that are already text."""
-    path.write_text("\n".join([",".join(header), *map(",".join, rows)]) + "\n", encoding="utf-8")
+    cells = ([str(c) if isinstance(c, (int, str)) else _fmt(c) for c in row] for row in rows)
+    path.write_text("\n".join([",".join(header), *map(",".join, cells)]) + "\n", encoding="utf-8")
 
 
 def _write_sweep_csv(path: Path, curves: list) -> None:
@@ -206,6 +202,11 @@ def _summary_dict(summary: envelope.EnvelopeSummary) -> dict:
 
 @dataclass
 class FoldOutcome:
+    """What one fold's scoring keeps: its vote matrix, envelope report,
+    soft accuracy, optional sweep curve, and `extras`, whose values are
+    scalars or lists of them.  The fold's chain or forest is not kept: a
+    protocol holds one fold's records at a time."""
+
     votes: envelope.VoteMatrix
     report: envelope.EnvelopeReport
     soft_accuracy: float
@@ -242,7 +243,9 @@ def run_bayes_fold(
     cfg: ExperimentConfig,
     fold: int,
     do_sweep: bool = False,
-) -> FoldOutcome:
+) -> tuple[FoldOutcome, mcmc.ChainResult]:
+    """The fold's outcome and its pooled chains; a caller that writes no
+    diagnostics drops the chains at once."""
     mcfg = dataclasses.replace(cfg.mcmc, seed=_derive_seed(cfg.seed, 1, fold))
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
     pred = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
@@ -251,11 +254,11 @@ def run_bayes_fold(
         "post_log_lik_mean": float(np.mean(result.trace.log_lik[result.trace.post])),
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),
-        "mcmc_result": result,
     }
-    return _fold_outcome(
+    outcome = _fold_outcome(
         pred.votes, pred.probabilities, test_y, result.samples.split_counts(), cfg, extras, do_sweep
     )
+    return outcome, result
 
 
 def run_forest_fold(
@@ -266,7 +269,9 @@ def run_forest_fold(
     cfg: ExperimentConfig,
     fold: int,
     do_sweep: bool = False,
-) -> FoldOutcome:
+) -> tuple[FoldOutcome, tuple[forest.Forest, forest.ConvergenceTrace]]:
+    """The fold's outcome and its forest with the forest's trace; a caller
+    that writes no diagnostics drops the pair at once."""
     fcfg = dataclasses.replace(cfg.forest, seed=_derive_seed(cfg.seed, 2, fold))
     built, trace = forest.build_forest(
         full_ds, train_rows, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers
@@ -274,11 +279,10 @@ def run_forest_fold(
     extras = {
         "ensemble_acc_final": float(trace.ensemble_acc[-1]),
         "best_validation_acc": trace.best_validation_acc,
-        "forest": built,
-        "trace": trace,
     }
     sizes = [t.split_count for t in built.trees]
-    return _fold_outcome(trace.votes, trace.probabilities, test_y, sizes, cfg, extras, do_sweep)
+    outcome = _fold_outcome(trace.votes, trace.probabilities, test_y, sizes, cfg, extras, do_sweep)
+    return outcome, (built, trace)
 
 
 def _paired_fold_runs(
@@ -287,7 +291,9 @@ def _paired_fold_runs(
     test_y: np.ndarray,
     cfg: ExperimentConfig,
 ) -> dict[str, list[FoldOutcome]]:
-    """Run the requested techniques on identical fold splits of train_ds."""
+    """Run the requested techniques on identical fold splits of train_ds,
+    keeping each fold's outcome only: its chains or forest are dropped
+    before the next run starts."""
     folds = make_folds(train_ds, cfg.fold_count, seed=cfg.seed)
     out: dict[str, list[FoldOutcome]] = {}
     for fold in range(cfg.fold_count):
@@ -295,11 +301,11 @@ def _paired_fold_runs(
         if cfg.technique in ("bayes", "both"):
             sub = train_ds.subset(rows)
             out.setdefault("bayes", []).append(
-                run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)
+                run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
             )
         if cfg.technique in ("forest", "both"):
             out.setdefault("forest", []).append(
-                run_forest_fold(train_ds, rows, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)
+                run_forest_fold(train_ds, rows, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
             )
     return out
 
@@ -323,26 +329,38 @@ def _emit_technique_artifacts(
     return part
 
 
+TRACE_BLOCK = 2048  # trace rows rendered and written at a time
+
+
+def _write_trace_csv(path: Path, trace: mcmc.Trace) -> None:
+    """The trace, one row per iteration, each cell as `_write_csv` writes
+    it; TRACE_BLOCK rows are rendered at a time, column by column."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("run,iteration,phase,log_lik,split_count,move,accepted\n")
+        for lo in range(0, len(trace.iteration), TRACE_BLOCK):
+            run_index, iteration, post, log_lik, split_count, move, accepted = (
+                column[lo : lo + TRACE_BLOCK].tolist() for column in trace
+            )
+            rows = zip(
+                map(str, run_index),
+                map(str, iteration),
+                ["post" if p else "burn" for p in post],
+                [_fmt(x) for x in log_lik],
+                map(str, split_count),
+                [mcmc.MOVE_KINDS[code] for code in move],
+                ["1" if a else "0" for a in accepted],
+            )
+            fh.write("".join(",".join(row) + "\n" for row in rows))
+
+
 def _emit_bayes_diagnostics(
     out_dir: Path, prefix: str, result: mcmc.ChainResult, artifacts: dict, feature_count: int
 ) -> None:
     """Trace CSV, path-summary CSV, size histogram and a posterior-sample
     dump (thinned to about 200 trees) for one sampler run, each file name
     starting with prefix."""
-    trace_path, trace = out_dir / f"{prefix}trace.csv", result.trace
-    _write_cells(  # column by column, each cell as `_write_csv` writes it
-        trace_path,
-        ["run", "iteration", "phase", "log_lik", "split_count", "move", "accepted"],
-        zip(
-            map(str, trace.run_index.tolist()),
-            map(str, trace.iteration.tolist()),
-            ["post" if post else "burn" for post in trace.post.tolist()],
-            [_fmt(x) for x in trace.log_lik.tolist()],
-            map(str, trace.split_count.tolist()),
-            [mcmc.MOVE_KINDS[code] for code in trace.move.tolist()],
-            ["1" if accepted else "0" for accepted in trace.accepted.tolist()],
-        ),
-    )
+    trace_path = out_dir / f"{prefix}trace.csv"
+    _write_trace_csv(trace_path, result.trace)
     rows, histogram = mcmc.posterior_path_summary(result.samples)
     path_path = out_dir / f"{prefix}paths.csv"
     _write_csv(
@@ -420,6 +438,25 @@ def _write_report(
     return manifest
 
 
+def _headline_runs(
+    train_ds: Dataset, test_X: np.ndarray, test_y: np.ndarray, cfg: ExperimentConfig, out_dir: Path, artifacts: dict
+) -> dict[str, FoldOutcome]:
+    """The requested techniques on the full training set, each run's
+    diagnostics written and its chains or forest dropped before the next
+    run starts."""
+    headline: dict[str, FoldOutcome] = {}
+    if cfg.technique in ("bayes", "both"):
+        headline["bayes"], result = run_bayes_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
+        _emit_bayes_diagnostics(out_dir, "bayes_full_", result, artifacts, train_ds.feature_count)
+        del result  # freed before the forest's headline run
+    if cfg.technique in ("forest", "both"):
+        headline["forest"], (built, trace) = run_forest_fold(
+            train_ds, np.arange(train_ds.row_count), test_X, test_y, cfg, fold=cfg.fold_count
+        )
+        _emit_forest_diagnostics(out_dir, "forest_full_", built, trace, artifacts)
+    return headline
+
+
 def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
     if cfg.fold_count > cfg.train_size:  # refused before anything is written
@@ -448,19 +485,8 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     }
 
     test_X, test_y = test_ds.features, test_ds.labels
-    headline: dict[str, FoldOutcome] = {}
     t0 = time.perf_counter()
-    if cfg.technique in ("bayes", "both"):
-        headline["bayes"] = run_bayes_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
-        _emit_bayes_diagnostics(
-            out_dir, "bayes_full_", headline["bayes"].extras["mcmc_result"], artifacts, train_ds.feature_count
-        )
-    if cfg.technique in ("forest", "both"):
-        headline["forest"] = run_forest_fold(
-            train_ds, np.arange(train_ds.row_count), test_X, test_y, cfg, fold=cfg.fold_count
-        )
-        extras = headline["forest"].extras
-        _emit_forest_diagnostics(out_dir, "forest_full_", extras["forest"], extras["trace"], artifacts)
+    headline = _headline_runs(train_ds, test_X, test_y, cfg, out_dir, artifacts)
     stage_seconds["headline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -472,11 +498,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
         part = _emit_technique_artifacts(out_dir, tag, outcomes, artifacts)
         hl = headline[tag]
         part["full_train"] = dataclasses.asdict(hl.report) | {"soft_accuracy": hl.soft_accuracy}
-        part["full_train_extras"] = {
-            k: v
-            for k, v in hl.extras.items()
-            if isinstance(v, (int, float, str, list))
-        }
+        part["full_train_extras"] = hl.extras
         report["techniques"][tag] = part
 
     if len(report["techniques"]) == 2:
@@ -485,7 +507,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
         report["size_comparison"] = {
             "bayes_mean_splits": b,
             "forest_mean_splits": f,
-            "ratio": b / f,
+            "ratio": b / f if f else None,  # None: every forest tree is root-only
         }
     return _write_report(out_dir, report, artifacts, stage_seconds, t0, cfg)
 

@@ -121,7 +121,8 @@ class McmcConfig:
     to 1; birth and death are both positive, or both zero for a chain of
     change moves at a fixed size.  min_leaf_rows is the pruning factor:
     any proposal leaving a leaf with fewer rows is rejected outright.
-    max_leaves defaults to n - 1 at run time.
+    max_leaves is at least 2, the leaves of the chain's single-split
+    start, and defaults to n - 1 at run time.
     """
 
     move_probs: tuple[float, float, float, float] = (0.1, 0.1, 0.1, 0.7)
@@ -150,8 +151,8 @@ class McmcConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.sample_rate > self.post_burn_in:
             raise ValueError(f"sample_rate {self.sample_rate} exceeds post_burn_in {self.post_burn_in}: no sample")
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ValueError("max_leaves must be positive")
+        if self.max_leaves is not None and self.max_leaves < 2:
+            raise ValueError(f"max_leaves must be at least 2 (a chain starts from one split), got {self.max_leaves}")
         if self.change_rule_window is not None and self.change_rule_window < 1:
             raise ValueError("change_rule_window must be positive (or None for a global redraw)")
         if isinstance(self.dirichlet_alpha, (int, float)):
@@ -597,7 +598,11 @@ class ChainState:
 
     `tree`, the state as a `DecisionTree`, is built when read and cached
     until the next accepted move, so the samples of a run of rejected
-    steps share one snapshot.
+    steps share one snapshot.  Consecutive snapshots also share columns:
+    the `left` and `right` tuples and the depth are rebuilt only after a
+    birth or death, and the `feature` tuple only after a birth, a death or
+    a change that sets a new feature, so a run of change moves holds one
+    copy of each (pickling a `ChainResult` stores each shared tuple once).
     """
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
@@ -614,6 +619,7 @@ class ChainState:
         if preorder != list(range(n)):
             raise ValueError("chain state needs a tree numbered in pre-order from root 0")
         self.tables, self.counters, self._tree = tables, MoveCounters(), None
+        self._feature_column = self._links = None  # snapshot columns, kept until their lists change
         self.feature, self.threshold = list(feature), list(threshold)
         self.left = [left[nid] if f >= 0 else nid for nid, f in enumerate(feature)]  # a leaf points to itself
         self.right = [right[nid] if f >= 0 else nid for nid, f in enumerate(feature)]
@@ -634,9 +640,13 @@ class ChainState:
     @property
     def tree(self) -> DecisionTree:
         if self._tree is None:
+            if self._feature_column is None:
+                self._feature_column = tuple(self.feature)
+            if self._links is None:
+                self._links = tuple(self.left), tuple(self.right), max(self.depth)
+            left, right, depth = self._links
             self._tree = DecisionTree(
-                tuple(self.feature), tuple(self.threshold), tuple(self.left), tuple(self.right),
-                max(self.depth), tuple(self.leaf_class),
+                self._feature_column, tuple(self.threshold), left, right, depth, tuple(self.leaf_class)
             )
         return self._tree
 
@@ -706,7 +716,10 @@ class ChainState:
                     del values[p + 1 : p + 3]
                 self.feature[p], self.threshold[p], self.left[p], self.right[p] = -1, 0.0, p, p
             self._index_structure()
+            self._feature_column = self._links = None
         else:
+            if proposal.feature != self.feature[p]:
+                self._feature_column = None
             self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
             self.bits[p + 1 : p + 1 + len(proposal.rows)] = proposal.rows
         self.leaf_class, self.leaf_terms, self.leaf_totals = proposal.leaf_class, proposal.leaf_terms, proposal.leaf_totals

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeuq import bench, cli, forest, mcmc
+from treeuq import bench, cli, forest, mcmc, synth
 from treeuq.bench import ConfigError, ExperimentConfig, pruning_factor
 from treeuq.data import Dataset, DataError, write_csv
 from oracles import read_tree_file
@@ -159,6 +161,60 @@ class TestSyntheticProtocol:
         )
         assert rc == 0
         assert (rerun / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+    def test_root_only_forest_gives_a_null_size_ratio(self, tmp_path):
+        """Folds of 8 rows leave no split with 5 rows a side, so every tree
+        is root-only: the report is written with a null size ratio."""
+        out = tmp_path / "D"
+        rc = cli.main(["bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "1",
+                       "--burn-in", "5", "--post-burn-in", "5", "--tree-count", "2", "--out", str(out)])
+        assert rc == 0
+        comparison = json.loads((out / "report.json").read_text())["size_comparison"]
+        assert comparison == {"bayes_mean_splits": 0.0, "forest_mean_splits": 0.0, "ratio": None}
+
+    def test_one_fold_held_at_a_time(self, tmp_path, monkeypatch):
+        """When a chain or forest run starts, the pooled chains and forests
+        of every earlier run (headline and folds) are already freed, and
+        none outlives the protocol."""
+        runs, alive_at_start = [], []
+
+        def watched(fn, kept):
+            def wrapper(*args, **kwargs):
+                gc.collect()
+                alive_at_start.append([name for name, ref in runs if ref() is not None])
+                result = fn(*args, **kwargs)
+                runs.append((f"{fn.__name__}#{len(runs)}", weakref.ref(kept(result))))
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(mcmc, "run_restarts", watched(mcmc.run_restarts, lambda result: result))
+        monkeypatch.setattr(forest, "build_forest", watched(forest.build_forest, lambda pair: pair[0]))
+        bench.run_synthetic_protocol(tiny_config(tmp_path / "out"))
+        gc.collect()
+        assert len(runs) == 2 * (1 + 3)  # headline and three folds, each technique
+        assert alive_at_start == [[]] * len(runs)
+        assert [name for name, ref in runs if ref() is not None] == []
+
+    def test_trace_csv_streams_in_blocks(self, tmp_path, monkeypatch):
+        """trace.csv written TRACE_BLOCK rows at a time, across any block
+        boundary, is the whole trace rendered in memory, byte for byte."""
+        train, _ = synth.canonical_datasets(seed=3, train_size=60, test_size=10)
+        result = mcmc.run_restarts(train, mcmc.McmcConfig(restarts=2, burn_in=20, post_burn_in=25, seed=3))
+        t = result.trace
+        columns = zip(
+            map(str, t.run_index.tolist()), map(str, t.iteration.tolist()),
+            ["post" if p else "burn" for p in t.post.tolist()], [bench._fmt(x) for x in t.log_lik.tolist()],
+            map(str, t.split_count.tolist()), [mcmc.MOVE_KINDS[c] for c in t.move.tolist()],
+            ["1" if a else "0" for a in t.accepted.tolist()],
+        )
+        header = "run,iteration,phase,log_lik,split_count,move,accepted"
+        want = ("\n".join([header, *map(",".join, columns)]) + "\n").encode()
+        path = tmp_path / "trace.csv"
+        for block in (1, 7, 89, 90, 91, bench.TRACE_BLOCK):
+            monkeypatch.setattr(bench, "TRACE_BLOCK", block)
+            bench._write_trace_csv(path, t)
+            assert path.read_bytes() == want, block
 
 
 class TestUciProtocol:
@@ -511,9 +567,11 @@ class TestOptionTable:
             ("forest", ["--confidence", "0.5"], "confidence must lie in (1/2, 1] for 2 classes, got 0.5"),
             ("bench", ["--confidence", "0.5"], "confidence must lie in (1/2, 1] for 2 classes, got 0.5"),
             ("bench", ["--alpha", "1e308"], "alpha entries must be positive with a finite sum"),
+            ("bayes", ["--max-leaves", "1"], "max_leaves must be at least 2 (a chain starts from one split), got 1"),
+            ("bench", ["--max-leaves", "1"], "max_leaves must be at least 2 (a chain starts from one split), got 1"),
         ],
         ids=["alpha_inf", "alpha_nan", "alpha_sum_inf", "alpha_lgam_inf", "sample_rate", "bayes_confidence",
-             "forest_confidence", "bench_confidence", "bench_alpha"],
+             "forest_confidence", "bench_confidence", "bench_alpha", "bayes_max_leaves", "bench_max_leaves"],
     )
     def test_refused_before_any_output(self, tmp_path, capsys, tiny_csvs, command, flags, message):
         argv = ["bench", "synthetic"] if command == "bench" else [command, *tiny_csvs]
@@ -633,7 +691,7 @@ experiment_configs = st.builds(
         min_leaf_rows=st.integers(1, 40),
         dirichlet_alpha=alphas,
         split_prior=split_priors,
-        max_leaves=st.none() | st.integers(1, 100),
+        max_leaves=st.none() | st.integers(2, 100),
         change_rule_window=st.none() | st.integers(1, 5),
         seed=st.integers(0, 2**62),
     ),

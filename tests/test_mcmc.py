@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -218,6 +219,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McmcConfig(burn_in=0)
 
+    def test_max_leaves_holds_the_start(self):
+        """A chain starts from one split, so a cap below two leaves is refused."""
+        McmcConfig(max_leaves=2)
+        for cap in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"max_leaves must be at least 2 .*got {cap}"):
+                McmcConfig(max_leaves=cap)
+
     def test_sample_rate_within_post_burn_in(self):
         McmcConfig(post_burn_in=10, sample_rate=10)
         with pytest.raises(ValueError, match="sample_rate 11 exceeds post_burn_in 10"):
@@ -280,8 +288,11 @@ class TestProposeMove:
 
     def test_birth_respects_max_leaves(self, canonical_data):
         train, _ = canonical_data
-        cfg = McmcConfig(min_leaf_rows=1, max_leaves=1, seed=0)
-        state = make_state(train, cfg)
+        cfg = McmcConfig(min_leaf_rows=1, max_leaves=2, seed=0)
+        threshold = float(np.median(train.features[:, 0]))
+        stump = DecisionTree((0, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1, (None, None))
+        state = make_state(train, cfg, stump)
+        assert state.leaf_count == 2
         rng = FakeRng(randoms=[0.05])  # birth slot
         prop = propose_move(state, cfg, rng)
         assert prop.kind == MOVE_BIRTH and not prop.valid
@@ -559,6 +570,47 @@ class TestIncrementalKernel:
                 for name in names:
                     assert getattr(rebuilt, name) == getattr(state, name), name
         assert min(accepted.values()) >= 10, accepted
+
+
+def test_snapshots_share_unchanged_columns():
+    """Under a mix of all four move kinds, `state.tree` after every step
+    equals the tree built afresh from the state's lists.  A rejected step
+    keeps the snapshot; an accepted change move keeps its `left`, `right`
+    and depth, and its `feature` unless a change split set a new feature;
+    a birth or death rebuilds them.  A pickled `ChainResult` keeps the
+    sharing between its samples' trees."""
+    ds = small_dataset(n=80, seed=31, m=3)
+    cfg = McmcConfig(move_probs=(0.4, 0.4, 0.1, 0.1), min_leaf_rows=2, seed=31)
+    tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
+    rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
+    feature, threshold = draw_initial_split(tables, cfg.min_leaf_rows, rng)
+    state = ChainState(tables, DecisionTree((feature, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1,
+                                            (None, None)))
+    before, accepted = state.tree, {k: 0 for k in mcmc.MOVE_KINDS}
+    for _ in range(3000):
+        old_feature = list(state.feature)
+        kind, ok = mh_step(state, cfg, rng)
+        tree = state.tree
+        assert tree == DecisionTree(tuple(state.feature), tuple(state.threshold), tuple(state.left),
+                                    tuple(state.right), max(state.depth), tuple(state.leaf_class))
+        if not ok:
+            assert tree is before
+            continue
+        accepted[kind] += 1
+        if kind in (MOVE_BIRTH, MOVE_DEATH):
+            assert tree.left is not before.left and tree.right is not before.right
+            assert tree.feature is not before.feature
+        else:
+            assert tree.left is before.left and tree.right is before.right and tree.depth == before.depth
+            assert (tree.feature is before.feature) == (state.feature == old_feature)
+        before = tree
+    assert min(accepted.values()) >= 10, accepted
+    result = run_chain(ds, replace(cfg, burn_in=500, post_burn_in=1500))
+    runs, copies = result.samples.runs, pickle.loads(pickle.dumps(result)).samples.runs
+    shared = [a.tree.left is b.tree.left for a, b in zip(runs, runs[1:])]
+    assert sum(shared) >= 10
+    assert copies == runs
+    assert [a.tree.left is b.tree.left for a, b in zip(copies, copies[1:])] == shared
 
 
 # The index-array kernel that the bitset one replaced, kept as oracles.
