@@ -29,6 +29,10 @@ this script:
     mostly change moves on trees of up to about 14 splits, so most
     proposals re-route the rows of a subtree several levels deep, and
     change-rule steps of up to three grid values;
+  - `treeuq bayes --min-leaf-rows 1` on a 2-row train CSV (the first
+    row of each class of the synth train CSV) and the synth test CSV, 2
+    restarts x (100 + 100): two rows cap a tree at one leaf, so every
+    chain holds the root-only tree with a warning;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -120,6 +124,13 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq(work, "bayes", *csvs, "--move-probs", "0.1,0.1,0.4,0.4", "--min-leaf-rows", "1",
            "--change-rule-window", "3", "--restarts", "2", "--burn-in", "1000", "--post-burn-in", "1000",
            *common, "--out", "bayes_changes")
+    train_lines = (work / "synth" / "synthetic_train.csv").read_text(encoding="utf-8").splitlines()
+    first_of_class: dict[str, str] = {}
+    for line in train_lines[1:]:
+        first_of_class.setdefault(line.rsplit(",", 1)[1], line)
+    (work / "two_rows.csv").write_text("\n".join([train_lines[0], *first_of_class.values()]) + "\n", encoding="utf-8")
+    treeuq(work, "bayes", "--train", "two_rows.csv", "--test", "synth/synthetic_test.csv", "--min-leaf-rows", "1",
+           "--restarts", "2", "--burn-in", "100", "--post-burn-in", "100", *common, "--out", "bayes_two_rows")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

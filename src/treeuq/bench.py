@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -236,6 +237,12 @@ def _fold_outcome(
     return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, sweep_curve=curve, extras=extras)
 
 
+def _print_warnings(label: str, outcome: FoldOutcome) -> None:
+    """A Bayes run's chain warnings on stderr, as `treeuq bayes` prints its own."""
+    for warning in outcome.extras["warnings"]:
+        print(f"warning: {label}: {warning}", file=sys.stderr)
+
+
 def run_bayes_fold(
     train_ds: Dataset,
     test_X: np.ndarray,
@@ -290,19 +297,21 @@ def _paired_fold_runs(
     test_X: np.ndarray,
     test_y: np.ndarray,
     cfg: ExperimentConfig,
+    label: str = "bayes",
 ) -> dict[str, list[FoldOutcome]]:
     """Run the requested techniques on identical fold splits of train_ds,
     keeping each fold's outcome only: its chains or forest are dropped
-    before the next run starts."""
+    before the next run starts.  Chain warnings go to stderr under
+    `<label> fold <i>`."""
     folds = make_folds(train_ds, cfg.fold_count, seed=cfg.seed)
     out: dict[str, list[FoldOutcome]] = {}
     for fold in range(cfg.fold_count):
         rows = folds.train_indices(fold)
         if cfg.technique in ("bayes", "both"):
             sub = train_ds.subset(rows)
-            out.setdefault("bayes", []).append(
-                run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
-            )
+            outcome = run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
+            _print_warnings(f"{label} fold {fold}", outcome)
+            out.setdefault("bayes", []).append(outcome)
         if cfg.technique in ("forest", "both"):
             out.setdefault("forest", []).append(
                 run_forest_fold(train_ds, rows, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
@@ -447,6 +456,7 @@ def _headline_runs(
     headline: dict[str, FoldOutcome] = {}
     if cfg.technique in ("bayes", "both"):
         headline["bayes"], result = run_bayes_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
+        _print_warnings("bayes full_train", headline["bayes"])
         _emit_bayes_diagnostics(out_dir, "bayes_full_", result, artifacts, train_ds.feature_count)
         del result  # freed before the forest's headline run
     if cfg.technique in ("forest", "both"):
@@ -569,7 +579,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
             mcmc=dataclasses.replace(cfg.mcmc, min_leaf_rows=p_min),
             forest=dataclasses.replace(cfg.forest, min_leaf_rows=p_min),
         )
-        fold_outcomes = _paired_fold_runs(train_ds, test_ds.features, test_ds.labels, ds_cfg)
+        fold_outcomes = _paired_fold_runs(train_ds, test_ds.features, test_ds.labels, ds_cfg, f"{name} bayes")
         ds_out = out_dir / name
         ds_out.mkdir(exist_ok=True)
         entry: dict = {

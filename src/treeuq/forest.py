@@ -7,16 +7,17 @@ Candidate thresholds are midpoints of consecutive distinct feature values;
 candidates leaving a child below the pruning factor are dropped.
 
 A forest's trees grow in lockstep (`grow_trees`).  Each tree keeps its own
-pre-order stack and its own generator.  Per step, every unfinished tree
-pops nodes until one needs candidates (small and pure nodes become leaves
-on the spot), and one segmented pass computes the candidates of all those
-nodes together.  Nodes of different trees that hold the same rows, such as
+pre-order stack of the row sets still to grow and its own generator.  Per
+step, every unfinished tree pops nodes until one needs candidates (small
+and pure nodes become leaves on the spot), and one segmented pass computes
+the candidates of all those nodes together.  Nodes of different trees that hold the same rows, such as
 every root at the first step, share one segment, so a step never computes
 a row set twice.  Each tree then draws its split from its own generator,
 in the same pre-order as growing it alone, so the forest does not depend
 on how many trees grow together or on the worker count.  A tree's nodes
-are appended to its pre-order `tree.DecisionTree` columns as they are
-reached, so no tree is converted afterwards.
+are appended to its pre-order `tree.DecisionTree` columns (feature,
+threshold, leaf counts) as they are reached, so no tree is converted
+afterwards.
 """
 
 from __future__ import annotations
@@ -174,38 +175,30 @@ def grow_trees(
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ValueError("cannot grow a tree from zero rows")
-    # per tree, in pre-order: each node's feature (-1 at a leaf), threshold and
-    # right child (its own position until a split's right child is reached; a
-    # split's left child is always the next node), the leaves' class counts
-    # and the deepest node's depth
-    feature, threshold, right = ([[] for _ in rngs] for _ in range(3))
-    leaf_counts, depth = [[] for _ in rngs], [0] * len(rngs)
-    # per tree: (rows, depth, position of the split whose right child this is, or None)
-    stacks = [[(rows, 0, None)] for _ in rngs]
+    # per tree, in pre-order: each node's feature (-1 at a leaf) and threshold,
+    # and the leaves' class counts
+    feature, threshold, leaf_counts = ([[] for _ in rngs] for _ in range(3))
+    stacks = [[rows] for _ in rngs]  # per tree: the rows of the nodes still to grow
     active = list(range(len(rngs)))
     while active:
-        pending = []  # (tree, position, rows, class counts, depth) of the nodes that need candidates
+        pending = []  # (tree, position, rows, class counts) of the nodes that need candidates
         for t in active:
             stack = stacks[t]
             while stack:
-                node_rows, node_depth, parent = stack.pop()
+                node_rows = stack.pop()
                 at = len(feature[t])
-                if parent is not None:
-                    right[t][parent] = at
                 feature[t].append(-1)
                 threshold[t].append(0.0)
-                right[t].append(at)
-                depth[t] = max(depth[t], node_depth)
                 counts = np.bincount(y[node_rows], minlength=class_count)
                 if len(node_rows) < 2 * cfg.min_leaf_rows or np.count_nonzero(counts) < 2:
                     leaf_counts[t].append(tuple(int(c) for c in counts))
                     continue
-                pending.append((t, at, node_rows, counts, node_depth))
+                pending.append((t, at, node_rows, counts))
                 break
         if pending:
             segment_of: dict[bytes, int] = {}
             row_sets, node_segments = [], []
-            for _, _, node_rows, _, _ in pending:
+            for _, _, node_rows, _ in pending:
                 # a node's rows keep the order of `rows`, so equal row sets have equal bytes
                 key = node_rows.tobytes()
                 if key not in segment_of:
@@ -215,7 +208,7 @@ def grow_trees(
             features, thresholds, _, bounds = _candidate_arrays(
                 X, y, class_count, row_sets, cfg.min_leaf_rows, cfg.top_k
             )
-            for (t, at, node_rows, counts, node_depth), s in zip(pending, node_segments):
+            for (t, at, node_rows, counts), s in zip(pending, node_segments):
                 first, count = int(bounds[s]), int(bounds[s + 1] - bounds[s])
                 if count == 0:
                     leaf_counts[t].append(tuple(int(c) for c in counts))
@@ -224,15 +217,10 @@ def grow_trees(
                 f, thr = int(features[pick]), float(thresholds[pick])
                 feature[t][at], threshold[t][at] = f, thr
                 mask = X[node_rows, f] <= thr
-                stacks[t].append((node_rows[~mask], node_depth + 1, at))
-                stacks[t].append((node_rows[mask], node_depth + 1, None))
+                stacks[t].append(node_rows[~mask])
+                stacks[t].append(node_rows[mask])
         active = [t for t in active if stacks[t]]
-    return [
-        DecisionTree(
-            tuple(f), tuple(thr), tuple(i + 1 if fi >= 0 else i for i, fi in enumerate(f)), tuple(r), d, tuple(c)
-        )
-        for f, thr, r, d, c in zip(feature, threshold, right, depth, leaf_counts)
-    ]
+    return [DecisionTree(tuple(f), tuple(thr), tuple(c)) for f, thr, c in zip(feature, threshold, leaf_counts)]
 
 
 def grow_randomized_tree(

@@ -19,8 +19,8 @@ ignores that.
 The chain keeps one mutable `ChainState`: the tree's own pre-order
 columns, plus each node's depth and row set, where a node is its
 pre-order position; a birth or death inserts or deletes two positions
-and renumbers those above them, and a change rewrites the row sets of
-the changed split's subtree, the contiguous range of positions after it.
+and renumbers nothing, and a change rewrites the row sets of the
+changed split's subtree, the contiguous range of positions after it.
 A proposal touches only the subtree it edits.  Every state the chain
 reaches keeps every leaf at min_leaf_rows rows or more: the start's
 split is drawn among those that leave both sides that many, a birth
@@ -81,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import DecisionTree, ensemble_average, resolve_alpha
+from .tree import DecisionTree, ensemble_average, layout, resolve_alpha
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
@@ -568,21 +568,22 @@ class ChainState:
 
     `ChainState(tables, tree)` is the state at `tree` (None for the
     root-only tree) on the data and prior of `tables`.  The tree's split
-    columns are all it reads, and it refuses a tree whose child positions
-    are not a pre-order numbering from root 0: its rows are routed down
-    from the root with `RowTables.below`, and its leaf class counts,
-    log-gamma terms and `log_lik` are read from the tables.
+    columns are all it reads, and `tree.layout` refuses a feature column
+    that is not one full binary tree: its rows are routed down from the
+    root with `RowTables.below`, and its leaf class counts, log-gamma
+    terms and `log_lik` are read from the tables.
 
     A node is its pre-order position.  The per-node lists are the
     `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0 for
-    a leaf; the two children's positions, a leaf's own twice) plus the depth
-    and `bits`, the set of training rows that reach the node as an int with
-    bit r set for row r.  A node's subtree is the positions from it to the
-    leaf its right children lead to.  A birth at leaf p adds 2 to every
-    position above p and inserts the two new leaves at p + 1 and p + 2; a
-    death at split p deletes p + 1 and p + 2 and subtracts 2 from every
-    position above them; a change at split p renames nothing and overwrites
-    the `bits` of p's subtree after p.  A leaf's row count is its
+    a leaf) plus the depth and `bits`, the set of training rows that reach
+    the node as an int with bit r set for row r.  A split's left child is
+    the next position, so split p is prunable iff positions p + 1 and
+    p + 2 are leaves, and its subtree runs from p to the first position
+    at which the leaves counted from p outnumber the splits.  A
+    birth at leaf p inserts the two new leaves at p + 1 and p + 2; a death
+    at split p deletes them; neither renumbers anything, since no node
+    holds a position.  A change at split p overwrites the `bits` of p's
+    subtree after p.  A leaf's row count is its
     `bits.bit_count()`.  Per leaf, in pre-order, `leaf_class` holds the
     class counts, `leaf_terms` (flat, class_count per leaf) and
     `leaf_totals` the log-gamma terms of the marginal likelihood.  These
@@ -598,39 +599,23 @@ class ChainState:
 
     `tree`, the state as a `DecisionTree`, is built when read and cached
     until the next accepted move, so the samples of a run of rejected
-    steps share one snapshot.  Consecutive snapshots also share columns:
-    the `left` and `right` tuples and the depth are rebuilt only after a
-    birth or death, and the `feature` tuple only after a birth, a death or
-    a change that sets a new feature, so a run of change moves holds one
-    copy of each (pickling a `ChainResult` stores each shared tuple once).
+    steps share one snapshot.  Consecutive snapshots also share their
+    `feature` tuple, rebuilt only after a birth, a death or a change that
+    sets a new feature, so a run of change moves holds one copy of it
+    (pickling a `ChainResult` stores each shared tuple once).
     """
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
-        if tree is None:
-            feature, threshold, left, right = (-1,), (0.0,), (0,), (0,)
-        else:
-            feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
-        n, preorder, stack = len(feature), [], [0]
-        while stack and len(preorder) <= n:  # bounded, should the child positions form a cycle
-            nid = stack.pop()
-            preorder.append(nid)
-            if 0 <= nid < n and feature[nid] >= 0:
-                stack += (right[nid], left[nid])
-        if preorder != list(range(n)):
-            raise ValueError("chain state needs a tree numbered in pre-order from root 0")
+        feature, threshold = ((-1,), (0.0,)) if tree is None else (tree.feature, tree.threshold)
+        right, self.depth = layout(feature)
         self.tables, self.counters, self._tree = tables, MoveCounters(), None
-        self._feature_column = self._links = None  # snapshot columns, kept until their lists change
+        self._feature_column = None  # the snapshot's feature tuple, kept until the feature list changes
         self.feature, self.threshold = list(feature), list(threshold)
-        self.left = [left[nid] if f >= 0 else nid for nid, f in enumerate(feature)]  # a leaf points to itself
-        self.right = [right[nid] if f >= 0 else nid for nid, f in enumerate(feature)]
-        self.depth = [0] * n
-        self.bits = [(1 << tables.n) - 1] + [0] * (n - 1)
+        self.bits = [(1 << tables.n) - 1] + [0] * (len(feature) - 1)
         for nid, f in enumerate(feature):  # pre-order: a parent's rows are routed before its children's
             if f >= 0:
-                lo, hi = left[nid], right[nid]
                 goes_left = self.bits[nid] & tables.below(f, threshold[nid])
-                self.bits[lo], self.bits[hi] = goes_left, self.bits[nid] ^ goes_left
-                self.depth[lo] = self.depth[hi] = self.depth[nid] + 1
+                self.bits[nid + 1], self.bits[right[nid]] = goes_left, self.bits[nid] ^ goes_left
         self._index_structure()
         classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
         self.leaf_class, self.leaf_totals = list(classes), list(totals)
@@ -642,12 +627,7 @@ class ChainState:
         if self._tree is None:
             if self._feature_column is None:
                 self._feature_column = tuple(self.feature)
-            if self._links is None:
-                self._links = tuple(self.left), tuple(self.right), max(self.depth)
-            left, right, depth = self._links
-            self._tree = DecisionTree(
-                self._feature_column, tuple(self.threshold), left, right, depth, tuple(self.leaf_class)
-            )
+            self._tree = DecisionTree(self._feature_column, tuple(self.threshold), tuple(self.leaf_class))
         return self._tree
 
     @property
@@ -660,63 +640,59 @@ class ChainState:
 
     def _index_structure(self) -> None:
         """Pre-order leaf and split positions and death candidates."""
-        feature, left, right = self.feature, self.left, self.right
+        feature = self.feature
         self.leaf_ids = [nid for nid, f in enumerate(feature) if f < 0]
         self.split_ids = [nid for nid, f in enumerate(feature) if f >= 0]
-        self.prunable = [nid for nid in self.split_ids if feature[left[nid]] < 0 and feature[right[nid]] < 0]
+        self.prunable = [nid for nid in self.split_ids if feature[nid + 1] < 0 and feature[nid + 2] < 0]
 
     def reroute(self, node: int, feature: int, threshold: float, tables: RowTables, min_rows: int):
         """Route the rows reaching split `node` down its subtree with the
         node's rule set to (feature, threshold).
 
-        The subtree is the pre-order range node..end-1, one forward pass
-        over it routes each node whose row set changes, and a node whose
-        row set does not change keeps it, as does everything below it.
-        Returns (end, the row sets of positions node+1..end-1), or None if
+        The subtree is the pre-order range node..end-1.  One forward pass
+        gives each position its rows, with a stack of the rows of the right
+        children still ahead; it ends at the leaf that finds the stack
+        empty.  A split whose row set does not change hands on its
+        children's as they are.  Returns (end, the row sets of positions node+1..end-1), or None if
         a node whose row set changes holds fewer than min_rows rows; the
         others hold enough already (see the module docstring).
         """
-        features, thresholds, left, right, bits = self.feature, self.threshold, self.left, self.right, self.bits
-        last = node
-        while features[last] >= 0:
-            last = right[last]
-        new = bits[node : last + 1]
-        goes_left = new[0] & tables.below(feature, threshold)
-        new[1], new[right[node] - node] = goes_left, new[0] ^ goes_left
-        for p in range(node + 1, last + 1):
-            rows = new[p - node]
-            if rows == bits[p]:
-                continue
-            if rows.bit_count() < min_rows:
+        features, thresholds, bits = self.feature, self.threshold, self.bits
+        goes_left = bits[node] & tables.below(feature, threshold)
+        rows, ahead, new = goes_left, [bits[node] ^ goes_left], []
+        p = node + 1
+        while True:
+            new.append(rows)
+            changed = rows != bits[p]
+            if changed and rows.bit_count() < min_rows:
                 return None
             if features[p] >= 0:
-                goes_left = rows & tables.below(features[p], thresholds[p])
-                new[left[p] - node], new[right[p] - node] = goes_left, rows ^ goes_left
-        return last + 1, new[1:]
+                goes_left = rows & tables.below(features[p], thresholds[p]) if changed else bits[p + 1]
+                ahead.append(rows ^ goes_left)
+                rows = goes_left
+            elif ahead:
+                rows = ahead.pop()
+            else:
+                return p + 1, new
+            p += 1
 
     def apply(self, proposal: "Proposal") -> None:
         """Make the proposed tree current, editing the lists in place."""
         p, kind = proposal.node, proposal.kind
         if kind in (MOVE_BIRTH, MOVE_DEATH):
-            # a birth at leaf p inserts positions p + 1 and p + 2, a death at
-            # split p deletes them: every position above p moves by 2
-            shift = 2 if kind == MOVE_BIRTH else -2
-            for links in (self.left, self.right):
-                links[:] = [i + shift if i > p else i for i in links]
-            lists = (self.feature, self.threshold, self.left, self.right, self.depth, self.bits)
+            # a birth at leaf p inserts positions p + 1 and p + 2, a death at split p deletes them
+            lists = (self.feature, self.threshold, self.depth, self.bits)
             if kind == MOVE_BIRTH:
                 d = self.depth[p] + 1
-                new = ((-1, -1), (0.0, 0.0), (p + 1, p + 2), (p + 1, p + 2), (d, d), proposal.rows)
-                for values, pair in zip(lists, new):
+                for values, pair in zip(lists, ((-1, -1), (0.0, 0.0), (d, d), proposal.rows)):
                     values[p + 1 : p + 1] = pair
                 self.feature[p], self.threshold[p] = proposal.feature, proposal.threshold
-                self.left[p], self.right[p] = p + 1, p + 2
             else:
                 for values in lists:
                     del values[p + 1 : p + 3]
-                self.feature[p], self.threshold[p], self.left[p], self.right[p] = -1, 0.0, p, p
+                self.feature[p], self.threshold[p] = -1, 0.0
             self._index_structure()
-            self._feature_column = self._links = None
+            self._feature_column = None
         else:
             if proposal.feature != self.feature[p]:
                 self._feature_column = None
@@ -735,8 +711,9 @@ class Proposal:
     every position of the changed split's subtree after it, in order), the
     proposed per-leaf lists (class counts, log-gamma terms), their
     `log_lik`, read once from `tables`, and the depth the split prior term
-    needs.  It keeps no reference to the state it was drawn on;
-    `ChainState.apply` makes it that state's current tree.
+    needs (of the leaf that grows, or the split that is pruned).  It keeps
+    no reference to the state it was drawn on, and names no position but
+    its own: `ChainState.apply` makes it that state's current tree.
     """
 
     def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, tables: RowTables | None = None,
@@ -866,9 +843,10 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         children = (goes_left, rows ^ goes_left)
         if min(children[0].bit_count(), children[1].bit_count()) < min_rows:
             return Proposal(kind, False)
-        # the new split is prunable, and the leaf's parent (the split before a
-        # left child, else the one whose right child it is) no longer is
-        parent = leaf - 1 if state.feature[leaf - 1] >= 0 else state.right.index(leaf)
+        # the new split is prunable, and the leaf's parent no longer is: a left
+        # child's parent is the split before it; a right child's is prunable
+        # only if it sits two positions back, with the leaf before as its left child
+        parent = leaf - 1 if state.feature[leaf - 1] >= 0 else leaf - 2
         q = len(state.prunable) + 1 - (parent in state.prunable)
         return Proposal(
             kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), tables=tables,
@@ -982,6 +960,9 @@ def _derived_rng(seed: int, run_index: int) -> np.random.Generator:
 def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
     """One restart: random single-split start, burn-in, then sampled post phase.
 
+    The start is the root-only tree, with a warning, if no split leaves
+    min_leaf_rows rows a side or the leaf cap is below 2 (n <= 2 rows).
+
     Records every sample_rate-th post-burn-in tree, as runs (`Samples`),
     and a full per-iteration trace, as columns (`Trace`).  The private
     PRNG is derived from (cfg.seed, run_index), so runs are reproducible
@@ -992,12 +973,13 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
     tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
     rng = ChainRng(_derived_rng(cfg.seed, run_index))
     warnings, tree = (), None
-    start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
-    if start is None:
+    if (cap := _effective_max_leaves(cfg, tables.n)) < 2:
+        warnings = (f"leaf cap {cap} ({tables.n} training rows) is below a split's 2 leaves; "
+                    "chain holds the root-only model",)
+    elif (start := draw_initial_split(tables, cfg.min_leaf_rows, rng)) is None:
         warnings = ("no valid split under min_leaf_rows; chain holds the root-only model",)
     else:
-        feature, threshold = start
-        tree = DecisionTree((feature, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1, (None, None))
+        tree = DecisionTree((start[0], -1, -1), (start[1], 0.0, 0.0), (None, None))
     state = ChainState(tables, tree)
 
     firsts, counts, trees = [], [], []

@@ -1,25 +1,26 @@
 """Binary axis-parallel decision trees: one record, pre-order columns.
 
 A tree is a `DecisionTree`: per node, root first and every left subtree
-before its right one, the split feature (-1 at a leaf), the threshold (0.0
-at a leaf) and the positions of the two children (a leaf's own position,
-twice); then the depth of the deepest leaf and the class counts of the
-leaves, in pre-order (None for a leaf not yet fitted).  Its fields are
-tuples, so a tree is an immutable value, hashable and equal by value.
-Nothing edits one: the forest grows its trees straight into these columns,
-and the sampler edits its own `mcmc.ChainState` and takes a `DecisionTree`
-snapshot of it.  Serialization writes the columns in their order, so it
-and the feature paths are canonical.
+before its right one, the split feature (-1 at a leaf) and the threshold
+(0.0 at a leaf); then the class counts of the leaves, in pre-order (None
+for a leaf not yet fitted).  Its fields are tuples, so a tree is an
+immutable value, hashable and equal by value.  Nothing edits one: the
+forest grows its trees straight into these columns, and the sampler edits
+its own `mcmc.ChainState` and takes a `DecisionTree` snapshot of it.
+Serialization writes the columns in their order, so it and the feature
+paths are canonical.  The feature column fixes the shape: a split's left
+child is the next position, and `layout` reads each node's right child and
+depth off the column.
 
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
 
 Prediction has one path, `predict_trees`, shared by the posterior average
 and the forest.  It stacks PREDICT_BLOCK trees into one flat node table
-(feature, threshold, child pair, leaf posterior-mean row) and routes every
-(tree, row) pair of the block at once, one level per step, for as many
-levels as the block's deepest tree.  A block is thrown away before the
-next is built, so memory stays O(PREDICT_BLOCK x rows) however many trees
-are predicted.
+(feature, threshold, child pair from `layout`, leaf posterior-mean row)
+and routes every (tree, row) pair of the block at once, one level per
+step, for as many levels as the block's deepest tree.  A block is thrown
+away before the next is built, so memory stays O(PREDICT_BLOCK x rows)
+however many trees are predicted.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class DecisionTree:
 
     feature: tuple
     threshold: tuple
-    left: tuple
-    right: tuple
-    depth: int
     leaf_counts: tuple
 
     @property
@@ -50,32 +48,49 @@ class DecisionTree:
         return len(self.leaf_counts) - 1  # a full binary tree has one leaf more than splits
 
 
+def layout(feature) -> tuple[list, list]:
+    """Each node's right child (a leaf's own position) and depth, read off a
+    pre-order feature column in one pass; a split's left child is the next
+    position.  Raises ValueError unless the column is one full binary tree."""
+    right, depth = list(range(len(feature))), [0] * len(feature)
+    open_splits, d = [], 0  # splits whose right child is still ahead; the depth at p
+    for p, f in enumerate(feature):
+        depth[p] = d
+        if f >= 0:
+            open_splits.append(p)
+            d += 1
+        elif open_splits:  # the leaf ends a left subtree: the right child comes next
+            split = open_splits.pop()
+            right[split], d = p + 1, depth[split] + 1
+        elif p == len(feature) - 1:
+            return right, depth
+        else:
+            break  # the tree ended before the column did
+    raise ValueError(f"feature column {tuple(feature)} is not one full binary tree in pre-order")
+
+
 # ---------------------------------------------------------------------------
 # Routing and leaf statistics
 # ---------------------------------------------------------------------------
-
-
-def partition_rows(tree: DecisionTree, X: np.ndarray) -> dict[int, np.ndarray]:
-    """Row indices reaching every node (splits included), by position."""
-    parts = {0: np.arange(X.shape[0])}
-    for i, feature in enumerate(tree.feature):  # pre-order: a node's rows are routed before its children's
-        if feature >= 0:
-            idx = parts[i]
-            mask = X[idx, feature] <= tree.threshold[i]
-            parts[tree.left[i]], parts[tree.right[i]] = idx[mask], idx[~mask]
-    return parts
 
 
 def fit_partition(
     tree: DecisionTree, X: np.ndarray, y: np.ndarray, class_count: int
 ) -> tuple[DecisionTree, dict[int, np.ndarray]]:
     """The tree with every leaf's class counts recomputed by routing all
-    rows, and the per-node row partition (same positions).
+    rows, and the row indices reaching every node (splits included), by
+    position.
 
     Empty leaves are reported with zero counts; validity is the caller's
     concern.
     """
-    parts = partition_rows(tree, X)
+    right, _ = layout(tree.feature)
+    parts = {0: np.arange(X.shape[0])}
+    for i, feature in enumerate(tree.feature):  # pre-order: a node's rows are routed before its children's
+        if feature >= 0:
+            idx = parts[i]
+            mask = X[idx, feature] <= tree.threshold[i]
+            parts[i + 1], parts[right[i]] = idx[mask], idx[~mask]
     counts = tuple(
         tuple(int(c) for c in np.bincount(y[parts[i]], minlength=class_count))
         for i, feature in enumerate(tree.feature)
@@ -104,21 +119,21 @@ def _node_table(trees: list, alpha: np.ndarray):
     """Stack trees into flat arrays (node i of tree k sits at its tree's
     offset + i): feature, threshold, a child pair per node taken as
     pair[x <= threshold] (a leaf points to itself), the Dirichlet posterior-mean
-    row of every node, each tree's root and the deepest tree's depth."""
+    row of every node, each tree's root and the deepest node's depth."""
+    layouts = [layout(tree.feature) for tree in trees]
     sizes = [len(tree.feature) for tree in trees]
     roots = np.cumsum([0] + sizes[:-1])
-    base = np.repeat(roots, sizes)
     feature = np.array(list(chain.from_iterable(tree.feature for tree in trees)))
     threshold = np.array(list(chain.from_iterable(tree.threshold for tree in trees)), dtype=np.float64)
-    left = base + np.array(list(chain.from_iterable(tree.left for tree in trees)))
-    right = base + np.array(list(chain.from_iterable(tree.right for tree in trees)))
+    left = np.arange(len(feature)) + (feature >= 0)  # a split's left child is the next node
+    right = np.repeat(roots, sizes) + np.array(list(chain.from_iterable(r for r, _ in layouts)))
     pairs = np.stack((right, left), axis=1).ravel()
     is_leaf = feature < 0
     feature[is_leaf] = 0
     counts = np.zeros((len(feature), len(alpha)))
     counts[is_leaf] = list(chain.from_iterable(tree.leaf_counts for tree in trees))
     table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha.sum())
-    return feature, threshold, pairs, table, roots, max(tree.depth for tree in trees)
+    return feature, threshold, pairs, table, roots, max(max(depth) for _, depth in layouts)
 
 
 def predict_trees(trees, X: np.ndarray, alpha):

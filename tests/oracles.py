@@ -9,8 +9,9 @@ model of a tree, a node arena:
 - `ArenaTree`, `Split` and `Leaf`: a tree as a tuple of `Split` (feature,
   threshold, child ids) and `Leaf` (class counts) nodes with a root id,
   and `single_leaf_tree`.  `columns` and `arena` convert between it and
-  the package's `DecisionTree`; `columns` refuses an arena whose children
-  do not come after their parent.
+  the package's `DecisionTree`: `columns` refuses an arena whose ids are
+  not its pre-order walk, and `arena` reads the feature column by
+  recursive descent, independently of `treeuq.tree.layout`.
 - `_flatten`, `deserialize`, `read_tree_file` and `serialize_arena`: the
   nested (feature, threshold, left, right) form, and the tree text read
   and written by walking the arena.  `test_tree`'s `TestSerialization`
@@ -110,30 +111,47 @@ def single_leaf_tree(counts=None) -> ArenaTree:
 
 
 def columns(tree: ArenaTree) -> DecisionTree:
-    """The arena as the package's pre-order columns."""
-    n = len(tree.nodes)
-    feature, threshold, left, right = [-1] * n, [0.0] * n, list(range(n)), list(range(n))
-    depth, leaf_counts = [0] * n, []
-    if tree.root != 0:
+    """The arena as the package's pre-order columns; refused unless a
+    pre-order walk from the root visits its node ids in order."""
+    order = []
+
+    def walk(nid: int) -> None:
+        order.append(nid)
+        node = tree.nodes[nid]
+        if isinstance(node, Split) and len(order) <= len(tree.nodes):  # bounded, should the ids form a cycle
+            walk(node.left)
+            walk(node.right)
+
+    walk(tree.root)
+    if order != list(range(len(tree.nodes))):
         raise ValueError("tree is not numbered in pre-order")
-    for i, node in enumerate(tree.nodes):
-        if isinstance(node, Split):
-            if min(node.left, node.right) <= i:
-                raise ValueError("tree is not numbered in pre-order")
-            feature[i], threshold[i], left[i], right[i] = node.feature, node.threshold, node.left, node.right
-            depth[node.left] = depth[node.right] = depth[i] + 1
-        else:
-            leaf_counts.append(node.counts)
-    return DecisionTree(tuple(feature), tuple(threshold), tuple(left), tuple(right), max(depth), tuple(leaf_counts))
+    return DecisionTree(
+        tuple(nd.feature if isinstance(nd, Split) else -1 for nd in tree.nodes),
+        tuple(nd.threshold if isinstance(nd, Split) else 0.0 for nd in tree.nodes),
+        tuple(nd.counts for nd in tree.nodes if isinstance(nd, Leaf)),
+    )
 
 
 def arena(tree: DecisionTree) -> ArenaTree:
-    """The package's columns as an arena with the same node ids."""
-    counts = iter(tree.leaf_counts)
-    return ArenaTree(nodes=tuple(
-        Leaf(counts=next(counts)) if f < 0 else Split(feature=f, threshold=t, left=lo, right=hi)
-        for f, t, lo, hi in zip(tree.feature, tree.threshold, tree.left, tree.right)
-    ))
+    """The package's columns as an arena with the same node ids, read by
+    recursive descent: a split is followed by its left subtree, then its
+    right one."""
+    counts, at = iter(tree.leaf_counts), 0
+
+    def read():
+        nonlocal at
+        if at == len(tree.feature):
+            raise ValueError("truncated feature column")
+        f, t = tree.feature[at], tree.threshold[at]
+        at += 1
+        if f < 0:
+            return Leaf(counts=next(counts))
+        return (f, t, read(), read())
+
+    nested = read()
+    if at != len(tree.feature):
+        raise ValueError("trailing nodes after the tree")
+    return _flatten(nested)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ class TestSyntheticProtocol:
         comparison = json.loads((out / "report.json").read_text())["size_comparison"]
         assert comparison == {"bayes_mean_splits": 0.0, "forest_mean_splits": 0.0, "ratio": None}
 
+    @pytest.mark.parametrize("min_leaf_rows, headline_warns", [(5, False), (6, True)])
+    def test_chain_warnings_go_to_stderr(self, tmp_path, capsys, min_leaf_rows, headline_warns):
+        """Each fold's chain warnings, and the full-train run's, reach
+        stderr as `treeuq bayes` prints its own: folds of 8 rows leave no
+        split with 5 rows a side, and 6 rows a side rule out the 10-row
+        full-train set too."""
+        capsys.readouterr()
+        rc = cli.main(["bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "1",
+                       "--burn-in", "5", "--post-burn-in", "5", "--tree-count", "2",
+                       "--min-leaf-rows", str(min_leaf_rows), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        labels = ["bayes full_train"] * headline_warns + [f"bayes fold {i}" for i in range(5)]
+        warning = "no valid split under min_leaf_rows; chain holds the root-only model"
+        assert capsys.readouterr().err.splitlines() == [f"warning: {label}: {warning}" for label in labels]
+
     def test_one_fold_held_at_a_time(self, tmp_path, monkeypatch):
         """When a chain or forest run starts, the pooled chains and forests
         of every earlier run (headline and folds) are already freed, and

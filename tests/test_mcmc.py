@@ -53,7 +53,7 @@ from treeuq.mcmc import (
     run_restarts,
     valid_rules,
 )
-from treeuq.tree import DecisionTree, fit_partition, serialize
+from treeuq.tree import DecisionTree, fit_partition, layout, predict_trees, serialize
 
 ALPHA2 = np.ones(2)
 
@@ -290,7 +290,7 @@ class TestProposeMove:
         train, _ = canonical_data
         cfg = McmcConfig(min_leaf_rows=1, max_leaves=2, seed=0)
         threshold = float(np.median(train.features[:, 0]))
-        stump = DecisionTree((0, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1, (None, None))
+        stump = DecisionTree((0, -1, -1), (threshold, 0.0, 0.0), (None, None))
         state = make_state(train, cfg, stump)
         assert state.leaf_count == 2
         rng = FakeRng(randoms=[0.05])  # birth slot
@@ -520,21 +520,20 @@ class TestIncrementalKernel:
                 assert state.tree == want
         assert min(checked.values()) >= 20
 
-    def test_state_needs_pre_order_numbering(self):
-        """Columns whose child positions are not a pre-order numbering from
-        root 0 are refused: children swapped, a child before its parent (a
-        cycle), a node no walk reaches, and a child past the last node."""
-        counts = ((1, 0), (0, 1))
-        malformed = [
-            ((0, -1, -1), (2, 1, 2), (1, 1, 2)),
-            ((0, -1, -1), (0, 1, 2), (2, 1, 2)),
-            ((-1, -1, -1), (0, 1, 2), (0, 1, 2)),
-            ((0, -1, -1), (1, 1, 2), (3, 1, 2)),
-        ]
-        for feature, left, right in malformed:
-            tree = DecisionTree(feature, (0.0, 0.0, 0.0), left, right, 1, counts)
-            with pytest.raises(ValueError, match="pre-order"):
-                make_state(small_dataset(n=10), McmcConfig(), tree)
+    def test_malformed_feature_columns_are_refused(self):
+        """A feature column that is not one full binary tree in pre-order is
+        refused by `layout`, by the chain state and by prediction: a split
+        with no children, a split with one, a second root, and a node after
+        the tree ends."""
+        ds = small_dataset(n=10)
+        for feature in [(0,), (0, -1), (-1, -1), (0, -1, -1, -1)]:
+            tree = DecisionTree(feature, (0.0,) * len(feature), ((1, 0), (0, 1)))
+            with pytest.raises(ValueError, match="full binary tree"):
+                layout(feature)
+            with pytest.raises(ValueError, match="full binary tree"):
+                make_state(ds, McmcConfig(), tree)
+            with pytest.raises(ValueError, match="full binary tree"):
+                list(predict_trees([tree], ds.features, 1.0))
 
     def test_state_of_a_fitted_tree_snapshots_it(self, random_tree_factory):
         """`ChainState(tables, t).tree == t` for fitted trees, root-only included,
@@ -559,7 +558,7 @@ class TestIncrementalKernel:
         rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
         start = draw_initial_split(tables, cfg.min_leaf_rows, rng)
         state = ChainState(tables, columns(ArenaTree((Split(*start, 1, 2), Leaf(), Leaf()))))
-        names = ("feature", "threshold", "left", "right", "depth", "bits", "leaf_ids", "split_ids", "prunable",
+        names = ("feature", "threshold", "depth", "bits", "leaf_ids", "split_ids", "prunable",
                  "leaf_class", "leaf_terms", "leaf_totals", "log_lik")
         accepted = {k: 0 for k in mcmc.MOVE_KINDS}
         for _ in range(1500):
@@ -575,42 +574,37 @@ class TestIncrementalKernel:
 def test_snapshots_share_unchanged_columns():
     """Under a mix of all four move kinds, `state.tree` after every step
     equals the tree built afresh from the state's lists.  A rejected step
-    keeps the snapshot; an accepted change move keeps its `left`, `right`
-    and depth, and its `feature` unless a change split set a new feature;
-    a birth or death rebuilds them.  A pickled `ChainResult` keeps the
-    sharing between its samples' trees."""
+    keeps the snapshot; an accepted change move keeps its `feature` tuple
+    unless a change split set a new feature; a birth or death rebuilds it.
+    A pickled `ChainResult` keeps the sharing between its samples' trees."""
     ds = small_dataset(n=80, seed=31, m=3)
     cfg = McmcConfig(move_probs=(0.4, 0.4, 0.1, 0.1), min_leaf_rows=2, seed=31)
     tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
     rng = mcmc.ChainRng(mcmc._derived_rng(cfg.seed, 0))
     feature, threshold = draw_initial_split(tables, cfg.min_leaf_rows, rng)
-    state = ChainState(tables, DecisionTree((feature, -1, -1), (threshold, 0.0, 0.0), (1, 1, 2), (2, 1, 2), 1,
-                                            (None, None)))
+    state = ChainState(tables, DecisionTree((feature, -1, -1), (threshold, 0.0, 0.0), (None, None)))
     before, accepted = state.tree, {k: 0 for k in mcmc.MOVE_KINDS}
     for _ in range(3000):
         old_feature = list(state.feature)
         kind, ok = mh_step(state, cfg, rng)
         tree = state.tree
-        assert tree == DecisionTree(tuple(state.feature), tuple(state.threshold), tuple(state.left),
-                                    tuple(state.right), max(state.depth), tuple(state.leaf_class))
+        assert tree == DecisionTree(tuple(state.feature), tuple(state.threshold), tuple(state.leaf_class))
         if not ok:
             assert tree is before
             continue
         accepted[kind] += 1
         if kind in (MOVE_BIRTH, MOVE_DEATH):
-            assert tree.left is not before.left and tree.right is not before.right
             assert tree.feature is not before.feature
         else:
-            assert tree.left is before.left and tree.right is before.right and tree.depth == before.depth
             assert (tree.feature is before.feature) == (state.feature == old_feature)
         before = tree
     assert min(accepted.values()) >= 10, accepted
     result = run_chain(ds, replace(cfg, burn_in=500, post_burn_in=1500))
     runs, copies = result.samples.runs, pickle.loads(pickle.dumps(result)).samples.runs
-    shared = [a.tree.left is b.tree.left for a, b in zip(runs, runs[1:])]
+    shared = [a.tree.feature is b.tree.feature for a, b in zip(runs, runs[1:])]
     assert sum(shared) >= 10
     assert copies == runs
-    assert [a.tree.left is b.tree.left for a, b in zip(copies, copies[1:])] == shared
+    assert [a.tree.feature is b.tree.feature for a, b in zip(copies, copies[1:])] == shared
 
 
 # The index-array kernel that the bitset one replaced, kept as oracles.
@@ -656,9 +650,13 @@ def oracle_window_step(X, feature, rows, current, offset):
 
 
 def index_view(state):
-    """The state's nodes as the index-array kernel held them."""
-    return SimpleNamespace(feature=state.feature, threshold=state.threshold, left=state.left,
-                           right=state.right, rows=[rows_of(b) for b in state.bits])
+    """The state's nodes as the index-array kernel held them, child
+    positions read off the arena form of its snapshot (a leaf's own, twice)."""
+    nodes = arena(state.tree).nodes
+    left, right = ([getattr(nd, side) if isinstance(nd, Split) else i for i, nd in enumerate(nodes)]
+                   for side in ("left", "right"))
+    return SimpleNamespace(feature=state.feature, threshold=state.threshold, left=left, right=right,
+                           rows=[rows_of(b) for b in state.bits])
 
 
 tied_values = st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -844,6 +842,16 @@ class TestRunChain:
         result = run_chain(ds, cfg)
         assert result.warnings
         assert all(s.tree.split_count == 0 for s in result.samples)
+
+    def test_two_rows_hold_the_root_only_model(self):
+        """Two rows cap a tree at one leaf (n - 1), below the two of the
+        single-split start: the chain holds the root-only tree and says so."""
+        ds = Dataset(np.array([[0.0], [1.0]]), np.array([0, 1]), 2, ("x",))
+        result = run_chain(ds, McmcConfig(burn_in=20, post_burn_in=20, min_leaf_rows=1, seed=0))
+        assert result.warnings == ("leaf cap 1 (2 training rows) is below a split's 2 leaves; "
+                                   "chain holds the root-only model",)
+        assert all(s.tree.split_count == 0 for s in result.samples)
+        assert not result.trace.split_count.any()
 
     def test_missing_class_rejected(self):
         X = np.zeros((10, 1))

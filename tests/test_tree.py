@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from treeuq.tree import (
     DecisionTree,
     fit_partition,
     format_feature_path,
+    layout,
     predict_trees,
     resolve_alpha,
     serialize,
@@ -340,6 +343,23 @@ class TestSerialization:
             deserialize("S 0 0.5\nL 1 2")  # truncated: missing right child
 
 
+class TestLayout:
+    def test_matches_the_arena_oracle(self, random_tree_factory):
+        """`layout` gives every node the right child (a leaf its own
+        position) and the depth that the arena form's links give."""
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(60, 3))
+        y = rng.integers(0, 2, size=60)
+        for _ in range(100):
+            tree = random_tree_factory(X, y, 2, int(rng.integers(0, 15)), rng)
+            want_right, want_depth = list(range(len(tree.nodes))), [0] * len(tree.nodes)
+            for i, node in enumerate(tree.nodes):  # pre-order: a parent's depth is set before its children's
+                if isinstance(node, Split):
+                    want_right[i] = node.right
+                    want_depth[node.left] = want_depth[node.right] = want_depth[i] + 1
+            assert layout(columns(tree).feature) == (want_right, want_depth)
+
+
 class TestColumns:
     def test_converters_are_inverse(self, random_tree_factory):
         rng = np.random.default_rng(17)
@@ -356,8 +376,8 @@ class TestColumns:
         a, b = columns(two_level_tree()), columns(two_level_tree())
         assert a is not b and a == b and hash(a) == hash(b)
         assert len({a, b, columns(single_leaf_tree(counts=(3, 0)))}) == 2
-        assert all(isinstance(getattr(a, name), tuple) for name in ("feature", "threshold", "left", "right", "leaf_counts"))
-        assert a == DecisionTree((0, 1, -1, -1, -1), (0.5, 0.0, 0.0, 0.0, 0.0), (1, 2, 2, 3, 4), (4, 3, 2, 3, 4), 2,
-                                 ((1, 0), (0, 1), (2, 0)))
+        assert [field.name for field in dataclasses.fields(a)] == ["feature", "threshold", "leaf_counts"]
+        assert all(isinstance(getattr(a, name), tuple) for name in ("feature", "threshold", "leaf_counts"))
+        assert a == DecisionTree((0, 1, -1, -1, -1), (0.5, 0.0, 0.0, 0.0, 0.0), ((1, 0), (0, 1), (2, 0)))
         with pytest.raises(AttributeError):
-            a.depth = 3
+            a.feature = (-1,)
