@@ -44,7 +44,11 @@ this script:
   - `treeuq bench synthetic --train-size 10 --fold-count 5 --restarts 1
     --burn-in 5 --post-burn-in 5 --tree-count 2`: folds of 8 rows, where
     no split leaves 5 rows a side, so every tree is root-only and the
-    report's size ratio is null.
+    report's size ratio is null;
+  - the same with `--restarts 2 --min-leaf-rows 6`, out to
+    `bench_headline_warns`: 6 rows a side rule out the 10-row full-train
+    set too, so every fold and the headline run warn, each restart alike,
+    and `report.json` pins the pooled warnings lists.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
 file.  Each manifest.json is digested with its `stage_seconds` removed:
@@ -138,6 +142,8 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq(work, "bench", "synthetic", "--manifest", "bench/manifest.json", "--out", "bench_replay")
     treeuq(work, "bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "1", "--burn-in", "5",
            "--post-burn-in", "5", "--tree-count", "2", *common, "--out", "bench_zero_split")
+    treeuq(work, "bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "2", "--burn-in", "5",
+           "--post-burn-in", "5", "--tree-count", "2", "--min-leaf-rows", "6", *common, "--out", "bench_headline_warns")
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file():

@@ -109,6 +109,8 @@ class ExperimentConfig:
         unknown = [d for d in self.datasets if d not in UCI_TABLE]
         if unknown:
             raise ConfigError(f"unknown dataset names: {unknown} (known: {sorted(UCI_TABLE)})")
+        if repeated := sorted({d for d in self.datasets if self.datasets.count(d) > 1}):
+            raise ConfigError(f"dataset names given more than once: {repeated}")
 
     def to_dict(self) -> dict:
         """JSON-ready snapshot: the fields as plain values, the split prior
@@ -257,7 +259,7 @@ def run_bayes_fold(
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
     pred = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
     extras = {
-        "acceptance_rate": result.counters.acceptance_rate,
+        "acceptance_rate": result.trace.acceptance_rate,
         "post_log_lik_mean": float(np.mean(result.trace.log_lik[result.trace.post])),
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),

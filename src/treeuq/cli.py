@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, bayes, forest, envelope, sweep, bench synthetic,
-bench uci.  Exit codes: 0 success, 2 configuration error, 3 data error.
+bench uci.  Exit codes: 0 success, 2 configuration error, 3 data error
+or a path that cannot be read or written.
 The default output directory comes from $TREEUQ_OUT (falling back to
 ./runs); bench subcommands also accept --config pointing at a flat
 key=value file whose entries fill any flag not given on the command line.
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import bench, envelope, forest, mcmc, synth
 from .bench import ConfigError
-from .data import Dataset, DataError, load_csv, read_key_values, write_csv
+from .data import Dataset, DataError, load_csv, read_key_values, read_text, write_csv
 
 
 def _default_out() -> str:
@@ -220,11 +221,12 @@ def _cmd_bayes(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     bench._emit_bayes_diagnostics(out, "", result, {}, train.feature_count)
 
+    proposed, accepted = result.trace.move_counts()
     summary = {
         "samples": len(result.samples),
-        "acceptance_rate": result.counters.acceptance_rate,
-        "proposed": result.counters.proposed,
-        "accepted": result.counters.accepted,
+        "acceptance_rate": result.trace.acceptance_rate,
+        "proposed": proposed,
+        "accepted": accepted,
     }
     if test is not None:
         pred = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
@@ -311,11 +313,11 @@ def _manifest_config(args) -> bench.ExperimentConfig:
     path = Path(args.manifest)
     if not path.is_file():
         raise ConfigError(f"no such manifest: {path}")
-    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    text = read_text(path, ConfigError)
     try:
-        snapshot = dict(snapshot["config"], out_dir=args.out)
+        snapshot = dict(json.loads(text)["config"], out_dir=args.out)
         protocol, cfg = snapshot.pop("protocol"), bench.ExperimentConfig.from_dict(snapshot)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path} holds no config snapshot: {exc!r}") from None
     if protocol != args.protocol:
         raise ConfigError(f"{path} records a bench {protocol} run, not bench {args.protocol}")
@@ -392,6 +394,9 @@ def main(argv=None) -> int:
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # a path that cannot be read or written, e.g. a directory given as a file
+        print(f"file error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -12,6 +12,14 @@ class DataError(Exception):
     """An input file or dataset violates the expected format."""
 
 
+def read_text(path: Path, error: type[Exception] = DataError) -> str:
+    """An input file's UTF-8 text; one that is not UTF-8 raises `error` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -134,7 +142,7 @@ def read_key_values(path, keys, what: str, error: type[Exception], dashes: bool 
     if not path.is_file():
         raise error(f"no such {what} file: {path}")
     out = {}
-    for ln, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(read_text(path, error).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -199,7 +207,7 @@ def load_csv(path, schema=None, classes_from: Dataset | None = None) -> Dataset:
     schema = schema or {}
 
     rows = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         if raw.strip():
             rows.append([cell.strip() for cell in raw.split(",")])
     if not rows:

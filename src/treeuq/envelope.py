@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, read_text
 
 
 @dataclass(frozen=True)
@@ -219,22 +219,21 @@ def read_votes_csv(path) -> VoteMatrix:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty votes file: {path}") from None
-        if header[:1] != ["target"] or len(header) < 3:
-            raise DataError("votes CSV must start with header target,vote_0,...")
-        rows = []
-        for row in filter(None, reader):  # blank lines skipped
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, the header {len(header)} "
-                    f"(target and {len(header) - 1} vote columns)"
-                )
-            rows.append(row)
+    reader = csv.reader(read_text(path).splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty votes file: {path}") from None
+    if header[:1] != ["target"] or len(header) < 3:
+        raise DataError("votes CSV must start with header target,vote_0,...")
+    rows = []
+    for row in filter(None, reader):  # blank lines skipped
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {reader.line_num} has {len(row)} cells, the header {len(header)} "
+                f"(target and {len(header) - 1} vote columns)"
+            )
+        rows.append(row)
     if not rows:
         raise DataError(f"votes file has no data rows: {path}")
     try:

@@ -61,10 +61,12 @@ would draw, at about a quarter of the cost per integer draw.
 
 `run_chain` records its samples as runs (`Samples`): consecutive samples
 with no accepted move between them are one `SampleRun`, which holds the
-state's `DecisionTree` snapshot and a count.  The trace is recorded as
-columns (`Trace`).  `predict_average` routes each run's tree once and
-`posterior_path_summary` reads each run's path once.  A chain's records
-pickle in a few milliseconds, so pooled chains return cheaply.
+state's `DecisionTree` snapshot and a count.  The trace, one entry per
+step, is recorded as columns (`Trace`) and is the chain's one record of
+its moves: `Trace.move_counts` and `acceptance_rate` read off it.
+`predict_average` routes each run's tree once and `posterior_path_summary`
+reads each run's path once.  A chain's records pickle in a few
+milliseconds, so pooled chains return cheaply.
 """
 
 from __future__ import annotations
@@ -173,31 +175,6 @@ class McmcConfig:
         return tuple(accumulate(self.move_probs))
 
 
-@dataclass
-class MoveCounters:
-    proposed: dict = field(default_factory=lambda: {k: 0 for k in MOVE_KINDS})
-    accepted: dict = field(default_factory=lambda: {k: 0 for k in MOVE_KINDS})
-
-    @property
-    def total_proposed(self) -> int:
-        return sum(self.proposed.values())
-
-    @property
-    def total_accepted(self) -> int:
-        return sum(self.accepted.values())
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Accepted over all proposals; invalid proposals count in the denominator."""
-        total = self.total_proposed
-        return self.total_accepted / total if total else 0.0
-
-    def merge(self, other: "MoveCounters") -> None:
-        for k in MOVE_KINDS:
-            self.proposed[k] += other.proposed[k]
-            self.accepted[k] += other.accepted[k]
-
-
 @dataclass(frozen=True, slots=True)
 class PosteriorSample:
     tree: DecisionTree
@@ -258,12 +235,23 @@ class Trace(NamedTuple):
     move: np.ndarray
     accepted: np.ndarray
 
+    def move_counts(self) -> tuple[dict, dict]:
+        """(proposed, accepted): each move kind's number of steps and of
+        accepted steps; an invalid proposal counts as proposed."""
+        proposed = np.bincount(self.move, minlength=len(MOVE_KINDS))
+        accepted = np.bincount(self.move[self.accepted], minlength=len(MOVE_KINDS))
+        return dict(zip(MOVE_KINDS, proposed.tolist())), dict(zip(MOVE_KINDS, accepted.tolist()))
+
+    @property
+    def acceptance_rate(self) -> float:
+        """Accepted steps over all steps; invalid proposals count as steps."""
+        return int(np.count_nonzero(self.accepted)) / len(self.accepted)
+
 
 @dataclass
 class ChainResult:
     samples: Samples
     trace: Trace
-    counters: MoveCounters
     warnings: tuple = ()
 
 
@@ -602,13 +590,14 @@ class ChainState:
     steps share one snapshot.  Consecutive snapshots also share their
     `feature` tuple, rebuilt only after a birth, a death or a change that
     sets a new feature, so a run of change moves holds one copy of it
-    (pickling a `ChainResult` stores each shared tuple once).
+    (pickling a `ChainResult` stores each shared tuple once).  The state
+    keeps no tally of moves: `run_chain` records each step in the `Trace`.
     """
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
         feature, threshold = ((-1,), (0.0,)) if tree is None else (tree.feature, tree.threshold)
         right, self.depth = layout(feature)
-        self.tables, self.counters, self._tree = tables, MoveCounters(), None
+        self.tables, self._tree = tables, None
         self._feature_column = None  # the snapshot's feature tuple, kept until the feature list changes
         self.feature, self.threshold = list(feature), list(threshold)
         self.bits = [(1 << tables.n) - 1] + [0] * (len(feature) - 1)
@@ -914,7 +903,6 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
 def mh_step(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> tuple[str, bool]:
     """One Metropolis-Hastings transition; mutates state, returns (kind, accepted)."""
     proposal = propose_move(state, cfg, rng)
-    state.counters.proposed[proposal.kind] += 1
     if not proposal.valid:
         return proposal.kind, False
     total = (
@@ -924,7 +912,6 @@ def mh_step(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> tuple[str, boo
     )
     if total >= 0.0 or rng.random() < math.exp(total):
         state.apply(proposal)
-        state.counters.accepted[proposal.kind] += 1
         return proposal.kind, True
     return proposal.kind, False
 
@@ -1006,7 +993,7 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
         move=np.array([_MOVE_CODE[kind] for kind in moves], dtype=np.int8), accepted=np.array(accepts),
     )
     samples = Samples([SampleRun(run_index, *run) for run in zip(firsts, counts, trees)], cfg.sample_rate)
-    return ChainResult(samples=samples, trace=trace, counters=state.counters, warnings=warnings)
+    return ChainResult(samples=samples, trace=trace, warnings=warnings)
 
 
 def _chain_job(args) -> ChainResult:
@@ -1019,7 +1006,7 @@ def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
 
     Chains own private PRNGs derived from (seed, run_index); results are
     merged in run order, so parallel and serial execution give identical
-    output.
+    output.  Each distinct warning is kept once (restarts warn alike).
     """
     jobs = [(ds, cfg, r) for r in range(cfg.restarts)]
     if workers > 1:
@@ -1027,15 +1014,10 @@ def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
             results = list(pool.map(_chain_job, jobs))
     else:
         results = [_chain_job(job) for job in jobs]
-
-    counters = MoveCounters()
-    for res in results:
-        counters.merge(res.counters)
     return ChainResult(
         samples=Samples([run for res in results for run in res.samples.runs], cfg.sample_rate),
         trace=Trace(*map(np.concatenate, zip(*(res.trace for res in results)))),
-        counters=counters,
-        warnings=tuple(w for res in results for w in res.warnings),
+        warnings=tuple(dict.fromkeys(w for res in results for w in res.warnings)),
     )
 
 

@@ -216,7 +216,7 @@ def test_criterion_6_mcmc_health(canonical_data, bayes_desk_run):
     result = bayes_desk_run["result"]
     trace = result.trace
     ll_mean = float(np.mean(trace.log_lik[trace.post]))
-    rate = result.counters.acceptance_rate
+    rate = result.trace.acceptance_rate
     rate_ok = 0.35 <= rate <= 0.60
     ll_ok = -55.0 <= ll_mean <= -30.0
     _criterion("6a", rate_ok, "overall acceptance rate in [0.35, 0.60]", f"{rate:.3f}")

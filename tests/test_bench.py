@@ -59,6 +59,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown dataset"):
             tiny_config(tmp_path, datasets=("nonexistent",))
 
+    def test_repeated_dataset(self, tmp_path):
+        with pytest.raises(ConfigError, match="more than once: \\['sonar'\\]"):
+            tiny_config(tmp_path, datasets=("sonar", "sonar"))
+
     def test_pruning_factor_rule(self):
         assert pruning_factor(138) == 5  # sonar-sized
         assert pruning_factor(455) == 30  # wisconsin-sized
@@ -186,6 +190,20 @@ class TestSyntheticProtocol:
         labels = ["bayes full_train"] * headline_warns + [f"bayes fold {i}" for i in range(5)]
         warning = "no valid split under min_leaf_rows; chain holds the root-only model"
         assert capsys.readouterr().err.splitlines() == [f"warning: {label}: {warning}" for label in labels]
+
+    def test_each_chain_warning_printed_once(self, tmp_path, capsys):
+        """Two restarts of every chain warn alike: stderr and the report
+        hold each run's warning once."""
+        capsys.readouterr()
+        rc = cli.main(["bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "2",
+                       "--burn-in", "5", "--post-burn-in", "5", "--tree-count", "2", "--min-leaf-rows", "6",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 0
+        warning = "no valid split under min_leaf_rows; chain holds the root-only model"
+        labels = ["bayes full_train"] + [f"bayes fold {i}" for i in range(5)]
+        assert capsys.readouterr().err.splitlines() == [f"warning: {label}: {warning}" for label in labels]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["techniques"]["bayes"]["full_train_extras"]["warnings"] == [warning]
 
     def test_one_fold_held_at_a_time(self, tmp_path, monkeypatch):
         """When a chain or forest run starts, the pooled chains and forests
@@ -638,6 +656,15 @@ class TestOptionTable:
         assert "records a bench synthetic run, not bench uci" in capsys.readouterr().err
         assert not (tmp_path / "rerun").exists()
 
+    @pytest.mark.parametrize("content", [b"not json\n", b"\xff{}\n"])
+    def test_unreadable_manifest_is_named(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(content)
+        rc = cli.main(["bench", "synthetic", "--manifest", str(manifest), "--out", str(tmp_path / "rerun")])
+        assert rc == 2
+        assert str(manifest) in capsys.readouterr().err
+        assert not (tmp_path / "rerun").exists()
+
     def test_replays_manifest_config_written_before_round_trip(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"config": OLD_MANIFEST_CONFIG}))
@@ -675,6 +702,10 @@ class TestOptionTable:
             "paths.csv", "samples.txt", "size_histogram.csv", "summary.json", "trace.csv", "votes.csv"
         ]
         assert len(read_tree_file(out / "samples.txt")) == 250  # 500 samples, every 500 // 200 = 2nd kept
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["proposed"].keys() == summary["accepted"].keys() == set(mcmc.MOVE_KINDS)
+        assert sum(summary["proposed"].values()) == 2 * (50 + 250)  # restarts x (burn-in + post-burn-in)
+        assert summary["acceptance_rate"] == sum(summary["accepted"].values()) / (2 * (50 + 250))
         out = tmp_path / "forest"
         assert cli.main(["forest", *tiny_csvs, "--tree-count", "5", "--out", str(out)]) == 0
         headers = [line for line in (out / "forest.txt").read_text().splitlines() if line.startswith("tree ")]

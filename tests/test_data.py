@@ -146,6 +146,26 @@ class TestLoadCsv:
         assert rc == 3
         assert "no such schema file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["train_dir", "votes_dir", "out_under_file", "train_not_utf8", "votes_not_utf8", "schema_not_utf8"]
+    )
+    def test_unusable_path_exits_3_naming_it(self, tmp_path, capsys, case):
+        folder, plain, latin = tmp_path / "folder", _write(tmp_path, "1.0,0\n"), tmp_path / "latin.csv"
+        folder.mkdir()
+        latin.write_bytes(b"target,vote_0,vote_1\n\xe9,1,0\n")
+        out = ["--out", str(tmp_path / "out")]
+        path, argv = {
+            "train_dir": (folder, ["bayes", "--train", str(folder), *out]),
+            "votes_dir": (folder, ["envelope", "--votes", str(folder), "--confidence", "0.9", *out]),
+            "out_under_file": (plain / "sub", ["synth", "--out", str(plain / "sub")]),
+            "train_not_utf8": (latin, ["bayes", "--train", str(latin), *out]),
+            "votes_not_utf8": (latin, ["envelope", "--votes", str(latin), "--confidence", "0.9", *out]),
+            "schema_not_utf8": (latin, ["bayes", "--train", str(plain), "--schema", str(latin), *out]),
+        }[case]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
+
     def test_pima_shaped_file(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = [

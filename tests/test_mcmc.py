@@ -429,8 +429,6 @@ class TestMhStep:
         kind, accepted = mh_step(state, cfg, rng)
         assert kind == MOVE_DEATH and not accepted
         assert state.tree is before
-        assert state.counters.proposed[MOVE_DEATH] == 1
-        assert state.counters.accepted[MOVE_DEATH] == 0
 
     def test_log_lik_invariant_along_chain(self):
         ds = small_dataset(n=60, seed=4)
@@ -1010,7 +1008,34 @@ class TestRunRestarts:
         assert [serialize(s.tree) for s in serial.samples] == [
             serialize(s.tree) for s in parallel.samples
         ]
-        assert serial.counters.proposed == parallel.counters.proposed
+        assert serial.trace.move_counts() == parallel.trace.move_counts()
+
+    def test_move_counts_match_the_steps_taken(self, monkeypatch):
+        """The trace's per-kind counts and acceptance are those of the
+        (kind, accepted) pairs that `mh_step` returned, all four kinds."""
+        steps = []
+
+        def tallied(*args):
+            steps.append(mh_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(mcmc, "mh_step", tallied)
+        ds = small_dataset(n=50, seed=3)
+        cfg = McmcConfig(move_probs=(0.25, 0.25, 0.25, 0.25), burn_in=150, post_burn_in=150, restarts=2,
+                         min_leaf_rows=3, seed=5)
+        trace = run_restarts(ds, cfg).trace
+        proposed = {kind: sum(k == kind for k, _ in steps) for kind in mcmc.MOVE_KINDS}
+        accepted = {kind: sum(k == kind and a for k, a in steps) for kind in mcmc.MOVE_KINDS}
+        assert min(accepted.values()) > 0  # every kind proposed and accepted
+        assert trace.move_counts() == (proposed, accepted)
+        assert trace.acceptance_rate == sum(a for _, a in steps) / len(steps) == sum(accepted.values()) / 600
+
+    def test_each_warning_pooled_once(self):
+        """Every restart of a chain with no valid split warns alike; the
+        pooled result holds the warning once."""
+        ds = small_dataset(n=6, seed=7)
+        result = run_restarts(ds, McmcConfig(burn_in=5, post_burn_in=5, restarts=3, min_leaf_rows=5, seed=0))
+        assert result.warnings == ("no valid split under min_leaf_rows; chain holds the root-only model",)
 
 
 class TestPredictAverage:
