@@ -33,6 +33,9 @@ this script:
     row of each class of the synth train CSV) and the synth test CSV, 2
     restarts x (100 + 100): two rows cap a tree at one leaf, so every
     chain holds the root-only tree with a warning;
+  - `treeuq bayes` on the synth CSVs with every feature rounded to a
+    multiple of 0.5, 2 restarts x (1000 + 1000): every feature has ties,
+    so every rule is drawn from the values read off the node's column;
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
@@ -135,6 +138,13 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     (work / "two_rows.csv").write_text("\n".join([train_lines[0], *first_of_class.values()]) + "\n", encoding="utf-8")
     treeuq(work, "bayes", "--train", "two_rows.csv", "--test", "synth/synthetic_test.csv", "--min-leaf-rows", "1",
            "--restarts", "2", "--burn-in", "100", "--post-burn-in", "100", *common, "--out", "bayes_two_rows")
+    for name in ("train", "test"):
+        lines = (work / "synth" / f"synthetic_{name}.csv").read_text(encoding="utf-8").splitlines()
+        rounded = [",".join([*(repr(round(float(x) * 2) / 2) for x in row[:-1]), row[-1]])
+                   for row in (line.split(",") for line in lines[1:])]
+        (work / f"ties_{name}.csv").write_text("\n".join([lines[0], *rounded]) + "\n", encoding="utf-8")
+    treeuq(work, "bayes", "--train", "ties_train.csv", "--test", "ties_test.csv", "--restarts", "2",
+           "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_ties")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")

@@ -41,7 +41,13 @@ log-likelihood from them; `ChainState.tree` gives the state back in that
 form.  A split is then `rows & below` and `rows ^ left`, counts are
 `int.bit_count`, a change routes its range in one forward pass that
 passes over every node whose rows it does not move, and the windowed
-change-rule step walks the per-value bitsets without a numpy call.
+change-rule step walks the per-value bitsets without a numpy call.  A
+rule redraw (birth, change-split, global change-rule) on a feature
+without ties (`RowTables.no_ties`) needs no numpy call either: the i-th
+smallest of the node's values sends i + 1 rows left, so a side below
+min_leaf_rows is refused at once, and the value is found by bisection
+over the `le` sets (`RowTables.draw_rule`); only a feature with ties reads
+its values off the node's column.  Either way the draw is the same.
 `RowTables.log_lik` adds the table terms with `pairwise_sum`, in the
 order numpy's reduction in `log_marginal_of_counts` adds them, so every
 bit and every accept decision is the same as evaluating the count matrix
@@ -64,9 +70,10 @@ with no accepted move between them are one `SampleRun`, which holds the
 state's `DecisionTree` snapshot and a count.  The trace, one entry per
 step, is recorded as columns (`Trace`) and is the chain's one record of
 its moves: `Trace.move_counts` and `acceptance_rate` read off it.
-`predict_average` routes each run's tree once and `posterior_path_summary`
-reads each run's path once.  A chain's records pickle in a few
-milliseconds, so pooled chains return cheaply.
+`predict_average` predicts each run's tree once (`tree.predict_trees`
+re-places only the test rows that change leaf from one run to the next)
+and `posterior_path_summary` reads each run's path once.  A chain's
+records pickle in a few milliseconds, so pooled chains return cheaply.
 """
 
 from __future__ import annotations
@@ -464,7 +471,9 @@ class RowTables:
     Per feature f: `columns[f]`, the column, contiguous; `values[f]`, its
     sorted distinct values; `rank[f]`, a value -> position dict; `eq[f][j]`,
     the rows whose value is values[f][j]; `le[f][j]`, the rows whose value
-    is at most that.  `class_bits[c]` holds the rows of class c.
+    is at most that; `no_ties[f]`, whether its n values are distinct, so
+    that a row set's count of distinct values is its row count.
+    `class_bits[c]` holds the rows of class c.
     `lg_class[c][k]` = lgam(k + alpha_c) and `lg_total[k]` =
     lgam(k + sum(alpha)) for k = 0..n are `lgam` of the same float64
     inputs as `log_marginal_of_counts` evaluates, so sums over them in
@@ -490,6 +499,7 @@ class RowTables:
             self.rank.append({v: j for j, v in enumerate(self.values[-1])})
             self.eq.append(eq)
             self.le.append(list(accumulate(eq, operator.or_)))
+        self.no_ties = [len(values) == n for values in self.values]
         self.class_bits = [bits_of(np.flatnonzero(y == c)) for c in range(class_count)]
         terms = DirichletTerms.of(resolve_alpha(alpha, class_count))
         self.lg_class = [[lgam(k + a) for k in range(n + 1)] for a in terms.alpha.tolist()]
@@ -500,6 +510,36 @@ class RowTables:
         """The feature's values on a row set, in ascending row order."""
         raw = np.frombuffer(rows.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
         return self.columns[feature][np.unpackbits(raw, count=self.n, bitorder="little").view(bool)]
+
+    def draw_rule(self, rng, feature: int, rows: int, min_rows: int) -> tuple[float, int] | None:
+        """A threshold drawn uniformly from the feature's distinct values
+        among `rows`, and the rows it sends left; None when either side
+        would hold fewer than min_rows rows.  The draw and the value are
+        those of `_pick(rng, valid_rules(column_at(feature, rows)))`.
+
+        Without ties in the feature, `rows` holds size distinct values and
+        the i-th smallest sends k = i + 1 rows left and size - k right, so a
+        side below min_rows is refused before any search; otherwise the
+        value is values[f][j] for the first j whose `le[f][j]` holds k of
+        `rows`, found by bisection on `(rows & le[f][j]).bit_count()`.  With
+        ties, the values are read off the column."""
+        if not self.no_ties[feature]:
+            threshold = float(_pick(rng, valid_rules(self.column_at(feature, rows))))
+            left = rows & self.below(feature, threshold)
+            return None if min(left.bit_count(), (rows ^ left).bit_count()) < min_rows else (threshold, left)
+        size = rows.bit_count()
+        k = rng.integers(size) + 1
+        if min(k, size - k) < min_rows:
+            return None
+        le = self.le[feature]
+        lo, hi = k - 1, self.n - 1 - (size - k)  # the value's rank among all n values lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (rows & le[mid]).bit_count() < k:
+                lo = mid + 1
+            else:
+                hi = mid
+        return self.values[feature][lo], rows & le[lo]
 
     def below(self, feature: int, threshold: float) -> int:
         """The rows with x_feature <= threshold."""
@@ -827,11 +867,11 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         leaf = state.leaf_ids[at]
         rows = state.bits[leaf]
         feature = rng.integers(len(tables.columns))
-        threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
-        goes_left = rows & tables.below(feature, threshold)
-        children = (goes_left, rows ^ goes_left)
-        if min(children[0].bit_count(), children[1].bit_count()) < min_rows:
+        drawn = tables.draw_rule(rng, feature, rows, min_rows)
+        if drawn is None:
             return Proposal(kind, False)
+        threshold, goes_left = drawn
+        children = (goes_left, rows ^ goes_left)
         # the new split is prunable, and the leaf's parent no longer is: a left
         # child's parent is the split before it; a right child's is prunable
         # only if it sits two positions back, with the leaf before as its left child
@@ -863,26 +903,30 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         return Proposal(kind, False)
     node = _pick(rng, state.split_ids)
     rows = state.bits[node]
-    if kind == MOVE_CHANGE_SPLIT:
-        feature = rng.integers(len(tables.columns))
-        threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
+    if kind == MOVE_CHANGE_SPLIT or cfg.change_rule_window is None:
+        # a redraw of the rule, on a new feature for a change-split.  A side
+        # that `draw_rule` refuses holds fewer than min_rows rows, so its
+        # rows changed (every state keeps min_rows a leaf): `reroute` would
+        # refuse it too
+        feature = rng.integers(len(tables.columns)) if kind == MOVE_CHANGE_SPLIT else state.feature[node]
+        drawn = tables.draw_rule(rng, feature, rows, min_rows)
+        if drawn is None:
+            return Proposal(kind, False)
+        threshold = drawn[0]
     else:
         feature = state.feature[node]
-        if cfg.change_rule_window is None:
-            threshold = float(_pick(rng, valid_rules(tables.column_at(feature, rows))))
-        else:
-            # Local symmetric step on the node's observed-value grid.  The
-            # rows reaching the node (hence the grid) are unchanged by the
-            # move, so forward and reverse steps have equal probability;
-            # a step off the grid, or a current rule that upstream moves
-            # pushed off the grid (reverse impossible), is invalid.
-            w = cfg.change_rule_window
-            current = state.threshold[node]
-            offset = rng.integers(2 * w)
-            offset = offset - w if offset < w else offset - w + 1
-            threshold = tables.step(feature, rows, current, offset)
-            if threshold is None:
-                return Proposal(kind, False)
+        # Local symmetric step on the node's observed-value grid.  The
+        # rows reaching the node (hence the grid) are unchanged by the
+        # move, so forward and reverse steps have equal probability;
+        # a step off the grid, or a current rule that upstream moves
+        # pushed off the grid (reverse impossible), is invalid.
+        w = cfg.change_rule_window
+        current = state.threshold[node]
+        offset = rng.integers(2 * w)
+        offset = offset - w if offset < w else offset - w + 1
+        threshold = tables.step(feature, rows, current, offset)
+        if threshold is None:
+            return Proposal(kind, False)
     routed = state.reroute(node, feature, threshold, tables, min_rows)
     if routed is None:
         return Proposal(kind, False)
@@ -1034,7 +1078,7 @@ class PredictionSummary:
 
 def predict_average(samples: Samples, X: np.ndarray, alpha) -> PredictionSummary:
     """Average the per-tree class probabilities and tally hard votes; each
-    run's tree is routed once and counted once per sample."""
+    run's tree is predicted once and counted once per sample."""
     if not samples:
         raise ValueError("no posterior samples to average")
     probs, votes = ensemble_average(

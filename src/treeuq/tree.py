@@ -15,24 +15,31 @@ depth off the column.
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
 
 Prediction has one path, `predict_trees`, shared by the posterior average
-and the forest.  It stacks PREDICT_BLOCK trees into one flat node table
-(feature, threshold, child pair from `layout`, leaf posterior-mean row)
-and routes every (tree, row) pair of the block at once, one level per
-step, for as many levels as the block's deepest tree.  A block is thrown
-away before the next is built, so memory stays O(PREDICT_BLOCK x rows)
-however many trees are predicted.
+and the forest.  Once per call it sorts the test rows by each feature and
+keeps the bitsets of the rows holding the k smallest values, for every k;
+a split (f, t) then sends `rows & prefix[f][bisect_right(sorted_f, t)]`
+left, exactly the rows with x <= t.  One pass over a tree's pre-order
+columns gives the row sets of its leaves, and one array the leaf of every
+row, rewritten only where rows changed leaf when the leaf count holds
+(consecutive chain samples differ in a few rows), rebuilt otherwise.
+The rows are held in chunks of ROW_CHUNK, so their bitsets take about
+rows x ROW_CHUNK / 16 bytes per feature, and leaf posterior-mean tables
+are built PREDICT_BLOCK trees at a time: memory does not grow with the
+number of trees predicted.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
-PREDICT_BLOCK = 16  # trees routed together; memory is O(PREDICT_BLOCK x rows)
+PREDICT_BLOCK = 16  # trees whose leaf tables are built together
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,25 +122,70 @@ def resolve_alpha(alpha, class_count: int) -> np.ndarray:
     return out
 
 
-def _node_table(trees: list, alpha: np.ndarray):
-    """Stack trees into flat arrays (node i of tree k sits at its tree's
-    offset + i): feature, threshold, a child pair per node taken as
-    pair[x <= threshold] (a leaf points to itself), the Dirichlet posterior-mean
-    row of every node, each tree's root and the deepest node's depth."""
-    layouts = [layout(tree.feature) for tree in trees]
-    sizes = [len(tree.feature) for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature = np.array(list(chain.from_iterable(tree.feature for tree in trees)))
-    threshold = np.array(list(chain.from_iterable(tree.threshold for tree in trees)), dtype=np.float64)
-    left = np.arange(len(feature)) + (feature >= 0)  # a split's left child is the next node
-    right = np.repeat(roots, sizes) + np.array(list(chain.from_iterable(r for r, _ in layouts)))
-    pairs = np.stack((right, left), axis=1).ravel()
-    is_leaf = feature < 0
-    feature[is_leaf] = 0
-    counts = np.zeros((len(feature), len(alpha)))
-    counts[is_leaf] = list(chain.from_iterable(tree.leaf_counts for tree in trees))
-    table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha.sum())
-    return feature, threshold, pairs, table, roots, max(max(depth) for _, depth in layouts)
+ROW_CHUNK = 1024  # test rows per `_PointTables`; its bitsets take O(ROW_CHUNK^2 / 16) bytes per feature
+MOVED_ROWS_MAX = 32  # rows rewritten one by one when the leaf count holds; more, and the leaf array is rebuilt
+
+
+class _PointTables:
+    """Rows of a finite X as bitsets (bit r set iff row r is in the set),
+    and their leaf in the tree placed last.
+
+    Per feature f: `sorted[f]`, the column in ascending order, and
+    `prefix[f][k]`, the rows holding its k smallest values.  `at` is a
+    view of the caller's leaf-position array, one entry per row.
+    """
+
+    def __init__(self, X: np.ndarray, at: np.ndarray):
+        self.n, self.width = X.shape
+        self.all = (1 << self.n) - 1
+        order = np.argsort(X, axis=0, kind="stable")
+        self.sorted = [X[order[:, f], f].tolist() for f in range(self.width)]
+        self.prefix = [list(accumulate((1 << r for r in order[:, f].tolist()), operator.or_, initial=0))
+                       for f in range(self.width)]
+        self.at, self.leaves = at, []
+
+    def place(self, feature, threshold) -> None:
+        """Write each row's leaf position in the tree of these columns to
+        `at`: when the tree has as many leaves as the one placed before,
+        only the rows that changed leaf; otherwise, or when more than
+        MOVED_ROWS_MAX did, every row, from the unpacked leaf sets."""
+        leaves, at = self._leaves(feature, threshold), self.at
+        moved = [(j, new & ~old) for j, (new, old) in enumerate(zip(leaves, self.leaves)) if new != old]
+        if len(leaves) != len(self.leaves) or sum(b.bit_count() for _, b in moved) > MOVED_ROWS_MAX:
+            size = (self.n + 7) // 8
+            raw = np.frombuffer(b"".join(b.to_bytes(size, "little") for b in leaves), dtype=np.uint8)
+            member = np.unpackbits(raw.reshape(len(leaves), size), axis=1, count=self.n, bitorder="little")
+            at[:] = np.arange(len(leaves), dtype=np.float64) @ member
+        else:
+            for j, b in moved:
+                while b:
+                    low = b & -b
+                    at[low.bit_length() - 1] = j
+                    b ^= low
+        self.leaves = leaves
+
+    def _leaves(self, feature, threshold) -> list:
+        """The row sets of the tree's leaves, in pre-order: one pass over
+        its columns with a stack of the rows of the right children still
+        ahead, a split (f, t) sending `rows & prefix[f][bisect_right(
+        sorted[f], t)]`, exactly the rows with x <= t, left."""
+        rows, ahead, leaves = self.all, [], []
+        try:
+            for f, t in zip(feature, threshold):
+                if f >= 0:
+                    left = rows & self.prefix[f][bisect_right(self.sorted[f], t)]
+                    ahead.append(rows ^ left)
+                    rows = left
+                else:
+                    leaves.append(rows)
+                    if not ahead:
+                        break
+                    rows = ahead.pop()
+        except IndexError:
+            raise ValueError(f"X has too few columns ({self.width}) for a split on feature {max(feature)}") from None
+        if ahead or 2 * len(leaves) - 1 != len(feature):
+            layout(feature)  # raises: the column is not one full binary tree
+        return leaves
 
 
 def predict_trees(trees, X: np.ndarray, alpha):
@@ -141,26 +193,36 @@ def predict_trees(trees, X: np.ndarray, alpha):
 
     Rows are the Dirichlet posterior mean of the routed leaf, (counts +
     alpha) / (n + sum alpha); labels are their argmax, ties to the lowest
-    class index.  Trees are routed PREDICT_BLOCK at a time over one flat
-    node table, one level per step.
+    class index.  X must be finite (ValueError otherwise).  The rows are
+    held as `_PointTables` of ROW_CHUNK rows each, built once per call,
+    which keep one array of every row's leaf position up to date from tree
+    to tree.  The leaf tables are built PREDICT_BLOCK trees at a time.
     """
     if not trees:
         raise ValueError("no trees to predict with")
     alpha = resolve_alpha(alpha, len(trees[0].leaf_counts[0]))
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    flat = X.ravel()
-    row_starts = np.arange(X.shape[0]) * X.shape[1]
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        r, f = bad[0].tolist()
+        raise ValueError(f"X must be finite, got {float(X[r, f])} at row {r}, column {f}")
+    at = np.zeros(X.shape[0], dtype=np.intp)
+    parts = [_PointTables(X[lo : lo + ROW_CHUNK], at[lo : lo + ROW_CHUNK])
+             for lo in range(0, max(X.shape[0], 1), ROW_CHUNK)]
     for start in range(0, len(trees), PREDICT_BLOCK):
-        feature, threshold, pairs, table, roots, levels = _node_table(trees[start : start + PREDICT_BLOCK], alpha)
-        if feature.max() >= X.shape[1]:  # the flat gather below would read a neighbouring row
-            raise ValueError(f"X has too few columns ({X.shape[1]}) for a split on feature {feature.max()}")
+        block = trees[start : start + PREDICT_BLOCK]
+        counts = np.array(list(chain.from_iterable(tree.leaf_counts for tree in block)), dtype=np.float64)
+        table = (counts + alpha) / (counts.sum(axis=1, keepdims=True) + alpha.sum())
         labels = np.argmax(table, axis=1)
-        at = np.repeat(roots[:, None], X.shape[0], axis=1)  # (block, n) node per tree and row
-        for _ in range(levels):
-            goes_left = flat[row_starts + feature[at]] <= threshold[at]
-            at = pairs[2 * at + goes_left]
-        for leaves in at:
-            yield table.take(leaves, axis=0), labels.take(leaves)
+        offset = 0
+        for tree in block:
+            for part in parts:
+                part.place(tree.feature, tree.threshold)
+            end = offset + len(parts[0].leaves)
+            if end - offset != len(tree.leaf_counts):
+                raise ValueError(f"tree has {end - offset} leaves but {len(tree.leaf_counts)} leaf count rows")
+            yield table[offset:end].take(at, axis=0), labels[offset:end].take(at)
+            offset = end
 
 
 def ensemble_average(trees, repeats, X: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:

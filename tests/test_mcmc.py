@@ -729,6 +729,35 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
                     assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_table_rule_draw_equals_column_draw(seed):
+    """`RowTables.draw_rule` is `_pick(rng, valid_rules(column_at(...)))`
+    draw for draw: the same threshold, the same rows sent left and the
+    same `ChainRng` state afterwards, on features without ties (the
+    bisection over `le`) and with them (the column), and also when it
+    refuses a side below min_rows before any search."""
+    ds = small_dataset(n=60, seed=seed, m=3)
+    X = ds.features.copy()
+    X[:, 2] = np.round(X[:, 2])  # ties
+    tables = RowTables(X, ds.labels, ds.class_count, 1.0)
+    assert tables.no_ties == [True, True, False]
+    got_rng, want_rng = (mcmc.ChainRng(np.random.default_rng(seed)) for _ in range(2))
+    script = np.random.default_rng(100 + seed)
+    refused = 0
+    for _ in range(400):
+        rows = mcmc.bits_of(np.flatnonzero(script.random(60) < script.uniform(0.02, 1.0))) or 1
+        feature, min_rows = int(script.integers(3)), int(script.integers(1, 12))
+        got = tables.draw_rule(got_rng, feature, rows, min_rows)
+        threshold = float(mcmc._pick(want_rng, valid_rules(tables.column_at(feature, rows))))
+        left = rows & tables.below(feature, threshold)
+        small = min(left.bit_count(), (rows ^ left).bit_count()) < min_rows
+        assert got == (None if small else (threshold, left))
+        refused += small
+        assert got_rng.integers(2**32) == want_rng.integers(2**32)  # the kept half word, if any
+        assert got_rng.random() == want_rng.random()
+    assert 20 < refused < 380
+
+
 class TestChainRng:
     KS = (1, 2, 3, 7, 250, 2**31 + 11, 2**32)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from oracles import (
     summarize,
     with_split_params,
 )
+from treeuq import tree as tree_module
 from treeuq.tree import (
     PREDICT_BLOCK,
     DecisionTree,
@@ -184,6 +187,84 @@ class TestPredictTrees:
             want = np.array([leaf_predictive(tree.nodes[route(tree, x)].counts, alpha_vec) for x in points])
             assert probs.tobytes() == want.tobytes()
             assert np.array_equal(labels, np.argmax(want, axis=1))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        row_chunk=st.sampled_from([tree_module.ROW_CHUNK, 7]),
+        moved_max=st.sampled_from([tree_module.MOVED_ROWS_MAX, 0, 10**9]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tree_sequences_match_route_oracle(self, seed, row_chunk, moved_max):
+        """Trees that follow one another as a chain's samples or a forest's
+        trees do -- threshold walks at a fixed leaf count, births, deaths,
+        unrelated trees with as many leaves, and the root-only tree -- give
+        every row the probabilities of the leaf `route` reaches, bit for
+        bit, whether the leaf array is rewritten where rows moved or
+        rebuilt (moved_max 0 always rebuilds, 10**9 never does at a fixed
+        leaf count), and however the rows are chunked.  Rows sit on the
+        thresholds and off the grid, and zeros of both signs meet
+        thresholds of both signs."""
+        rng = np.random.default_rng(seed)
+        class_count = 2 + seed % 2
+        grid = [-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0]
+        X = rng.choice(grid, size=(30, 2))
+        y = rng.integers(0, class_count, size=30)
+        points = np.vstack([X, rng.choice(grid + [-9.0, 0.25, 0.75, 3.0], size=(25, 2))])
+        thresholds = grid + [0.25, -9.0]  # on the grid, between its values, below all of them
+
+        def birth(tree):
+            leaf = int(rng.choice(tree.leaf_ids))
+            return replace_leaf(tree, leaf, int(rng.integers(2)), float(rng.choice(thresholds)))
+
+        tree = single_leaf_tree()
+        trees, kinds = [], set()
+        for _ in range(30):
+            prunable = [i for i in tree.split_ids
+                        if all(isinstance(tree.nodes[c], Leaf) for c in (tree.nodes[i].left, tree.nodes[i].right))]
+            kind = ["walk", "birth", "death", "unrelated", "root"][int(rng.integers(5))]
+            if kind == "walk" and tree.split_ids:
+                node = int(rng.choice(tree.split_ids))
+                tree = with_split_params(tree, node, tree.nodes[node].feature, float(rng.choice(thresholds)))
+            elif kind == "death" and prunable:
+                tree = collapse_split(tree, int(rng.choice(prunable)))
+            elif kind == "unrelated" and tree.split_ids:
+                other = single_leaf_tree()
+                while other.leaf_count < tree.leaf_count:
+                    other = birth(other)
+                tree = other
+            elif kind == "root":
+                tree = single_leaf_tree()
+            else:
+                kind, tree = "birth", birth(tree)
+            kinds.add(kind)
+            tree = arena(fit_partition(columns(tree), X, y, class_count)[0])
+            trees.append(tree)
+        alpha = resolve_alpha(1.0, class_count)
+        with mock.patch.object(tree_module, "ROW_CHUNK", row_chunk), \
+                mock.patch.object(tree_module, "MOVED_ROWS_MAX", moved_max):
+            got = list(predict_trees([columns(tree) for tree in trees], points, alpha))
+        assert len(got) == len(trees) and "birth" in kinds
+        for tree, (probs, labels) in zip(trees, got):
+            want = np.array([leaf_predictive(tree.nodes[route(tree, x)].counts, alpha) for x in points])
+            assert probs.tobytes() == want.tobytes()
+            assert np.array_equal(labels, np.argmax(want, axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused(self, bad):
+        """A non-finite value has no place among sorted rows: refused, named,
+        where `x <= t` would send a NaN right at every split."""
+        X = np.zeros((3, 2))
+        X[1, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"got {bad} at row 1, column 1")):
+            list(predict_trees((columns(two_level_tree()),), X, ALPHA))
+
+    def test_leaf_counts_of_another_shape_refused(self):
+        """A tree must carry one count row per leaf: a row short (or one
+        over) would shift every later tree's leaf table."""
+        for leaf_counts in [((1, 0),), ((1, 0), (0, 1), (2, 2))]:
+            tree = DecisionTree((0, -1, -1), (0.5, 0.0, 0.0), leaf_counts)
+            with pytest.raises(ValueError, match=f"2 leaves but {len(leaf_counts)} leaf count rows"):
+                list(predict_trees((tree, tree), np.zeros((3, 1)), ALPHA))
 
     def test_feature_beyond_columns_refused(self):
         with pytest.raises(ValueError, match="split on feature 1"):
