@@ -12,30 +12,34 @@ Each run reads its end-to-end metrics from the last line run.py prints.
 
 FILE gets, as JSON: every pair's metrics and failure counts; per metric
 its unit and direction (from the change checkout's BENCHMARK.json), each
-side's median and quartiles (`statistics.quantiles`, as `run.py --all`
-reports them), the change's median relative to the parent's, and the
-number of pairs the change won (strictly better); and each side's
-environment stamp as run.py records it (CPU, Python, numpy, commit and a
-digest of `src/`).  Only the standard library is used.
+side's median, quartiles and spread (the change checkout's `run.py`
+`summarize`, as `run.py --all` reports them), the change's median
+relative to the parent's, and the number of pairs the change won
+(strictly better); and each side's environment stamp as run.py records
+it (CPU, Python, numpy, commit and a digest of `src/`).  The seed list
+is read by that `run.py`'s `parse_seeds`; nothing else outside the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def parse_seeds(text: str) -> list[int]:
-    """`1-10` or `1,4,7` (ranges and lists may mix)."""
-    seeds: list[int] = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+def load_harness(checkout: Path):
+    """`perfbench/run.py` of a checkout as a module (it imports its sibling
+    modules, so their folder goes on the path)."""
+    folder = checkout / "perfbench"
+    sys.path.insert(0, str(folder))
+    spec = importlib.util.spec_from_file_location("perfbench_run", folder / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -53,12 +57,6 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def spread(values: list[float]) -> dict:
-    median = statistics.median(values)
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (median, median, median)
-    return {"median": median, "q1": q1, "q3": q3}
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -70,30 +68,33 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    harness = load_harness(sides["change"])
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs, stamps = [], {}
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    pairs, stamps, results = [], {}, {"parent": [], "change": []}
+    for i, seed in enumerate(harness.parse_seeds(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
             result = run(sides[side], args.workload, seed, args.seconds)
-            stamps[side] = result["environment"]
+            stamps[side] = result.pop("environment")
+            results[side].append(result)
             pair[side] = {name: m["value"] for name, m in result["metrics"].items()}
             pair[f"{side}_attempted"], pair[f"{side}_failed"] = result["attempted"], result["failed"]
         pairs.append(pair)
         print(f"seed {seed} ({order[0]} first): " + "  ".join(
             f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}" for name in pair["parent"]), flush=True)
 
+    stats = harness.summarize(results, trace=False)  # prints each side's medians and quartiles
     summary = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         parent, change = ([p[side][name] for p in pairs] for side in ("parent", "change"))
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        stats = {"parent": spread(parent), "change": spread(change)}
-        base = stats["parent"]["median"]
+        base = stats["parent"][name]["median"]
         summary[name] = {
-            "unit": metric["unit"], "better": metric["better"], **stats,
-            "change_vs_parent": (stats["change"]["median"] - base) / base if base else None,
+            "unit": metric["unit"], "better": metric["better"],
+            "parent": stats["parent"][name], "change": stats["change"][name],
+            "change_vs_parent": (stats["change"][name]["median"] - base) / base if base else None,
             "change_wins": wins, "pairs": len(pairs),
         }
     report = {
@@ -102,10 +103,7 @@ def main(argv=None) -> int:
         "environment": stamps, "summary": summary, "pairs": pairs,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for name, row in summary.items():
-        print(f"{name:12s} parent {row['parent']['median']:.4g} [{row['parent']['q1']:.4g}, {row['parent']['q3']:.4g}]"
-              f"  change {row['change']['median']:.4g} [{row['change']['q1']:.4g}, {row['change']['q3']:.4g}]"
-              f"  wins {row['change_wins']}/{row['pairs']}")
+    print("\nchange wins: " + ", ".join(f"{name} {row['change_wins']}/{row['pairs']}" for name, row in summary.items()))
     return 0
 
 

@@ -22,10 +22,11 @@ left, exactly the rows with x <= t.  One pass over a tree's pre-order
 columns gives the row sets of its leaves, and one array the leaf of every
 row, rewritten only where rows changed leaf when the leaf count holds
 (consecutive chain samples differ in a few rows), rebuilt otherwise.
-The rows are held in chunks of ROW_CHUNK, so their bitsets take about
-rows x ROW_CHUNK / 16 bytes per feature, and leaf posterior-mean tables
-are built PREDICT_BLOCK trees at a time: memory does not grow with the
-number of trees predicted.
+The rows are held in chunks of ROW_CHUNK: a prefix bitset spans about
+its whole chunk, so with its int header, list slot and sorted value a
+row costs about ROW_CHUNK / 7.5 + 64 bytes per feature (200 at 1,024).
+Leaf posterior-mean tables are built PREDICT_BLOCK trees at a time:
+memory does not grow with the number of trees predicted.
 """
 
 from __future__ import annotations
@@ -122,8 +123,7 @@ def resolve_alpha(alpha, class_count: int) -> np.ndarray:
     return out
 
 
-ROW_CHUNK = 1024  # test rows per `_PointTables`; its bitsets take O(ROW_CHUNK^2 / 16) bytes per feature
-MOVED_ROWS_MAX = 32  # rows rewritten one by one when the leaf count holds; more, and the leaf array is rebuilt
+ROW_CHUNK = 1024  # test rows per `_PointTables`: about ROW_CHUNK / 7.5 + 64 bytes per row and feature
 
 
 class _PointTables:
@@ -147,11 +147,16 @@ class _PointTables:
     def place(self, feature, threshold) -> None:
         """Write each row's leaf position in the tree of these columns to
         `at`: when the tree has as many leaves as the one placed before,
-        only the rows that changed leaf; otherwise, or when more than
-        MOVED_ROWS_MAX did, every row, from the unpacked leaf sets."""
+        only the rows that changed leaf; otherwise, or when rewriting them
+        one by one would cost more, every row, from the unpacked leaf sets.
+        A rewrite costs about 0.5 us a row, a rebuild about 11 us plus
+        1.4 ns a row and leaf (2-core x86, Python 3.11, numpy 2.4), hence
+        the bound 20 + n x leaves / 400."""
         leaves, at = self._leaves(feature, threshold), self.at
-        moved = [(j, new & ~old) for j, (new, old) in enumerate(zip(leaves, self.leaves)) if new != old]
-        if len(leaves) != len(self.leaves) or sum(b.bit_count() for _, b in moved) > MOVED_ROWS_MAX:
+        moved = None
+        if len(leaves) == len(self.leaves):
+            moved = [(j, new & ~old) for j, (new, old) in enumerate(zip(leaves, self.leaves)) if new != old]
+        if moved is None or sum(b.bit_count() for _, b in moved) > 20 + self.n * len(leaves) // 400:
             size = (self.n + 7) // 8
             raw = np.frombuffer(b"".join(b.to_bytes(size, "little") for b in leaves), dtype=np.uint8)
             member = np.unpackbits(raw.reshape(len(leaves), size), axis=1, count=self.n, bitorder="little")

@@ -188,20 +188,17 @@ class TestPredictTrees:
             assert probs.tobytes() == want.tobytes()
             assert np.array_equal(labels, np.argmax(want, axis=1))
 
-    @given(
-        seed=st.integers(0, 2**16),
-        row_chunk=st.sampled_from([tree_module.ROW_CHUNK, 7]),
-        moved_max=st.sampled_from([tree_module.MOVED_ROWS_MAX, 0, 10**9]),
-    )
+    @given(seed=st.integers(0, 2**16), row_chunk=st.sampled_from([tree_module.ROW_CHUNK, 7]))
     @settings(max_examples=40, deadline=None)
-    def test_tree_sequences_match_route_oracle(self, seed, row_chunk, moved_max):
+    def test_tree_sequences_match_route_oracle(self, seed, row_chunk):
         """Trees that follow one another as a chain's samples or a forest's
         trees do -- threshold walks at a fixed leaf count, births, deaths,
         unrelated trees with as many leaves, and the root-only tree -- give
         every row the probabilities of the leaf `route` reaches, bit for
         bit, whether the leaf array is rewritten where rows moved or
-        rebuilt (moved_max 0 always rebuilds, 10**9 never does at a fixed
-        leaf count), and however the rows are chunked.  Rows sit on the
+        rebuilt, and however the rows are chunked.  Chunks of 7 rows are
+        always rewritten at a fixed leaf count (fewer rows than a rebuild's
+        cost); a change of leaf count always rebuilds.  Rows sit on the
         thresholds and off the grid, and zeros of both signs meet
         thresholds of both signs."""
         rng = np.random.default_rng(seed)
@@ -240,8 +237,7 @@ class TestPredictTrees:
             tree = arena(fit_partition(columns(tree), X, y, class_count)[0])
             trees.append(tree)
         alpha = resolve_alpha(1.0, class_count)
-        with mock.patch.object(tree_module, "ROW_CHUNK", row_chunk), \
-                mock.patch.object(tree_module, "MOVED_ROWS_MAX", moved_max):
+        with mock.patch.object(tree_module, "ROW_CHUNK", row_chunk):
             got = list(predict_trees([columns(tree) for tree in trees], points, alpha))
         assert len(got) == len(trees) and "birth" in kinds
         for tree, (probs, labels) in zip(trees, got):
