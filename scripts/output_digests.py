@@ -51,7 +51,12 @@ this script:
   - the same with `--restarts 2 --min-leaf-rows 6`, out to
     `bench_headline_warns`: 6 rows a side rule out the 10-row full-train
     set too, so every fold and the headline run warn, each restart alike,
-    and `report.json` pins the pooled warnings lists.
+    and `report.json` pins the pooled warnings lists;
+  - `treeuq bench uci --datasets pima --technique both` on a pima-shaped
+    CSV (768 rows, 8 features, 2 classes) drawn from the seed, its
+    features multiples of 0.5 so that values tie, 3 folds, 2 restarts x
+    (100 + 100) and 20 trees: the registry split, pruning factor 30, and
+    each fold's training rows reaching both techniques.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
 file.  Each manifest.json is digested with its `stage_seconds` removed:
@@ -59,8 +64,10 @@ those are wall-clock times, which differ between any two runs, while the
 rest (the config round-trip included) must not.  Commands run inside the
 temporary directory with relative output paths, so the `out_dir` that a
 manifest records is the same in every run.  Run the script in two
-checkouts, or at two worker counts, and `diff` the two files: an empty diff
-means every output is byte-identical.
+checkouts and `diff` the two files: an empty diff means every output is
+byte-identical.  At two worker counts the bench runs' manifest.json lines
+differ, since each manifest records its worker count; every other line
+must not.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -100,6 +109,17 @@ sweep=true
 def treeuq(work: Path, *args: str) -> None:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-m", "treeuq", *args], cwd=work, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def write_pima_shaped(path: Path, seed: int) -> None:
+    """768 rows of 8 features, each a multiple of 0.5, and a 0/1 label
+    that the first two features set up to Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(768, 8)) * 2) / 2
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=768) > 0).astype(int)
+    rows = [",".join([*(repr(float(x)) for x in row), str(label)]) for row, label in zip(X, y)]
+    header = ",".join([*(f"a{i}" for i in range(8)), "class"])
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def file_bytes(path: Path) -> bytes:
@@ -154,6 +174,11 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--post-burn-in", "5", "--tree-count", "2", *common, "--out", "bench_zero_split")
     treeuq(work, "bench", "synthetic", "--train-size", "10", "--fold-count", "5", "--restarts", "2", "--burn-in", "5",
            "--post-burn-in", "5", "--tree-count", "2", "--min-leaf-rows", "6", *common, "--out", "bench_headline_warns")
+    (work / "uci").mkdir()
+    write_pima_shaped(work / "uci" / "pima.csv", seed)
+    treeuq(work, "bench", "uci", "--data-dir", "uci", "--datasets", "pima", "--technique", "both", "--fold-count", "3",
+           "--restarts", "2", "--burn-in", "100", "--post-burn-in", "100", "--tree-count", "20", *common,
+           "--out", "bench_uci")
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file():

@@ -61,24 +61,15 @@ def pruning_factor(train_size: int, threshold: int = PMIN_LARGE_TRAIN_THRESHOLD)
     return 30 if train_size > threshold else 5
 
 
-def desk_mcmc_config(seed: int = 0, **overrides) -> mcmc.McmcConfig:
-    """Reduced protocol: 10 restarts x (500 burn-in + 500 post burn-in)."""
-    base = dict(restarts=10, burn_in=500, post_burn_in=500, sample_rate=1, seed=seed)
-    base.update(overrides)
-    return mcmc.McmcConfig(**base)
-
-
-def paper_scale_mcmc_config(seed: int = 0, **overrides) -> mcmc.McmcConfig:
-    """Full protocol: 50 restarts x (2000 + 2000), sample rate 1."""
-    base = dict(restarts=50, burn_in=2000, post_burn_in=2000, sample_rate=1, seed=seed)
-    base.update(overrides)
-    return mcmc.McmcConfig(**base)
+# reduced sampler protocol: 10 restarts x (500 burn-in + 500 post burn-in);
+# McmcConfig() is the paper's
+DESK_MCMC = mcmc.McmcConfig(restarts=10, burn_in=500, post_burn_in=500)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     technique: str = "both"  # bayes | forest | both
-    mcmc: mcmc.McmcConfig = field(default_factory=desk_mcmc_config)
+    mcmc: mcmc.McmcConfig = DESK_MCMC
     forest: forest.ForestConfig = field(default_factory=forest.ForestConfig)
     fold_count: int = 5
     confidence: float = 0.99
@@ -100,8 +91,9 @@ class ExperimentConfig:
             raise ConfigError("confidence must lie in (0, 1]")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
+        for name in ("workers", "train_size", "test_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         for name in ("out_dir", "data_dir"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, Path):
@@ -257,41 +249,36 @@ def run_bayes_fold(
     diagnostics drops the chains at once."""
     mcfg = dataclasses.replace(cfg.mcmc, seed=_derive_seed(cfg.seed, 1, fold))
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
-    pred = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
+    probabilities, votes = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
     extras = {
         "acceptance_rate": result.trace.acceptance_rate,
         "post_log_lik_mean": float(np.mean(result.trace.log_lik[result.trace.post])),
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),
     }
-    outcome = _fold_outcome(
-        pred.votes, pred.probabilities, test_y, result.samples.split_counts(), cfg, extras, do_sweep
-    )
+    outcome = _fold_outcome(votes, probabilities, test_y, result.samples.split_counts(), cfg, extras, do_sweep)
     return outcome, result
 
 
 def run_forest_fold(
-    full_ds: Dataset,
-    train_rows: np.ndarray,
+    train_ds: Dataset,
     test_X: np.ndarray,
     test_y: np.ndarray,
     cfg: ExperimentConfig,
     fold: int,
     do_sweep: bool = False,
-) -> tuple[FoldOutcome, tuple[forest.Forest, forest.ConvergenceTrace]]:
-    """The fold's outcome and its forest with the forest's trace; a caller
-    that writes no diagnostics drops the pair at once."""
+) -> tuple[FoldOutcome, forest.Forest]:
+    """The fold's outcome and its forest; a caller that writes no
+    diagnostics drops the forest at once."""
     fcfg = dataclasses.replace(cfg.forest, seed=_derive_seed(cfg.seed, 2, fold))
-    built, trace = forest.build_forest(
-        full_ds, train_rows, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers
-    )
+    built = forest.build_forest(train_ds, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers)
     extras = {
-        "ensemble_acc_final": float(trace.ensemble_acc[-1]),
-        "best_validation_acc": trace.best_validation_acc,
+        "ensemble_acc_final": float(built.ensemble_acc[-1]),
+        "best_validation_acc": built.best_validation_acc,
     }
     sizes = [t.split_count for t in built.trees]
-    outcome = _fold_outcome(trace.votes, trace.probabilities, test_y, sizes, cfg, extras, do_sweep)
-    return outcome, (built, trace)
+    outcome = _fold_outcome(built.votes, built.probabilities, test_y, sizes, cfg, extras, do_sweep)
+    return outcome, built
 
 
 def _paired_fold_runs(
@@ -308,16 +295,13 @@ def _paired_fold_runs(
     folds = make_folds(train_ds, cfg.fold_count, seed=cfg.seed)
     out: dict[str, list[FoldOutcome]] = {}
     for fold in range(cfg.fold_count):
-        rows = folds.train_indices(fold)
+        sub = train_ds.subset(folds.train_indices(fold))
         if cfg.technique in ("bayes", "both"):
-            sub = train_ds.subset(rows)
             outcome = run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
             _print_warnings(f"{label} fold {fold}", outcome)
             out.setdefault("bayes", []).append(outcome)
         if cfg.technique in ("forest", "both"):
-            out.setdefault("forest", []).append(
-                run_forest_fold(train_ds, rows, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
-            )
+            out.setdefault("forest", []).append(run_forest_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0])
     return out
 
 
@@ -399,16 +383,14 @@ def _emit_bayes_diagnostics(
     }
 
 
-def _emit_forest_diagnostics(
-    out_dir: Path, prefix: str, built: forest.Forest, trace: forest.ConvergenceTrace, artifacts: dict
-) -> None:
+def _emit_forest_diagnostics(out_dir: Path, prefix: str, built: forest.Forest, artifacts: dict) -> None:
     """Convergence CSV, size histogram and a dump of every tree for one
     forest, each file name starting with prefix."""
     conv_path = out_dir / f"{prefix}convergence.csv"
     _write_csv(
         conv_path,
         ["t", "ensemble_acc", "single_acc"],
-        ((t + 1, pe, ps) for t, (pe, ps) in enumerate(zip(trace.ensemble_acc, trace.single_acc))),
+        ((t + 1, pe, ps) for t, (pe, ps) in enumerate(zip(built.ensemble_acc, built.single_acc))),
     )
     sizes = Counter(t.split_count for t in built.trees)
     hist_path = out_dir / f"{prefix}size_histogram.csv"
@@ -462,10 +444,8 @@ def _headline_runs(
         _emit_bayes_diagnostics(out_dir, "bayes_full_", result, artifacts, train_ds.feature_count)
         del result  # freed before the forest's headline run
     if cfg.technique in ("forest", "both"):
-        headline["forest"], (built, trace) = run_forest_fold(
-            train_ds, np.arange(train_ds.row_count), test_X, test_y, cfg, fold=cfg.fold_count
-        )
-        _emit_forest_diagnostics(out_dir, "forest_full_", built, trace, artifacts)
+        headline["forest"], built = run_forest_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
+        _emit_forest_diagnostics(out_dir, "forest_full_", built, artifacts)
     return headline
 
 

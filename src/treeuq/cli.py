@@ -165,7 +165,7 @@ def _config(args) -> bench.ExperimentConfig:
                 group, _, name = target.rpartition(".")
                 fields[group][name] = value
     top = fields[""]
-    sampler = bench.paper_scale_mcmc_config() if top.pop("paper_scale", False) else bench.desk_mcmc_config()
+    sampler = mcmc.McmcConfig() if top.pop("paper_scale", False) else bench.DESK_MCMC
     try:
         return bench.ExperimentConfig(
             mcmc=dataclasses.replace(sampler, **fields["mcmc"]),
@@ -229,10 +229,8 @@ def _cmd_bayes(args) -> int:
         "accepted": accepted,
     }
     if test is not None:
-        pred = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
-        outcome = bench._fold_outcome(
-            pred.votes, pred.probabilities, test.labels, result.samples.split_counts(), cfg, {}, False
-        )
+        probabilities, votes = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
+        outcome = bench._fold_outcome(votes, probabilities, test.labels, result.samples.split_counts(), cfg, {}, False)
         envelope.write_votes_csv(outcome.votes, out / "votes.csv")
         summary["vote_accuracy"] = outcome.report.accuracy
         summary["soft_accuracy"] = outcome.soft_accuracy
@@ -250,19 +248,17 @@ def _cmd_forest(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     evaluated = train if test is None else test
     fcfg = dataclasses.replace(cfg.forest, seed=cfg.seed)
-    built, trace = forest.build_forest(
-        train, np.arange(train.row_count), evaluated.features, evaluated.labels, fcfg, workers=cfg.workers
-    )
-    bench._emit_forest_diagnostics(out, "", built, trace, {})
+    built = forest.build_forest(train, evaluated.features, evaluated.labels, fcfg, workers=cfg.workers)
+    bench._emit_forest_diagnostics(out, "", built, {})
     sizes = [t.split_count for t in built.trees]
     summary = {
         "tree_count": len(built.trees),
-        "ensemble_acc_final": float(trace.ensemble_acc[-1]),
-        "best_validation_acc": trace.best_validation_acc,
+        "ensemble_acc_final": float(built.ensemble_acc[-1]),
+        "best_validation_acc": built.best_validation_acc,
         "size_mean": float(np.mean(sizes)),
     }
     if test is not None:
-        outcome = bench._fold_outcome(trace.votes, trace.probabilities, test.labels, sizes, cfg, {}, False)
+        outcome = bench._fold_outcome(built.votes, built.probabilities, test.labels, sizes, cfg, {}, False)
         envelope.write_votes_csv(outcome.votes, out / "votes.csv")
         summary["vote_accuracy"] = outcome.report.accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -17,7 +17,8 @@ in the same pre-order as growing it alone, so the forest does not depend
 on how many trees grow together or on the worker count.  A tree's nodes
 are appended to its pre-order `tree.DecisionTree` columns (feature,
 threshold, leaf counts) as they are reached, so no tree is converted
-afterwards.
+afterwards.  `build_forest` grows on all rows of one training `Dataset`
+and hands back one `Forest` record.
 """
 
 from __future__ import annotations
@@ -54,21 +55,15 @@ class ForestConfig:
 
 @dataclass(frozen=True)
 class Forest:
+    """The trees and how they score on the evaluation points as the
+    ensemble grows: ensemble_acc[t] averages trees 0..t, single_acc[t] is
+    tree t alone, and best_validation_acc is the evaluation accuracy of the
+    tree that scored highest on the validation holdout.  votes and
+    probabilities are what `forest_votes` and `forest_predictive` give on
+    the evaluation points, bit for bit."""
+
     trees: tuple[DecisionTree, ...]
-    validation_acc: tuple[float, ...]  # per-tree accuracy on the held-out part
-
-
-@dataclass(frozen=True)
-class ConvergenceTrace:
-    """Evaluation-set accuracy while the ensemble grows.
-
-    ensemble_acc[t] averages trees 0..t; single_acc[t] is tree t alone;
-    best_validation_acc is the evaluation accuracy of the tree that scored
-    highest on the validation subset.  votes and probabilities are what
-    `forest_votes` and `forest_predictive` give on the evaluation points,
-    bit for bit.
-    """
-
+    validation_acc: tuple[float, ...]  # per-tree accuracy on the validation holdout
     ensemble_acc: np.ndarray
     single_acc: np.ndarray
     best_validation_acc: float
@@ -247,25 +242,24 @@ def _chunk_job(args) -> list[DecisionTree]:
 
 def build_forest(
     ds: Dataset,
-    train_rows: np.ndarray,
     eval_points: np.ndarray,
     eval_labels: np.ndarray,
     cfg: ForestConfig,
     alpha=1.0,
     workers: int = 1,
-) -> tuple[Forest, ConvergenceTrace]:
-    """Grow the ensemble and track evaluation accuracy as trees accumulate.
+) -> Forest:
+    """Grow the ensemble on all of ds's rows and score it on the evaluation
+    points as trees accumulate.
 
-    train_rows is split internally into an induction part and a validation
-    holdout (used only to select the best single tree).  Per-tree PRNG
-    streams derive from (seed, tree_index), so parallel and serial growth
-    produce identical forests.  With workers > 1, each worker grows one
-    contiguous chunk of tree indices in lockstep.
+    ds's rows are split into an induction part and a validation holdout
+    (used only to select the best single tree).  Per-tree PRNG streams
+    derive from (seed, tree_index), so parallel and serial growth produce
+    identical forests.  With workers > 1, each worker grows one contiguous
+    chunk of tree indices in lockstep.
     """
-    train_rows = np.asarray(train_rows, dtype=np.int64)
     eval_points = np.asarray(eval_points, dtype=np.float64)
     eval_labels = np.asarray(eval_labels, dtype=np.int64)
-    split = split_validation(train_rows, ds.labels, cfg.validation_fraction, seed=cfg.seed)
+    split = split_validation(np.arange(ds.row_count), ds.labels, cfg.validation_fraction, seed=cfg.seed)
     induction, validation = split.train, split.holdout
 
     chunks = [c for c in np.array_split(np.arange(cfg.tree_count), max(workers, 1)) if c.size]
@@ -290,16 +284,15 @@ def build_forest(
         single_acc[t] = _accuracy(labels, eval_labels)
         ensemble_acc[t] = _accuracy(np.argmax(prob_sum, axis=1), eval_labels)
 
-    best = int(np.argmax(validation_acc))
-    forest = Forest(trees=tuple(trees), validation_acc=validation_acc)
-    trace = ConvergenceTrace(
+    return Forest(
+        trees=tuple(trees),
+        validation_acc=validation_acc,
         ensemble_acc=ensemble_acc,
         single_acc=single_acc,
-        best_validation_acc=float(single_acc[best]),
+        best_validation_acc=float(single_acc[int(np.argmax(validation_acc))]),
         votes=votes,
         probabilities=prob_sum / cfg.tree_count,
     )
-    return forest, trace
 
 
 def forest_predictive(forest: Forest, X: np.ndarray, alpha) -> np.ndarray:

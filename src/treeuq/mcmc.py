@@ -124,7 +124,8 @@ class DepthPenaltySplitPrior:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings.
+    """Sampler settings; the defaults are the paper protocol, 50 restarts x
+    (2000 burn-in + 2000 post burn-in) at sample rate 1.
 
     move_probs is (birth, death, change_split, change_rule) and must sum
     to 1; birth and death are both positive, or both zero for a chain of
@@ -1054,7 +1055,8 @@ def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
     """
     jobs = [(ds, cfg, r) for r in range(cfg.restarts)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # fork starts every worker at once, so no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_chain_job, jobs))
     else:
         results = [_chain_job(job) for job in jobs]
@@ -1070,21 +1072,13 @@ def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredictionSummary:
-    probabilities: np.ndarray  # (n, C) posterior-averaged class probabilities
-    votes: np.ndarray  # (n, C) hard-label histogram over samples
-
-
-def predict_average(samples: Samples, X: np.ndarray, alpha) -> PredictionSummary:
-    """Average the per-tree class probabilities and tally hard votes; each
-    run's tree is predicted once and counted once per sample."""
+def predict_average(samples: Samples, X: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, C) posterior-averaged class probabilities and hard-vote
+    histogram over the samples; each run's tree is predicted once and
+    counted once per sample."""
     if not samples:
         raise ValueError("no posterior samples to average")
-    probs, votes = ensemble_average(
-        [run.tree for run in samples.runs], [run.count for run in samples.runs], X, alpha
-    )
-    return PredictionSummary(probabilities=probs, votes=votes)
+    return ensemble_average([run.tree for run in samples.runs], [run.count for run in samples.runs], X, alpha)
 
 
 class PathRow(NamedTuple):

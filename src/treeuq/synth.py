@@ -137,24 +137,6 @@ def class_posteriors(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarra
     return dens / total
 
 
-@dataclass(frozen=True)
-class BayesErrorEstimate:
-    rate: float
-    stderr: float
-    sample_count: int
-
-
-def bayes_error_estimate(spec: GaussianMixtureSpec, sample_count: int, seed: int) -> BayesErrorEstimate:
-    """Monte-Carlo misclassification rate of the optimal rule on a fresh sample."""
-    if sample_count < 10_000:
-        raise ValueError("sample_count must be at least 10^4")
-    batch = sample(spec, sample_count, seed=seed)
-    predicted = np.argmax(class_posteriors(spec, batch.points), axis=1)
-    rate = float(np.mean(predicted != batch.labels))
-    stderr = float(np.sqrt(rate * (1.0 - rate) / sample_count))
-    return BayesErrorEstimate(rate=rate, stderr=stderr, sample_count=sample_count)
-
-
 def canonical_datasets(
     seed: int = CANONICAL_SEED,
     train_size: int = CANONICAL_TRAIN_SIZE,

@@ -40,6 +40,9 @@ model of a tree, a node arena:
 - `rows_of`, `rows_by_node` and `proposed_state`: a row bitset as indices,
   a state's rows per pre-order node, and the state a proposal leads to,
   built on a copy so the drawn-on state stays as it was.
+- `bayes_error_estimate` (`BayesErrorEstimate`): the Monte-Carlo error rate
+  of the mixture's Bayes-optimal rule, for `test_synth`'s `TestBayesError`
+  and criterion 1.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from treeuq.mcmc import (
     _split_prior_term,
     _structure_log_ratio,
 )
+from treeuq.synth import GaussianMixtureSpec, class_posteriors, sample
 from treeuq.tree import DecisionTree
 
 
@@ -433,3 +437,21 @@ def proposed_state(state, proposal):
     after = copy.deepcopy(state, {id(state.tables): state.tables})
     after.apply(proposal)
     return after
+
+
+@dataclass(frozen=True)
+class BayesErrorEstimate:
+    rate: float
+    stderr: float
+    sample_count: int
+
+
+def bayes_error_estimate(spec: GaussianMixtureSpec, sample_count: int, seed: int) -> BayesErrorEstimate:
+    """Monte-Carlo misclassification rate of the optimal rule on a fresh sample."""
+    if sample_count < 10_000:
+        raise ValueError("sample_count must be at least 10^4")
+    batch = sample(spec, sample_count, seed=seed)
+    predicted = np.argmax(class_posteriors(spec, batch.points), axis=1)
+    rate = float(np.mean(predicted != batch.labels))
+    stderr = float(np.sqrt(rate * (1.0 - rate) / sample_count))
+    return BayesErrorEstimate(rate=rate, stderr=stderr, sample_count=sample_count)

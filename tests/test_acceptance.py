@@ -24,6 +24,7 @@ from oracles import (
     Leaf,
     Split,
     arena,
+    bayes_error_estimate,
     columns,
     leaf_predictive,
     proposal_log_ratio,
@@ -54,16 +55,16 @@ def _criterion(num: str, ok: bool, desc: str, detail: str = "") -> None:
 def bayes_desk_run(canonical_data):
     """10 restarts x (500 + 500) on the canonical 250-row training set."""
     train, test = canonical_data
-    cfg = bench.desk_mcmc_config(seed=synth.CANONICAL_SEED, min_leaf_rows=5)
+    cfg = replace(bench.DESK_MCMC, seed=synth.CANONICAL_SEED, min_leaf_rows=5)
     t0 = time.perf_counter()
     result = mcmc.run_restarts(train, cfg)
-    pred = mcmc.predict_average(result.samples, test.features, cfg.dirichlet_alpha)
+    probabilities, votes = mcmc.predict_average(result.samples, test.features, cfg.dirichlet_alpha)
     elapsed = time.perf_counter() - t0
-    accuracy = float(np.mean(np.argmax(pred.probabilities, axis=1) == test.labels))
+    accuracy = float(np.mean(np.argmax(probabilities, axis=1) == test.labels))
     return {
         "cfg": cfg,
         "result": result,
-        "pred": pred,
+        "votes": votes,
         "accuracy": accuracy,
         "elapsed": elapsed,
     }
@@ -75,11 +76,9 @@ def forest_desk_run(canonical_data):
     train, test = canonical_data
     cfg = forest.ForestConfig(tree_count=200, min_leaf_rows=5, seed=synth.CANONICAL_SEED)
     t0 = time.perf_counter()
-    built, trace = forest.build_forest(
-        train, np.arange(train.row_count), test.features, test.labels, cfg
-    )
+    built = forest.build_forest(train, test.features, test.labels, cfg)
     elapsed = time.perf_counter() - t0
-    return {"forest": built, "trace": trace, "elapsed": elapsed}
+    return {"forest": built, "elapsed": elapsed}
 
 
 def _quadrature_bayes_error(components, step: float) -> float:
@@ -107,7 +106,7 @@ def test_criterion_1_bayes_error(canonical_data):
     """Monte-Carlo Bayes-error estimate with 1e5 points matches quadrature within 3 stderr."""
     spec = synth.benchmark_mixture()
     t0 = time.perf_counter()
-    est = synth.bayes_error_estimate(spec, 100_000, seed=synth.CANONICAL_SEED)
+    est = bayes_error_estimate(spec, 100_000, seed=synth.CANONICAL_SEED)
     elapsed = time.perf_counter() - t0
     _criterion("1a", elapsed < 5.0, "Bayes-error estimate runtime < 5 s", f"{elapsed:.2f}s")
     coarse = _quadrature_bayes_error(spec.components, 0.004)
@@ -135,7 +134,7 @@ def test_criterion_2_bayes_accuracy(bayes_desk_run):
 
 def test_criterion_3_forest_accuracy(forest_desk_run):
     """200-tree ensemble accuracy on the canonical test set."""
-    acc = float(forest_desk_run["trace"].ensemble_acc[-1])
+    acc = float(forest_desk_run["forest"].ensemble_acc[-1])
     elapsed = forest_desk_run["elapsed"]
     _criterion("3a", elapsed < 60.0, "forest build runtime < 1 min", f"{elapsed:.1f}s")
     _criterion("3b", 0.84 <= acc <= 0.91, "forest accuracy in [84%, 91%]", f"{acc:.4f}")
@@ -161,13 +160,13 @@ def test_criterion_5_envelope_stability_ordering(canonical_data):
         for fold in range(5):
             rows = folds.train_indices(fold)
             sub = train.subset(rows)
-            mcfg = bench.desk_mcmc_config(seed=seed * 100 + fold, min_leaf_rows=5)
+            mcfg = replace(bench.DESK_MCMC, seed=seed * 100 + fold, min_leaf_rows=5)
             res = mcmc.run_restarts(sub, mcfg)
-            pred = mcmc.predict_average(res.samples, test.features, 1.0)
-            vm = envelope.VoteMatrix.build(pred.votes, test.labels)
+            _, votes = mcmc.predict_average(res.samples, test.features, 1.0)
+            vm = envelope.VoteMatrix.build(votes, test.labels)
             b_reports.append(envelope.evaluate(vm, 0.99))
             fcfg = forest.ForestConfig(tree_count=200, min_leaf_rows=5, seed=seed * 100 + fold + 50)
-            built, _ = forest.build_forest(train, rows, test.features, test.labels, fcfg)
+            built = forest.build_forest(sub, test.features, test.labels, fcfg)
             vm = envelope.VoteMatrix.build(forest.forest_votes(built, test.features, 1.0), test.labels)
             f_reports.append(envelope.evaluate(vm, 0.99))
         b = envelope.aggregate(b_reports)
@@ -350,8 +349,8 @@ def test_criterion_7_oracle_equivalence(canonical_data):
     per_restart = []
     for r in range(cfg.restarts):
         res = mcmc.run_chain(ds, cfg, run_index=r)
-        pred = mcmc.predict_average(res.samples, probes, 1.0)
-        per_restart.append(pred.probabilities[:, 0])
+        probabilities, _ = mcmc.predict_average(res.samples, probes, 1.0)
+        per_restart.append(probabilities[:, 0])
     per_restart = np.array(per_restart)
     chain_mean = per_restart.mean(axis=0)
     sigma = per_restart.std(axis=0, ddof=1) / math.sqrt(cfg.restarts)
@@ -410,7 +409,7 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
     _criterion("8c", ok_bounds, "consistency lies in [1/C, 1] on random vote rows")
 
     # 8d: sweep monotonicity on the desk-run votes
-    vm = envelope.VoteMatrix.build(bayes_desk_run["pred"].votes, test.labels)
+    vm = envelope.VoteMatrix.build(bayes_desk_run["votes"], test.labels)
     curve = envelope.sweep(vm)
     mono = bool(
         (np.diff(curve.u_rates) >= -1e-12).all() and (np.diff(curve.ci_rates) <= 1e-12).all()
@@ -467,7 +466,7 @@ def test_criterion_9_uci_orderings(tmp_path):
     if not present:
         pytest.skip(f"no local UCI CSV copies under {data_dir}; criterion 9 is conditional")
     cfg = bench.ExperimentConfig(
-        mcmc=bench.desk_mcmc_config(),
+        mcmc=bench.DESK_MCMC,
         forest=forest.ForestConfig(tree_count=200),
         data_dir=data_dir,
         datasets=tuple(present),

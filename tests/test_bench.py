@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -222,7 +223,7 @@ class TestSyntheticProtocol:
             return wrapper
 
         monkeypatch.setattr(mcmc, "run_restarts", watched(mcmc.run_restarts, lambda result: result))
-        monkeypatch.setattr(forest, "build_forest", watched(forest.build_forest, lambda pair: pair[0]))
+        monkeypatch.setattr(forest, "build_forest", watched(forest.build_forest, lambda built: built))
         bench.run_synthetic_protocol(tiny_config(tmp_path / "out"))
         gc.collect()
         assert len(runs) == 2 * (1 + 3)  # headline and three folds, each technique
@@ -463,6 +464,15 @@ class TestCli:
         assert "cannot make 5 folds from 3 rows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["synth"], ["bench", "synthetic"]])
+    @pytest.mark.parametrize("key", ["train_size", "test_size"])
+    def test_size_below_one_refused_before_writing(self, tmp_path, capsys, command, key):
+        out = tmp_path / "out"
+        rc = cli.main([*command, f"--{key.replace('_', '-')}", "0", "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_votes_is_data_error(self, tmp_path):
         rc = cli.main(["envelope", "--votes", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
         assert rc == 3
@@ -683,7 +693,8 @@ class TestOptionTable:
         args = cli.build_parser().parse_args(["bench", "synthetic", "--config", str(config), "--top-k", "5"])
         cli._fill_from_config(args)
         cfg = cli._config(args)
-        assert cfg.mcmc == bench.desk_mcmc_config(
+        assert cfg.mcmc == dataclasses.replace(
+            bench.DESK_MCMC,
             move_probs=(0.2, 0.2, 0.1, 0.5),
             dirichlet_alpha=0.5,
             split_prior=mcmc.DepthPenaltySplitPrior(base=0.95, decay=1.5),

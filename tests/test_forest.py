@@ -361,15 +361,15 @@ class TestBuildForest:
     def test_single_tree_trace(self, canonical_data):
         train, test = canonical_data
         cfg = ForestConfig(tree_count=1, min_leaf_rows=5, seed=2)
-        built, trace = build_forest(train, np.arange(120), test.features, test.labels, cfg)
+        built = build_forest(train.subset(np.arange(120)), test.features, test.labels, cfg)
         assert len(built.trees) == 1
-        assert trace.ensemble_acc[0] == trace.single_acc[0]
-        assert trace.best_validation_acc == trace.single_acc[0]
+        assert built.ensemble_acc[0] == built.single_acc[0]
+        assert built.best_validation_acc == built.single_acc[0]
 
     def test_averaged_probabilities_match_loop_oracle(self, canonical_data):
         train, test = canonical_data
         cfg = ForestConfig(tree_count=8, min_leaf_rows=5, seed=3)
-        built, _ = build_forest(train, np.arange(150), test.features[:50], test.labels[:50], cfg)
+        built = build_forest(train.subset(np.arange(150)), test.features[:50], test.labels[:50], cfg)
         got = forest_predictive(built, test.features[:50], 1.0)
         alpha = np.ones(2)
         want = np.zeros_like(got)
@@ -383,8 +383,8 @@ class TestBuildForest:
 
         train, test = canonical_data
         cfg = ForestConfig(tree_count=6, min_leaf_rows=5, seed=9)
-        a, _ = build_forest(train, np.arange(100), test.features[:20], test.labels[:20], cfg)
-        b, _ = build_forest(train, np.arange(100), test.features[:20], test.labels[:20], cfg)
+        a = build_forest(train.subset(np.arange(100)), test.features[:20], test.labels[:20], cfg)
+        b = build_forest(train.subset(np.arange(100)), test.features[:20], test.labels[:20], cfg)
         assert [serialize(t) for t in a.trees] == [serialize(t) for t in b.trees]
         assert a.validation_acc == b.validation_acc
 
@@ -393,29 +393,30 @@ class TestBuildForest:
         train, test = canonical_data
         for tree_count, worker_counts in ((6, (2,)), (7, (2, 3)), (3, (4,))):
             cfg = ForestConfig(tree_count=tree_count, min_leaf_rows=5, seed=4)
-            args = (train, np.arange(100), test.features[:20], test.labels[:20], cfg)
-            serial, serial_trace = build_forest(*args)
+            args = (train.subset(np.arange(100)), test.features[:20], test.labels[:20], cfg)
+            serial = build_forest(*args)
             for workers in worker_counts:
-                pooled, pooled_trace = build_forest(*args, workers=workers)
+                pooled = build_forest(*args, workers=workers)
                 assert [serialize(t) for t in pooled.trees] == [serialize(t) for t in serial.trees]
                 assert pooled.validation_acc == serial.validation_acc
                 for name in ("ensemble_acc", "single_acc", "best_validation_acc", "votes", "probabilities"):
-                    assert np.array_equal(getattr(pooled_trace, name), getattr(serial_trace, name))
+                    assert np.array_equal(getattr(pooled, name), getattr(serial, name))
 
     def test_trace_holds_the_forest_predictions(self, canonical_data):
         train, test = canonical_data
         alpha = (0.7, 1.3)
         X, y = test.features[:60], test.labels[:60]
         cfg = ForestConfig(tree_count=20, min_leaf_rows=3, seed=5)  # more trees than one routing block
-        built, trace = build_forest(train, np.arange(120), X, y, cfg, alpha=alpha)
-        assert np.array_equal(trace.votes, forest_votes(built, X, alpha))
-        assert np.array_equal(trace.probabilities, forest_predictive(built, X, alpha))
+        built = build_forest(train.subset(np.arange(120)), X, y, cfg, alpha=alpha)
+        assert np.array_equal(built.votes, forest_votes(built, X, alpha))
+        assert np.array_equal(built.probabilities, forest_predictive(built, X, alpha))
 
 
 class TestForestVotes:
     def _forest_of_leaves(self, leaves):
         trees = tuple(columns(single_leaf_tree(counts=c)) for c in leaves)
-        return Forest(trees=trees, validation_acc=tuple(0.0 for _ in trees))
+        nothing = np.empty(0)  # no evaluation points
+        return Forest(trees, tuple(0.0 for _ in trees), nothing, nothing, 0.0, nothing, nothing)
 
     def test_unanimous(self):
         built = self._forest_of_leaves([(0, 5)] * 7)
@@ -429,7 +430,7 @@ class TestForestVotes:
         assert votes[0].max() / votes[0].sum() == pytest.approx(0.99)
 
     def test_empty_forest_rejected(self):
-        empty = Forest(trees=(), validation_acc=())
+        empty = self._forest_of_leaves([])
         for predict in (forest_predictive, forest_votes):
             with pytest.raises(ValueError):
                 predict(empty, np.zeros((1, 1)), 1.0)
@@ -444,7 +445,7 @@ class TestForestVotes:
     def test_votes_sum_to_tree_count(self, canonical_data):
         train, test = canonical_data
         cfg = ForestConfig(tree_count=11, min_leaf_rows=5, seed=6)
-        built, _ = build_forest(train, np.arange(100), test.features[:30], test.labels[:30], cfg)
+        built = build_forest(train.subset(np.arange(100)), test.features[:30], test.labels[:30], cfg)
         votes = forest_votes(built, test.features[:30], 1.0)
         assert (votes.sum(axis=1) == 11).all()
         assert (votes.max(axis=1) / 11 >= 1 / 2).all()
@@ -467,13 +468,13 @@ def test_golden_forest_outputs(canonical_data):
     alpha = (0.7, 1.3)
     X, y = test.features[:200], test.labels[:200]
     cfg = ForestConfig(tree_count=70, min_leaf_rows=5, seed=8)
-    built, trace = build_forest(train, np.arange(120), X, y, cfg, alpha=alpha)
+    built = build_forest(train.subset(np.arange(120)), X, y, cfg, alpha=alpha)
     outputs = {
         "forest_predictive": forest_predictive(built, X, alpha),
         "forest_votes": forest_votes(built, X, alpha),
-        "ensemble_acc": trace.ensemble_acc,
-        "single_acc": trace.single_acc,
-        "validation_acc": np.array(built.validation_acc + (trace.best_validation_acc,)),
+        "ensemble_acc": built.ensemble_acc,
+        "single_acc": built.single_acc,
+        "validation_acc": np.array(built.validation_acc + (built.best_validation_acc,)),
     }
     digests = {name: hashlib.sha256(value.tobytes()).hexdigest() for name, value in outputs.items()}
     assert digests == GOLDEN_FOREST

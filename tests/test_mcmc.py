@@ -1008,8 +1008,9 @@ def test_golden_predict_average():
                      dirichlet_alpha=(0.5, 1.0, 2.0), seed=7)
     samples = run_restarts(ds, cfg).samples
     assert 64 < len(samples.runs) < len(samples)  # repeats, and more than one routing block
-    pred = predict_average(samples, test_X, cfg.dirichlet_alpha)
-    digests = {name: hashlib.sha256(getattr(pred, name).tobytes()).hexdigest() for name in GOLDEN_PREDICTION}
+    probabilities, votes = predict_average(samples, test_X, cfg.dirichlet_alpha)
+    outputs = {"probabilities": probabilities, "votes": votes}
+    digests = {name: hashlib.sha256(value.tobytes()).hexdigest() for name, value in outputs.items()}
     assert digests == GOLDEN_PREDICTION
 
 
@@ -1038,6 +1039,31 @@ class TestRunRestarts:
             serialize(s.tree) for s in parallel.samples
         ]
         assert serial.trace.move_counts() == parallel.trace.move_counts()
+
+    def test_pool_no_larger_than_the_restart_count(self, monkeypatch):
+        """A pool forks all its workers at once, so run_restarts asks for no
+        more than it has chains; a stub pool records the size and maps
+        serially, starting no process."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(mcmc, "ProcessPoolExecutor", SerialPool)
+        ds = small_dataset(n=50, seed=3)
+        cfg = McmcConfig(burn_in=30, post_burn_in=30, restarts=2, min_leaf_rows=3, seed=5)
+        run_restarts(ds, cfg, workers=64)
+        assert sizes == [2]
 
     def test_move_counts_match_the_steps_taken(self, monkeypatch):
         """The trace's per-kind counts and acceptance are those of the
@@ -1069,15 +1095,15 @@ class TestRunRestarts:
 
 class TestPredictAverage:
     def test_single_sample_equals_leaf_predictive(self):
-        pred = predict_average(samples_of([single_leaf_tree(counts=(3, 1))]), np.zeros((1, 1)), 1.0)
-        assert pred.probabilities[0] == pytest.approx(leaf_predictive((3, 1), ALPHA2))
+        probabilities, _ = predict_average(samples_of([single_leaf_tree(counts=(3, 1))]), np.zeros((1, 1)), 1.0)
+        assert probabilities[0] == pytest.approx(leaf_predictive((3, 1), ALPHA2))
 
     def test_two_opposed_samples_average_out(self):
         a = single_leaf_tree(counts=(50, 0))
         b = single_leaf_tree(counts=(0, 50))
-        pred = predict_average(samples_of([a, b]), np.zeros((1, 1)), 1.0)
-        assert pred.probabilities[0] == pytest.approx([0.5, 0.5])
-        assert pred.votes[0].tolist() == [1, 1]
+        probabilities, votes = predict_average(samples_of([a, b]), np.zeros((1, 1)), 1.0)
+        assert probabilities[0] == pytest.approx([0.5, 0.5])
+        assert votes[0].tolist() == [1, 1]
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

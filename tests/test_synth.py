@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bayes_error_estimate
 from treeuq import synth
 from treeuq.synth import GaussianMixtureSpec, MixtureComponent
 
@@ -120,7 +121,7 @@ class TestBayesClassifier:
 class TestBayesError:
     def test_estimate_consistent_with_canonical_test_set(self, spec, canonical_data):
         _, test = canonical_data
-        est = synth.bayes_error_estimate(spec, 100_000, seed=0)
+        est = bayes_error_estimate(spec, 100_000, seed=0)
         pred = np.argmax(synth.class_posteriors(spec, test.features), axis=1)
         test_rate = float(np.mean(pred != test.labels))
         sigma_1000 = np.sqrt(est.rate * (1 - est.rate) / 1000)
@@ -133,15 +134,15 @@ class TestBayesError:
                 MixtureComponent(1, 0.5, (0.0, 0.0), 0.03),
             )
         )
-        est = synth.bayes_error_estimate(twin, 100_000, seed=1)
+        est = bayes_error_estimate(twin, 100_000, seed=1)
         assert est.rate == pytest.approx(0.5, abs=0.01)
 
     def test_sample_count_floor(self, spec):
         with pytest.raises(ValueError):
-            synth.bayes_error_estimate(spec, 5000, seed=0)
+            bayes_error_estimate(spec, 5000, seed=0)
 
     def test_stderr_is_binomial(self, spec):
-        est = synth.bayes_error_estimate(spec, 10_000, seed=2)
+        est = bayes_error_estimate(spec, 10_000, seed=2)
         assert est.stderr == pytest.approx(np.sqrt(est.rate * (1 - est.rate) / 10_000))
 
 
