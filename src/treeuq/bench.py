@@ -198,14 +198,13 @@ def _summary_dict(summary: envelope.EnvelopeSummary) -> dict:
 @dataclass
 class FoldOutcome:
     """What one fold's scoring keeps: its vote matrix, envelope report,
-    soft accuracy, optional sweep curve, and `extras`, whose values are
-    scalars or lists of them.  The fold's chain or forest is not kept: a
-    protocol holds one fold's records at a time."""
+    soft accuracy, and `extras`, whose values are scalars or lists of
+    them.  The fold's chain or forest is not kept: a protocol holds one
+    fold's records at a time."""
 
     votes: envelope.VoteMatrix
     report: envelope.EnvelopeReport
     soft_accuracy: float
-    sweep_curve: envelope.SweepCurve | None
     extras: dict
 
 
@@ -214,11 +213,9 @@ def _derive_seed(*parts: int) -> int:
     return int(mixed >> 1)  # keep it a non-negative int64-safe seed
 
 
-def _fold_outcome(
-    votes, probabilities, test_y, sizes, cfg: ExperimentConfig, extras: dict, do_sweep: bool
-) -> FoldOutcome:
+def _fold_outcome(votes, probabilities, test_y, sizes, cfg: ExperimentConfig, extras: dict) -> FoldOutcome:
     """One fold's vote matrix, its envelope report with the mean and std of
-    the tree sizes (split counts), its soft accuracy and optional sweep."""
+    the tree sizes (split counts) and its soft accuracy."""
     vm = envelope.VoteMatrix.build(votes, test_y)
     sizes = np.array(sizes)
     report = dataclasses.replace(
@@ -227,8 +224,7 @@ def _fold_outcome(
         tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
     )
     soft = float(np.mean(np.argmax(probabilities, axis=1) == test_y))
-    curve = envelope.sweep(vm) if do_sweep else None
-    return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, sweep_curve=curve, extras=extras)
+    return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, extras=extras)
 
 
 def _print_warnings(label: str, outcome: FoldOutcome) -> None:
@@ -243,7 +239,6 @@ def run_bayes_fold(
     test_y: np.ndarray,
     cfg: ExperimentConfig,
     fold: int,
-    do_sweep: bool = False,
 ) -> tuple[FoldOutcome, mcmc.ChainResult]:
     """The fold's outcome and its pooled chains; a caller that writes no
     diagnostics drops the chains at once."""
@@ -256,7 +251,7 @@ def run_bayes_fold(
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),
     }
-    outcome = _fold_outcome(votes, probabilities, test_y, result.samples.split_counts(), cfg, extras, do_sweep)
+    outcome = _fold_outcome(votes, probabilities, test_y, result.samples.split_counts(), cfg, extras)
     return outcome, result
 
 
@@ -266,7 +261,6 @@ def run_forest_fold(
     test_y: np.ndarray,
     cfg: ExperimentConfig,
     fold: int,
-    do_sweep: bool = False,
 ) -> tuple[FoldOutcome, forest.Forest]:
     """The fold's outcome and its forest; a caller that writes no
     diagnostics drops the forest at once."""
@@ -277,7 +271,7 @@ def run_forest_fold(
         "best_validation_acc": built.best_validation_acc,
     }
     sizes = [t.split_count for t in built.trees]
-    outcome = _fold_outcome(built.votes, built.probabilities, test_y, sizes, cfg, extras, do_sweep)
+    outcome = _fold_outcome(built.votes, built.probabilities, test_y, sizes, cfg, extras)
     return outcome, built
 
 
@@ -297,18 +291,19 @@ def _paired_fold_runs(
     for fold in range(cfg.fold_count):
         sub = train_ds.subset(folds.train_indices(fold))
         if cfg.technique in ("bayes", "both"):
-            outcome = run_bayes_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0]
+            outcome = run_bayes_fold(sub, test_X, test_y, cfg, fold)[0]
             _print_warnings(f"{label} fold {fold}", outcome)
             out.setdefault("bayes", []).append(outcome)
         if cfg.technique in ("forest", "both"):
-            out.setdefault("forest", []).append(run_forest_fold(sub, test_X, test_y, cfg, fold, do_sweep=cfg.sweep)[0])
+            out.setdefault("forest", []).append(run_forest_fold(sub, test_X, test_y, cfg, fold)[0])
     return out
 
 
 def _emit_technique_artifacts(
-    out_dir: Path, tag: str, outcomes: list[FoldOutcome], artifacts: dict
+    out_dir: Path, tag: str, outcomes: list[FoldOutcome], artifacts: dict, sweep: bool
 ) -> dict:
-    """Write per-fold votes plus aggregated envelope/sweep; return summary JSON part."""
+    """Write per-fold votes plus aggregated envelope, and with `sweep` the
+    aggregated sweep of each fold's votes; return summary JSON part."""
     per_fold = []
     for i, oc in enumerate(outcomes):
         votes_path = out_dir / f"{tag}_fold{i}_votes.csv"
@@ -317,9 +312,9 @@ def _emit_technique_artifacts(
         per_fold.append(dataclasses.asdict(oc.report) | {"soft_accuracy": oc.soft_accuracy})
     summary = envelope.aggregate([oc.report for oc in outcomes])
     part = {"per_fold": per_fold, "summary": _summary_dict(summary)}
-    if outcomes[0].sweep_curve is not None:
+    if sweep:
         sweep_path = out_dir / f"{tag}_sweep.csv"
-        _write_sweep_csv(sweep_path, [oc.sweep_curve for oc in outcomes])
+        _write_sweep_csv(sweep_path, [envelope.sweep(oc.votes) for oc in outcomes])
         artifacts[tag]["sweep"] = str(sweep_path.name)
     return part
 
@@ -487,7 +482,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
 
     t0 = time.perf_counter()
     for tag, outcomes in fold_outcomes.items():
-        part = _emit_technique_artifacts(out_dir, tag, outcomes, artifacts)
+        part = _emit_technique_artifacts(out_dir, tag, outcomes, artifacts, cfg.sweep)
         hl = headline[tag]
         part["full_train"] = dataclasses.asdict(hl.report) | {"soft_accuracy": hl.soft_accuracy}
         part["full_train_extras"] = hl.extras
@@ -574,7 +569,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
         }
         ds_artifacts: dict = {}
         for tag, outcomes in fold_outcomes.items():
-            entry["techniques"][tag] = _emit_technique_artifacts(ds_out, tag, outcomes, ds_artifacts)
+            entry["techniques"][tag] = _emit_technique_artifacts(ds_out, tag, outcomes, ds_artifacts, cfg.sweep)
             summary = entry["techniques"][tag]["summary"]
             table_rows.append(
                 (name, tag, *(summary[part][metric] for _, metric in _UCI_COLUMNS for part in ("mean", "width2")))

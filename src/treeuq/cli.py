@@ -230,7 +230,7 @@ def _cmd_bayes(args) -> int:
     }
     if test is not None:
         probabilities, votes = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
-        outcome = bench._fold_outcome(votes, probabilities, test.labels, result.samples.split_counts(), cfg, {}, False)
+        outcome = bench._fold_outcome(votes, probabilities, test.labels, result.samples.split_counts(), cfg, {})
         envelope.write_votes_csv(outcome.votes, out / "votes.csv")
         summary["vote_accuracy"] = outcome.report.accuracy
         summary["soft_accuracy"] = outcome.soft_accuracy
@@ -258,7 +258,7 @@ def _cmd_forest(args) -> int:
         "size_mean": float(np.mean(sizes)),
     }
     if test is not None:
-        outcome = bench._fold_outcome(built.votes, built.probabilities, test.labels, sizes, cfg, {}, False)
+        outcome = bench._fold_outcome(built.votes, built.probabilities, test.labels, sizes, cfg, {})
         envelope.write_votes_csv(outcome.votes, out / "votes.csv")
         summary["vote_accuracy"] = outcome.report.accuracy
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

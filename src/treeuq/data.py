@@ -440,9 +440,16 @@ def split_holdout_count(indices, labels, holdout_size: int, seed: int) -> SplitP
 
 
 def split_validation(indices, labels, fraction: float, seed: int) -> SplitPair:
-    """Hold out round(fraction * len) indices, stratified by label."""
+    """Hold out round(fraction * len) indices, stratified by label.  A
+    fraction that holds out no row or every row is a setting error
+    (ValueError), named as the forest's validation_fraction."""
     if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
+        raise ValueError(f"validation_fraction must lie in (0, 1), got {fraction}")
     indices = np.asarray(indices, dtype=np.int64)
     holdout_size = _round_half_up(fraction * len(indices))
+    if not 0 < holdout_size < len(indices):
+        raise ValueError(
+            f"validation_fraction {fraction} holds out {holdout_size} of {len(indices)} rows; "
+            "it must hold out at least one and keep at least one"
+        )
     return split_holdout_count(indices, labels, holdout_size, seed)

@@ -3,18 +3,20 @@
 The chain moves between trees of different sizes via birth/death moves and
 within a size via change-split/change-rule moves.  Split rules are drawn
 uniformly from the observed values of the chosen feature among the rows
-reaching the node.  `mh_step` accepts a valid proposal with probability
-min(1, exp(total)), where total is the `RowTables.log_lik` difference of
-the proposed and current leaves, plus `_structure_log_ratio` (move
-probabilities, the prunable-split or leaf count of the reverse move and
-the Catalan tree-shape prior; zero for change moves), plus
-`_split_prior_term` (the depth-penalized split prior of a birth or death;
-zero under the uniform prior).  Every move's rule draw cancels the
-rule-prior factor of the node it acts on.  Change moves do not yet carry
-the descendant N_d terms: re-routing rows below the changed node changes
-N_d, the number of distinct values of split d's feature among d's rows and
-so d's rule-prior support, for every split d beneath it, and the total
-ignores that.
+reaching the node.  `mh_step` accepts a valid proposal (`propose_move`)
+with probability min(1, exp(total)), total being
+`log_accept_ratio(state, proposal, cfg)`, the one place the acceptance
+terms are added: the `RowTables.log_lik` difference of the proposed and
+current leaves, plus, for a birth or death, the structure term (move
+probabilities, the prunable-split or leaf count of the reverse move, the
+Catalan tree-shape prior) and the depth-penalized split-prior term (zero
+under the uniform prior; a split probability of 0.0 gives -inf, so no
+move into zero prior mass is accepted).  Every move's rule draw cancels
+the rule-prior factor of the node it acts on.  Change moves add neither
+term and do not yet carry the descendant N_d terms: re-routing rows
+below the changed node changes N_d, the number of distinct values of
+split d's feature among d's rows and so d's rule-prior support, for
+every split d beneath it, and the total ignores that.
 
 The chain keeps one mutable `ChainState`: the tree's own pre-order
 columns, plus each node's depth and row set, where a node is its
@@ -36,11 +38,11 @@ value, one bitset per class, and the log-gamma terms for every count
 0..n.  The tables read -0.0 as 0.0, so every zero threshold the chain
 draws is 0.0.  `ChainState(tables, tree)` reads the split columns of a
 `tree.DecisionTree` (the chain's start is one of a single split), routes
-its rows from the root with the tables and reads its counts and
-log-likelihood from them; `ChainState.tree` gives the state back in that
-form.  A split is then `rows & below` and `rows ^ left`, counts are
-`int.bit_count`, a change routes its range in one forward pass that
-passes over every node whose rows it does not move, and the windowed
+its rows with one `ChainState.reroute` from the root and reads its counts
+and log-likelihood from the tables; `ChainState.tree` gives the state
+back in that form.  A split is then `rows & below` and `rows ^ left`,
+counts are `int.bit_count`, a change routes its range in one forward pass
+that passes over every node whose rows it does not move, and the windowed
 change-rule step walks the per-value bitsets without a numpy call.  A
 rule redraw (birth, change-split, global change-rule) on a feature
 without ties (`RowTables.no_ties`) needs no numpy call either: the i-th
@@ -114,9 +116,9 @@ class DepthPenaltySplitPrior:
 
     def __post_init__(self):
         if not 0.0 < self.base < 1.0:
-            raise ValueError("base split probability must lie strictly in (0, 1)")
-        if self.decay < 0.0:
-            raise ValueError("decay must be non-negative")
+            raise ValueError(f"base split probability must lie strictly in (0, 1), got {self.base}")
+        if not 0.0 <= self.decay < math.inf:
+            raise ValueError(f"decay must be non-negative and finite, got {self.decay}")
 
     def split_probability(self, depth: int) -> float:
         return self.base * (1.0 + depth) ** (-self.decay)
@@ -163,8 +165,10 @@ class McmcConfig:
             raise ValueError(f"sample_rate {self.sample_rate} exceeds post_burn_in {self.post_burn_in}: no sample")
         if self.max_leaves is not None and self.max_leaves < 2:
             raise ValueError(f"max_leaves must be at least 2 (a chain starts from one split), got {self.max_leaves}")
-        if self.change_rule_window is not None and self.change_rule_window < 1:
-            raise ValueError("change_rule_window must be positive (or None for a global redraw)")
+        if self.change_rule_window is not None and not 1 <= self.change_rule_window <= 1 << 31:
+            # the offset is one integers(2 * window) draw, which takes at most 2**32 values
+            raise ValueError(f"change_rule_window must lie in 1..2**31 (or be None for a global redraw), "
+                             f"got {self.change_rule_window}")
         if isinstance(self.dirichlet_alpha, (int, float)):
             if not 0 < self.dirichlet_alpha < math.inf:
                 raise ValueError(f"dirichlet_alpha must be positive and finite, got {self.dirichlet_alpha}")
@@ -412,45 +416,6 @@ def valid_rules(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _structure_log_ratio(kind: str, k_old: int, q: int, cfg: McmcConfig) -> float:
-    """Log proposal-times-structure-prior ratio of a move from a tree of
-    k_old leaves; q is the prunable-split count of the larger of the two
-    trees (the proposed one for a birth, the current one for a death)."""
-    if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
-        return 0.0
-    birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
-    if kind == MOVE_BIRTH:
-        return (
-            math.log(death_p / birth_p)
-            + math.log(k_old / q)
-            + log_catalan(k_old)
-            - log_catalan(k_old + 1)
-        )
-    if kind == MOVE_DEATH:
-        return (
-            math.log(birth_p / death_p)
-            + math.log(q / (k_old - 1))
-            + log_catalan(k_old)
-            - log_catalan(k_old - 1)
-        )
-    raise ValueError(f"unknown move kind {kind!r}")
-
-
-def _split_prior_term(kind: str, depth: int, prior) -> float:
-    """Depth-penalized split-prior log ratio of a birth or death at a node
-    of the given depth (the leaf that grows, or the split that is pruned)."""
-    if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
-        return 0.0
-    p_here = prior.split_probability(depth)
-    p_child = prior.split_probability(depth + 1)
-    term = math.log(p_here) + 2.0 * math.log(1.0 - p_child) - math.log(1.0 - p_here)
-    if kind == MOVE_BIRTH:
-        return term
-    if kind == MOVE_DEATH:
-        return -term
-    raise ValueError(f"unknown move kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Row sets
 # ---------------------------------------------------------------------------
@@ -598,9 +563,10 @@ class ChainState:
     `ChainState(tables, tree)` is the state at `tree` (None for the
     root-only tree) on the data and prior of `tables`.  The tree's split
     columns are all it reads, and `tree.layout` refuses a feature column
-    that is not one full binary tree: its rows are routed down from the
-    root with `RowTables.below`, and its leaf class counts, log-gamma
-    terms and `log_lik` are read from the tables.
+    that is not one full binary tree: every position below the root
+    starts with no rows, one `reroute` of the root's rule with min_rows 0
+    routes them all, and its leaf class counts, log-gamma terms and
+    `log_lik` are read from the tables.
 
     A node is its pre-order position.  The per-node lists are the
     `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0 for
@@ -637,15 +603,13 @@ class ChainState:
 
     def __init__(self, tables: RowTables, tree: DecisionTree | None = None):
         feature, threshold = ((-1,), (0.0,)) if tree is None else (tree.feature, tree.threshold)
-        right, self.depth = layout(feature)
+        self.depth = layout(feature)[1]
         self.tables, self._tree = tables, None
         self._feature_column = None  # the snapshot's feature tuple, kept until the feature list changes
         self.feature, self.threshold = list(feature), list(threshold)
         self.bits = [(1 << tables.n) - 1] + [0] * (len(feature) - 1)
-        for nid, f in enumerate(feature):  # pre-order: a parent's rows are routed before its children's
-            if f >= 0:
-                goes_left = self.bits[nid] & tables.below(f, threshold[nid])
-                self.bits[nid + 1], self.bits[right[nid]] = goes_left, self.bits[nid] ^ goes_left
+        if feature[0] >= 0:  # every position below the root has rows 0 so far: route them all
+            self.bits[1:] = self.reroute(0, feature[0], threshold[0], min_rows=0)[1]
         self._index_structure()
         classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
         self.leaf_class, self.leaf_totals = list(classes), list(totals)
@@ -675,9 +639,9 @@ class ChainState:
         self.split_ids = [nid for nid, f in enumerate(feature) if f >= 0]
         self.prunable = [nid for nid in self.split_ids if feature[nid + 1] < 0 and feature[nid + 2] < 0]
 
-    def reroute(self, node: int, feature: int, threshold: float, tables: RowTables, min_rows: int):
+    def reroute(self, node: int, feature: int, threshold: float, min_rows: int):
         """Route the rows reaching split `node` down its subtree with the
-        node's rule set to (feature, threshold).
+        node's rule set to (feature, threshold), using `self.tables`.
 
         The subtree is the pre-order range node..end-1.  One forward pass
         gives each position its rows, with a stack of the rows of the right
@@ -687,7 +651,7 @@ class ChainState:
         a node whose row set changes holds fewer than min_rows rows; the
         others hold enough already (see the module docstring).
         """
-        features, thresholds, bits = self.feature, self.threshold, self.bits
+        features, thresholds, bits, tables = self.feature, self.threshold, self.bits, self.tables
         goes_left = bits[node] & tables.below(feature, threshold)
         rows, ahead, new = goes_left, [bits[node] ^ goes_left], []
         p = node + 1
@@ -736,23 +700,23 @@ class ChainState:
 class Proposal:
     """One drawn move, as a plain record.
 
-    A valid proposal holds the edit: the pre-order position it acts on, the
-    new rule, the new row sets (birth: the two children's; change: those of
+    A valid proposal holds the edit: the pre-order position it acts on
+    (the leaf that grows, the split that is pruned or changed), the new
+    rule, the new row sets (birth: the two children's; change: those of
     every position of the changed split's subtree after it, in order), the
-    proposed per-leaf lists (class counts, log-gamma terms), their
-    `log_lik`, read once from `tables`, and the depth the split prior term
-    needs (of the leaf that grows, or the split that is pruned).  It keeps
-    no reference to the state it was drawn on, and names no position but
-    its own: `ChainState.apply` makes it that state's current tree.
+    proposed per-leaf lists (class counts, log-gamma terms) and their
+    `log_lik`, read once from `tables`.  It carries no acceptance term:
+    `log_accept_ratio` reads those off the state it was drawn on.  It
+    keeps no reference to that state, and names no position but its own:
+    `ChainState.apply` makes it that state's current tree.
     """
 
-    def __init__(self, kind: str, valid: bool, log_proposal_ratio: float = 0.0, *, tables: RowTables | None = None,
-                 node: int = -1, feature: int = -1, threshold: float = 0.0, rows=(), leaves=None, depth: int = 0):
-        self.kind, self.valid, self.log_proposal_ratio = kind, valid, log_proposal_ratio
+    def __init__(self, kind: str, valid: bool, *, tables: RowTables | None = None, node: int = -1,
+                 feature: int = -1, threshold: float = 0.0, rows=(), leaves=None):
+        self.kind, self.valid = kind, valid
         self.node, self.feature, self.threshold, self.rows = node, feature, threshold, rows
         self.leaf_class, self.leaf_terms, self.leaf_totals = leaves or (None,) * 3
         self.log_lik = tables.log_lik(self.leaf_terms, self.leaf_totals) if valid else None
-        self.depth = depth
 
 
 # ---------------------------------------------------------------------------
@@ -873,15 +837,9 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
             return Proposal(kind, False)
         threshold, goes_left = drawn
         children = (goes_left, rows ^ goes_left)
-        # the new split is prunable, and the leaf's parent no longer is: a left
-        # child's parent is the split before it; a right child's is prunable
-        # only if it sits two positions back, with the leaf before as its left child
-        parent = leaf - 1 if state.feature[leaf - 1] >= 0 else leaf - 2
-        q = len(state.prunable) + 1 - (parent in state.prunable)
         return Proposal(
-            kind, True, _structure_log_ratio(kind, state.leaf_count, q, cfg), tables=tables,
-            node=leaf, feature=feature, threshold=threshold, rows=children,
-            leaves=_spliced(state, at, at + 1, [tables.leaf(c) for c in children]), depth=state.depth[leaf],
+            kind, True, tables=tables, node=leaf, feature=feature, threshold=threshold, rows=children,
+            leaves=_spliced(state, at, at + 1, [tables.leaf(c) for c in children]),
         )
 
     if kind == MOVE_DEATH:
@@ -895,10 +853,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         at = bisect_left(state.leaf_ids, node + 1)  # the left child; the right one is the next leaf
         counts = tuple([a + b for a, b in zip(state.leaf_class[at], state.leaf_class[at + 1])])
         merged = (counts, tables.terms(counts), tables.lg_total[size])
-        return Proposal(
-            kind, True, _structure_log_ratio(kind, state.leaf_count, len(candidates), cfg), tables=tables,
-            node=node, leaves=_spliced(state, at, at + 2, [merged]), depth=state.depth[node],
-        )
+        return Proposal(kind, True, tables=tables, node=node, leaves=_spliced(state, at, at + 2, [merged]))
 
     if not state.split_ids:
         return Proposal(kind, False)
@@ -928,7 +883,7 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         threshold = tables.step(feature, rows, current, offset)
         if threshold is None:
             return Proposal(kind, False)
-    routed = state.reroute(node, feature, threshold, tables, min_rows)
+    routed = state.reroute(node, feature, threshold, min_rows)
     if routed is None:
         return Proposal(kind, False)
     end, rows = routed
@@ -940,9 +895,41 @@ def propose_move(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> Proposal:
         if leaf_rows != state.bits[leaf]:
             new_class[at], new_terms[at * width : (at + 1) * width], new_totals[at] = tables.leaf(leaf_rows)
     return Proposal(
-        kind, True, _structure_log_ratio(kind, state.leaf_count, 0, cfg), tables=tables,
-        node=node, feature=feature, threshold=threshold, rows=rows, leaves=(new_class, new_terms, new_totals),
+        kind, True, tables=tables, node=node, feature=feature, threshold=threshold, rows=rows,
+        leaves=(new_class, new_terms, new_totals),
     )
+
+
+def log_accept_ratio(state: ChainState, proposal: Proposal, cfg: McmcConfig) -> float:
+    """The log Metropolis-Hastings ratio of a valid proposal drawn on
+    `state`, not yet applied: ((log_lik new - old) + structure) + split
+    prior, added in that order (see the module docstring).  The leaf count
+    k, the prunable-split count q and the node's depth are read off the
+    state."""
+    total = proposal.log_lik - state.log_lik
+    kind = proposal.kind
+    if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
+        return total
+    birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
+    k, node = state.leaf_count, proposal.node
+    if kind == MOVE_BIRTH:
+        # the new split is prunable, and the leaf's parent no longer is: a left
+        # child's parent is the split before it; a right child's is prunable
+        # only if it sits two positions back, with the leaf before as its left child
+        parent = node - 1 if state.feature[node - 1] >= 0 else node - 2
+        q = len(state.prunable) + 1 - (parent in state.prunable)
+        total += math.log(death_p / birth_p) + math.log(k / q) + log_catalan(k) - log_catalan(k + 1)
+    else:
+        q = len(state.prunable)
+        total += math.log(birth_p / death_p) + math.log(q / (k - 1)) + log_catalan(k) - log_catalan(k - 1)
+    prior = cfg.split_prior
+    if isinstance(prior, UniformSplitPrior):
+        return total
+    depth = state.depth[node]
+    p_here, p_child = prior.split_probability(depth), prior.split_probability(depth + 1)
+    log_p = math.log(p_here) if p_here > 0.0 else -math.inf
+    term = log_p + 2.0 * math.log(1.0 - p_child) - math.log(1.0 - p_here)
+    return total + (term if kind == MOVE_BIRTH else -term)
 
 
 def mh_step(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> tuple[str, bool]:
@@ -950,11 +937,7 @@ def mh_step(state: ChainState, cfg: McmcConfig, rng: ChainRng) -> tuple[str, boo
     proposal = propose_move(state, cfg, rng)
     if not proposal.valid:
         return proposal.kind, False
-    total = (
-        (proposal.log_lik - state.log_lik)
-        + proposal.log_proposal_ratio
-        + _split_prior_term(proposal.kind, proposal.depth, cfg.split_prior)
-    )
+    total = log_accept_ratio(state, proposal, cfg)
     if total >= 0.0 or rng.random() < math.exp(total):
         state.apply(proposal)
         return proposal.kind, True

@@ -34,9 +34,11 @@ model of a tree, a node arena:
   read by `proposal_log_ratio`.
 - `proposal_log_ratio`, `split_prior_log_ratio` (`_growth_depth`): the
   structure and split-prior log ratios of a move from one tree to another,
-  for `TestProposalLogRatio` (birth/death reciprocity), criterion 8a,
+  their formulas written out here on the arena trees, for
+  `TestProposalLogRatio` (birth/death reciprocity), criterion 8a,
   `TestSplitPriorLogRatio`, the accept-boundary test and
-  `test_proposals_match_tree_edits`.
+  `test_proposals_match_tree_edits`, which hold `mcmc.log_accept_ratio`
+  to them.
 - `rows_of`, `rows_by_node` and `proposed_state`: a row bitset as indices,
   a state's rows per pre-order node, and the state a proposal leads to,
   built on a copy so the drawn-on state stays as it was.
@@ -48,6 +50,7 @@ model of a tree, a node arena:
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +62,7 @@ from treeuq.mcmc import (
     MOVE_DEATH,
     McmcConfig,
     UniformSplitPrior,
-    _split_prior_term,
-    _structure_log_ratio,
+    log_catalan,
 )
 from treeuq.synth import GaussianMixtureSpec, class_posteriors, sample
 from treeuq.tree import DecisionTree
@@ -372,14 +374,17 @@ def proposal_log_ratio(kind: str, old_tree: ArenaTree, new_tree: ArenaTree, cfg:
     local rule step is symmetric on a grid the move cannot alter.
     """
     k_old, k_new = old_tree.leaf_count, new_tree.leaf_count
+    birth_p, death_p = cfg.move_probs[0], cfg.move_probs[1]
     if kind == MOVE_BIRTH:
         if k_new != k_old + 1:
             raise ValueError("birth must add exactly one leaf")
-        return _structure_log_ratio(kind, k_old, prunable_splits(new_tree), cfg)
+        q = prunable_splits(new_tree)
+        return math.log(death_p / birth_p) + math.log(k_old / q) + log_catalan(k_old) - log_catalan(k_old + 1)
     if kind == MOVE_DEATH:
         if k_new != k_old - 1:
             raise ValueError("death must remove exactly one leaf")
-        return _structure_log_ratio(kind, k_old, prunable_splits(old_tree), cfg)
+        q = prunable_splits(old_tree)
+        return math.log(birth_p / death_p) + math.log(q / (k_old - 1)) + log_catalan(k_old) - log_catalan(k_old - 1)
     if kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
         if k_new != k_old:
             raise ValueError("change moves must preserve the leaf count")
@@ -410,15 +415,20 @@ def _growth_depth(small: ArenaTree, large: ArenaTree) -> int:
 
 
 def split_prior_log_ratio(kind: str, old_tree: ArenaTree, new_tree: ArenaTree, cfg: McmcConfig) -> float:
-    """Extra prior term for depth-penalized split priors (zero if uniform)."""
+    """Extra prior term for depth-penalized split priors (zero if uniform):
+    with p(d) = base * (1 + d)^-decay at the depth d of the leaf that grows
+    (or the split that is pruned), log p(d) + 2 log(1 - p(d + 1)) -
+    log(1 - p(d)) for a birth, its negative for a death."""
     prior = cfg.split_prior
     if isinstance(prior, UniformSplitPrior) or kind in (MOVE_CHANGE_SPLIT, MOVE_CHANGE_RULE):
         return 0.0
-    if kind == MOVE_BIRTH:
-        return _split_prior_term(kind, _growth_depth(old_tree, new_tree), prior)
-    if kind == MOVE_DEATH:
-        return _split_prior_term(kind, _growth_depth(new_tree, old_tree), prior)
-    raise ValueError(f"unknown move kind {kind!r}")
+    if kind not in (MOVE_BIRTH, MOVE_DEATH):
+        raise ValueError(f"unknown move kind {kind!r}")
+    depth = _growth_depth(old_tree, new_tree) if kind == MOVE_BIRTH else _growth_depth(new_tree, old_tree)
+    p_here = prior.base * (1.0 + depth) ** (-prior.decay)
+    p_child = prior.base * (2.0 + depth) ** (-prior.decay)
+    term = math.log(p_here) + 2.0 * math.log(1.0 - p_child) - math.log(1.0 - p_here)
+    return term if kind == MOVE_BIRTH else -term
 
 
 def rows_of(bits: int) -> np.ndarray:

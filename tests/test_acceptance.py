@@ -381,7 +381,8 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
         prop = mcmc.propose_move(state, cfg, rng)
         if prop.valid and prop.kind == mcmc.MOVE_BIRTH:
             back = proposal_log_ratio(mcmc.MOVE_DEATH, arena(proposed_state(state, prop).tree), arena(state.tree), cfg)
-            worst = max(worst, abs(prop.log_proposal_ratio + back))
+            structure = mcmc.log_accept_ratio(state, prop, cfg) - (prop.log_lik - state.log_lik)
+            worst = max(worst, abs(structure + back))
             checked += 1
         if prop.valid and rng.random() < 0.5:
             state.apply(prop)

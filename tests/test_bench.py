@@ -473,6 +473,56 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("depth:0.5:nan", "decay must be non-negative and finite, got nan"),
+        ("depth:0.5:inf", "decay must be non-negative and finite, got inf"),
+        ("depth:inf:1", "base split probability must lie strictly in (0, 1), got inf"),
+        ("depth:nan:1", "base split probability must lie strictly in (0, 1), got nan"),
+    ])
+    def test_non_finite_depth_prior_refused(self, tmp_path, capsys, spec, message):
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "40", "--test-size", "10"])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["bayes", "--train", str(tmp_path / "synthetic_train.csv"), "--split-prior", spec,
+                      "--out", str(out)])
+        assert exited.value.code == 2
+        assert f"argument --split-prior: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decay, deeper", [("0", True), ("2000", False), ("1e308", False)])
+    def test_depth_prior_underflow_keeps_splits_at_the_root(self, tmp_path, decay, deeper):
+        """A decay that underflows the split probability below the root to
+        0.0 runs to the end, and no state of the chain holds a split below
+        the root: every birth there has log prior -inf.  Decay 0, on the
+        same data and seed, grows deeper trees."""
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "250", "--test-size", "10", "--seed", "1"])
+        out = tmp_path / "out"
+        rc = cli.main(["bayes", "--train", str(tmp_path / "synthetic_train.csv"), "--split-prior", f"depth:0.5:{decay}",
+                       "--restarts", "2", "--burn-in", "100", "--post-burn-in", "100", "--out", str(out)])
+        assert rc == 0
+        assert json.loads((out / "summary.json").read_text())["proposed"]["birth"] > 0
+        with open(out / "trace.csv") as fh:
+            header = fh.readline().strip().split(",")
+            splits = [int(line.split(",")[header.index("split_count")]) for line in fh]
+        assert (max(splits) > 1) == deeper
+
+    def test_change_rule_window_above_one_draw_refused(self, tmp_path, capsys):
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "40", "--test-size", "10"])
+        out = tmp_path / "out"
+        rc = cli.main(["bayes", "--train", str(tmp_path / "synthetic_train.csv"), "--change-rule-window", "3000000000",
+                       "--out", str(out)])
+        assert rc == 2
+        assert "change_rule_window must lie in 1..2**31" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction, held", [("0.001", 0), ("0.999", 250)])
+    def test_validation_fraction_holding_out_no_row_or_every_row_is_a_setting(self, tmp_path, capsys, fraction, held):
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "250", "--test-size", "10"])
+        rc = cli.main(["forest", "--train", str(tmp_path / "synthetic_train.csv"), "--validation-fraction", fraction,
+                       "--tree-count", "2", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config error: validation_fraction {fraction} holds out {held} of 250 rows" in capsys.readouterr().err
+
     def test_missing_votes_is_data_error(self, tmp_path):
         rc = cli.main(["envelope", "--votes", str(tmp_path / "missing.csv"), "--out", str(tmp_path)])
         assert rc == 3

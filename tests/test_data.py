@@ -319,6 +319,11 @@ class TestSplitValidation:
         with pytest.raises(DataError):
             split_holdout_count(np.arange(4), np.array([0, 1, 0, 1]), 4, seed=0)
 
+    @pytest.mark.parametrize("fraction, held", [(0.001, 0), (0.999, 250)])
+    def test_fraction_holding_out_no_row_or_every_row_refused(self, fraction, held):
+        with pytest.raises(ValueError, match=f"validation_fraction {fraction} holds out {held} of 250 rows"):
+            split_validation(np.arange(250), np.arange(250) % 2, fraction, seed=0)
+
     def test_train_keeps_every_class(self):
         labels = np.array([0] * 9 + [1])
         pair = split_validation(np.arange(10), labels, 0.3, seed=4)

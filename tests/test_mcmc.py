@@ -42,6 +42,7 @@ from treeuq.mcmc import (
     RowTables,
     UniformSplitPrior,
     draw_initial_split,
+    log_accept_ratio,
     log_catalan,
     log_marginal_likelihood,
     mh_step,
@@ -249,6 +250,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DepthPenaltySplitPrior(base=0.5, decay=-0.1)
 
+    @pytest.mark.parametrize("decay", [math.nan, math.inf])
+    def test_depth_prior_decay_finite(self, decay):
+        with pytest.raises(ValueError, match=f"decay must be non-negative and finite, got {decay}"):
+            DepthPenaltySplitPrior(base=0.5, decay=decay)
+
+    def test_change_rule_window_fits_one_draw(self):
+        """The window offset is one integers(2 * window) draw, which takes at
+        most 2**32 values: a window of 2**31 runs, one above is refused."""
+        cfg = McmcConfig(move_probs=(0.0, 0.0, 0.0, 1.0), burn_in=20, post_burn_in=20, restarts=1, min_leaf_rows=2,
+                         change_rule_window=2**31)
+        assert len(run_chain(small_dataset(n=30, seed=2), cfg).trace.accepted) == 40
+        for window in (2**31 + 1, 3_000_000_000):
+            with pytest.raises(ValueError, match=f"change_rule_window must lie in 1..2\\*\\*31 .*got {window}"):
+                McmcConfig(change_rule_window=window)
+
     def test_resolve_alpha_shapes(self):
         assert resolve_alpha(2.0, 3).tolist() == [2.0, 2.0, 2.0]
         assert resolve_alpha((1.0, 2.0), 2).tolist() == [1.0, 2.0]
@@ -322,7 +338,8 @@ class TestProposeMove:
                 tree = arena(proposed_state(state, prop).tree)
                 assert tree.leaf_count == 2
                 assert min(tree.nodes[i].n for i in tree.leaf_ids) >= 5
-                assert prop.log_proposal_ratio == pytest.approx(math.log(0.5))
+                structure = log_accept_ratio(state, prop, cfg) - (prop.log_lik - state.log_lik)
+                assert structure == pytest.approx(math.log(0.5))
         assert seen_valid
 
 
@@ -365,7 +382,8 @@ class TestProposalLogRatio:
             prop = propose_move(state, cfg, rng)
             if prop.valid and prop.kind == MOVE_BIRTH:
                 back = proposal_log_ratio(MOVE_DEATH, arena(proposed_state(state, prop).tree), arena(state.tree), cfg)
-                assert prop.log_proposal_ratio + back == pytest.approx(0.0, abs=1e-12)
+                structure = log_accept_ratio(state, prop, cfg) - (prop.log_lik - state.log_lik)
+                assert structure + back == pytest.approx(0.0, abs=1e-12)
                 checked += 1
             if prop.valid and rng.random() < 0.5:  # evolve to vary tree shapes
                 state.apply(prop)
@@ -402,6 +420,26 @@ class TestSplitPriorLogRatio:
         p1, p2 = 0.25, 0.5 / 3
         want = math.log(p1) + 2 * math.log(1 - p2) - math.log(1 - p1)
         assert split_prior_log_ratio(MOVE_BIRTH, base, grown, cfg) == pytest.approx(want)
+
+
+class TestLogAcceptRatio:
+    def test_zero_split_probability_rejects_the_birth(self):
+        """A decay that underflows the split probability below the root to
+        0.0 gives a birth there log prior -inf, so it is never accepted;
+        the reverse death from such a tree gets +inf."""
+        ds = small_dataset(n=40, seed=3)
+        cfg = McmcConfig(min_leaf_rows=3, split_prior=DepthPenaltySplitPrior(base=0.5, decay=2000.0), seed=0)
+        rules = valid_rules(ds.features[:, 0])
+        state = make_state(ds, cfg, columns(replace_leaf(single_leaf_tree(), 0, 0, float(rules[len(rules) // 2]))))
+        rng = FakeRng(randoms=[0.05], integers=[0, 1, 5])  # birth at leaf 1, feature 1, 6 rows left
+        prop = propose_move(state, cfg, rng)
+        assert prop.kind == MOVE_BIRTH and prop.valid and prop.node == 1
+        assert log_accept_ratio(state, prop, cfg) == -math.inf
+        state.apply(prop)
+        rng = FakeRng(randoms=[0.15], integers=[0])  # death of the split just grown
+        prop = propose_move(state, cfg, rng)
+        assert prop.kind == MOVE_DEATH and prop.valid and prop.node == 1
+        assert log_accept_ratio(state, prop, cfg) == math.inf
 
 
 class TestMhStep:
@@ -508,9 +546,10 @@ class TestIncrementalKernel:
             assert rows.keys() == parts.keys()
             assert all(np.array_equal(rows[nid], parts[nid]) for nid in parts)
             assert prop.log_lik == log_marginal_likelihood(want, ALPHA2)
-            assert prop.log_proposal_ratio == proposal_log_ratio(prop.kind, tree, arena(want), cfg)
-            assert mcmc._split_prior_term(prop.kind, prop.depth, cfg.split_prior) == split_prior_log_ratio(
-                prop.kind, tree, arena(want), cfg
+            assert log_accept_ratio(state, prop, cfg) == (
+                (log_marginal_likelihood(want, ALPHA2) - log_marginal_likelihood(state.tree, ALPHA2))
+                + proposal_log_ratio(prop.kind, tree, arena(want), cfg)
+                + split_prior_log_ratio(prop.kind, tree, arena(want), cfg)
             )
             checked[prop.kind] += 1
             if rng.random() < 0.5:
@@ -704,7 +743,7 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
                     moved, leaves, counts = oracle_reroute(old, node, feature, threshold, X, y, classes, 0)
                     for min_rows in (1, 2, 3):
                         want = oracle_reroute(old, node, feature, threshold, X, y, classes, min_rows)
-                        got = state.reroute(node, feature, threshold, tables, min_rows)
+                        got = state.reroute(node, feature, threshold, min_rows)
                         if got is None or min_rows <= cfg.min_leaf_rows:
                             assert (got is None) == (want is None)
                         if got is None:
