@@ -59,13 +59,19 @@ this script:
     each fold's training rows reaching both techniques.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
-file.  Each manifest.json is digested with its `stage_seconds` removed:
-those are wall-clock times, which differ between any two runs, while the
+file.  Each command's stderr is written next to its output directory as
+`<out>.stderr` and digested like any other file, so the chain warnings of
+`bayes` and of the bench fold and full-train runs are pinned too; stdout is
+not kept, since `bench` prints wall-clock stage times there.  Each
+manifest.json is digested with its `stage_seconds` removed: those are
+wall-clock times, which differ between any two runs, while the
 rest (the config round-trip included) must not.  Commands run inside the
 temporary directory with relative output paths, so the `out_dir` that a
 manifest records is the same in every run.  Run the script in two
 checkouts and `diff` the two files: an empty diff means every output is
-byte-identical.  At two worker counts the bench runs' manifest.json lines
+byte-identical.  To compare with a tree whose script is older (one that
+digests no stderr), copy this script into a checkout of that tree and run
+it there.  At two worker counts the bench runs' manifest.json lines
 differ, since each manifest records its worker count; every other line
 must not.
 """
@@ -107,8 +113,11 @@ sweep=true
 
 
 def treeuq(work: Path, *args: str) -> None:
+    """Run one command in work; its stderr goes to `<out>.stderr` there."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    subprocess.run([sys.executable, "-m", "treeuq", *args], cwd=work, env=env, check=True, stdout=subprocess.DEVNULL)
+    with (work / f"{args[args.index('--out') + 1]}.stderr").open("wb") as err:
+        subprocess.run([sys.executable, "-m", "treeuq", *args], cwd=work, env=env, check=True,
+                       stdout=subprocess.DEVNULL, stderr=err)
 
 
 def write_pima_shaped(path: Path, seed: int) -> None:

@@ -5,7 +5,9 @@ run the two techniques on identical fold-train subsets (paired comparison),
 collect per-point vote histograms on a fixed test set, and aggregate
 envelope reports across folds with 2-sigma half-widths.  All randomness
 derives from the experiment seed, so reports are byte-identical across
-reruns and across serial/parallel execution.
+reruns and across serial/parallel execution.  `run_bayes_fold` and
+`run_forest_fold` alone train a technique and score it, for the protocols'
+fold and full-train runs and for the `bayes` and `forest` commands.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, envelope, forest, mcmc, synth
-from .data import Dataset, DataError, load_csv, make_folds, split_holdout_count, write_csv
+from .data import Dataset, DataError, load_csv, make_folds, split_holdout_count, validation_holdout_count, write_csv
 from .tree import format_feature_path, resolve_alpha, write_tree_file
 
 
@@ -104,6 +106,11 @@ class ExperimentConfig:
         if repeated := sorted({d for d in self.datasets if self.datasets.count(d) > 1}):
             raise ConfigError(f"dataset names given more than once: {repeated}")
 
+    @property
+    def techniques(self) -> tuple[str, ...]:
+        """The techniques that `technique` selects, Bayes first."""
+        return ("bayes", "forest") if self.technique == "both" else (self.technique,)
+
     def to_dict(self) -> dict:
         """JSON-ready snapshot: the fields as plain values, the split prior
         as its class name (uniform) or a depth_penalty dict."""
@@ -145,6 +152,15 @@ def check_classes(cfg: ExperimentConfig, class_count: int) -> None:
         raise ConfigError(f"confidence must lie in (1/{class_count}, 1] for {class_count} classes, "
                           f"got {cfg.confidence}")
     mcmc.DirichletTerms.of(resolve_alpha(cfg.mcmc.dirichlet_alpha, class_count))
+
+
+def check_fold_rows(cfg: ExperimentConfig, train_rows: int) -> None:
+    """Refuse a forest validation_fraction that holds out no row or every
+    row of the fewest rows a protocol on train_rows rows gives the forest:
+    a fold's, train_rows - ceil(train_rows / fold_count) as make_folds deals
+    them round-robin (ValueError)."""
+    if "forest" in cfg.techniques:
+        validation_holdout_count(cfg.forest.validation_fraction, train_rows - -(-train_rows // cfg.fold_count))
 
 
 @dataclass
@@ -213,89 +229,84 @@ def _derive_seed(*parts: int) -> int:
     return int(mixed >> 1)  # keep it a non-negative int64-safe seed
 
 
-def _fold_outcome(votes, probabilities, test_y, sizes, cfg: ExperimentConfig, extras: dict) -> FoldOutcome:
-    """One fold's vote matrix, its envelope report with the mean and std of
-    the tree sizes (split counts) and its soft accuracy."""
-    vm = envelope.VoteMatrix.build(votes, test_y)
+def _fold_outcome(votes, probabilities, labels, sizes, cfg: ExperimentConfig, extras: dict) -> FoldOutcome:
+    """The vote matrix of one run's test points and their true labels, its
+    envelope report with the mean and std of the tree sizes (split counts)
+    and its soft accuracy."""
+    vm = envelope.VoteMatrix.build(votes, labels)
     sizes = np.array(sizes)
     report = dataclasses.replace(
         envelope.evaluate(vm, cfg.confidence),
         tree_size_mean=float(sizes.mean()),
         tree_size_std=float(sizes.std(ddof=1)) if len(sizes) > 1 else 0.0,
     )
-    soft = float(np.mean(np.argmax(probabilities, axis=1) == test_y))
+    soft = float(np.mean(np.argmax(probabilities, axis=1) == labels))
     return FoldOutcome(votes=vm, report=report, soft_accuracy=soft, extras=extras)
 
 
-def _print_warnings(label: str, outcome: FoldOutcome) -> None:
-    """A Bayes run's chain warnings on stderr, as `treeuq bayes` prints its own."""
-    for warning in outcome.extras["warnings"]:
-        print(f"warning: {label}: {warning}", file=sys.stderr)
-
-
 def run_bayes_fold(
-    train_ds: Dataset,
-    test_X: np.ndarray,
-    test_y: np.ndarray,
-    cfg: ExperimentConfig,
-    fold: int,
-) -> tuple[FoldOutcome, mcmc.ChainResult]:
-    """The fold's outcome and its pooled chains; a caller that writes no
-    diagnostics drops the chains at once."""
-    mcfg = dataclasses.replace(cfg.mcmc, seed=_derive_seed(cfg.seed, 1, fold))
+    train_ds: Dataset, test_ds: Dataset | None, cfg: ExperimentConfig, seed: int
+) -> tuple[FoldOutcome | None, mcmc.ChainResult]:
+    """The pooled chains of cfg's sampler, run on train_ds at seed, and
+    their outcome on test_ds (None without a test set).  A caller that
+    writes no diagnostics drops the chains at once."""
+    mcfg = dataclasses.replace(cfg.mcmc, seed=seed)
     result = mcmc.run_restarts(train_ds, mcfg, workers=cfg.workers)
-    probabilities, votes = mcmc.predict_average(result.samples, test_X, mcfg.dirichlet_alpha)
+    if test_ds is None:
+        return None, result
+    probabilities, votes = mcmc.predict_average(result.samples, test_ds.features, mcfg.dirichlet_alpha)
     extras = {
         "acceptance_rate": result.trace.acceptance_rate,
         "post_log_lik_mean": float(np.mean(result.trace.log_lik[result.trace.post])),
         "sample_count": len(result.samples),
         "warnings": list(result.warnings),
     }
-    outcome = _fold_outcome(votes, probabilities, test_y, result.samples.split_counts(), cfg, extras)
+    outcome = _fold_outcome(votes, probabilities, test_ds.labels, result.samples.split_counts(), cfg, extras)
     return outcome, result
 
 
 def run_forest_fold(
-    train_ds: Dataset,
-    test_X: np.ndarray,
-    test_y: np.ndarray,
-    cfg: ExperimentConfig,
-    fold: int,
+    train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, seed: int
 ) -> tuple[FoldOutcome, forest.Forest]:
-    """The fold's outcome and its forest; a caller that writes no
-    diagnostics drops the forest at once."""
-    fcfg = dataclasses.replace(cfg.forest, seed=_derive_seed(cfg.seed, 2, fold))
-    built = forest.build_forest(train_ds, test_X, test_y, fcfg, alpha=1.0, workers=cfg.workers)
+    """The forest of cfg, grown on train_ds at seed, and its outcome on
+    test_ds.  A caller that writes no diagnostics drops the forest at
+    once."""
+    fcfg = dataclasses.replace(cfg.forest, seed=seed)
+    built = forest.build_forest(train_ds, test_ds.features, test_ds.labels, fcfg, alpha=1.0, workers=cfg.workers)
     extras = {
         "ensemble_acc_final": float(built.ensemble_acc[-1]),
         "best_validation_acc": built.best_validation_acc,
     }
     sizes = [t.split_count for t in built.trees]
-    outcome = _fold_outcome(built.votes, built.probabilities, test_y, sizes, cfg, extras)
+    outcome = _fold_outcome(built.votes, built.probabilities, test_ds.labels, sizes, cfg, extras)
     return outcome, built
 
 
+def _run(tag: str, train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, fold: int, label: str):
+    """run_bayes_fold or run_forest_fold, as tag names, at the seed derived
+    from (experiment seed, technique, fold); a Bayes run's chain warnings go
+    to stderr under label, as `treeuq bayes` prints its own."""
+    if tag == "forest":
+        return run_forest_fold(train_ds, test_ds, cfg, _derive_seed(cfg.seed, 2, fold))
+    outcome, result = run_bayes_fold(train_ds, test_ds, cfg, _derive_seed(cfg.seed, 1, fold))
+    for warning in result.warnings:
+        print(f"warning: {label}: {warning}", file=sys.stderr)
+    return outcome, result
+
+
 def _paired_fold_runs(
-    train_ds: Dataset,
-    test_X: np.ndarray,
-    test_y: np.ndarray,
-    cfg: ExperimentConfig,
-    label: str = "bayes",
+    train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, prefix: str = ""
 ) -> dict[str, list[FoldOutcome]]:
-    """Run the requested techniques on identical fold splits of train_ds,
-    keeping each fold's outcome only: its chains or forest are dropped
-    before the next run starts.  Chain warnings go to stderr under
-    `<label> fold <i>`."""
+    """Run cfg's techniques on identical fold splits of train_ds, keeping
+    each fold's outcome only: its chains or forest are dropped before the
+    next run starts.  Chain warnings go to stderr under
+    `<prefix>bayes fold <i>`."""
     folds = make_folds(train_ds, cfg.fold_count, seed=cfg.seed)
-    out: dict[str, list[FoldOutcome]] = {}
+    out: dict[str, list[FoldOutcome]] = {tag: [] for tag in cfg.techniques}
     for fold in range(cfg.fold_count):
         sub = train_ds.subset(folds.train_indices(fold))
-        if cfg.technique in ("bayes", "both"):
-            outcome = run_bayes_fold(sub, test_X, test_y, cfg, fold)[0]
-            _print_warnings(f"{label} fold {fold}", outcome)
-            out.setdefault("bayes", []).append(outcome)
-        if cfg.technique in ("forest", "both"):
-            out.setdefault("forest", []).append(run_forest_fold(sub, test_X, test_y, cfg, fold)[0])
+        for tag in cfg.techniques:
+            out[tag].append(_run(tag, sub, test_ds, cfg, fold, f"{prefix}{tag} fold {fold}")[0])
     return out
 
 
@@ -427,20 +438,18 @@ def _write_report(
 
 
 def _headline_runs(
-    train_ds: Dataset, test_X: np.ndarray, test_y: np.ndarray, cfg: ExperimentConfig, out_dir: Path, artifacts: dict
+    train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, out_dir: Path, artifacts: dict
 ) -> dict[str, FoldOutcome]:
-    """The requested techniques on the full training set, each run's
-    diagnostics written and its chains or forest dropped before the next
-    run starts."""
+    """cfg's techniques on the full training set, each run's diagnostics
+    written and its chains or forest dropped before the next run starts."""
     headline: dict[str, FoldOutcome] = {}
-    if cfg.technique in ("bayes", "both"):
-        headline["bayes"], result = run_bayes_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
-        _print_warnings("bayes full_train", headline["bayes"])
-        _emit_bayes_diagnostics(out_dir, "bayes_full_", result, artifacts, train_ds.feature_count)
-        del result  # freed before the forest's headline run
-    if cfg.technique in ("forest", "both"):
-        headline["forest"], built = run_forest_fold(train_ds, test_X, test_y, cfg, fold=cfg.fold_count)
-        _emit_forest_diagnostics(out_dir, "forest_full_", built, artifacts)
+    for tag in cfg.techniques:
+        headline[tag], kept = _run(tag, train_ds, test_ds, cfg, cfg.fold_count, f"{tag} full_train")
+        if tag == "bayes":
+            _emit_bayes_diagnostics(out_dir, "bayes_full_", kept, artifacts, train_ds.feature_count)
+        else:
+            _emit_forest_diagnostics(out_dir, "forest_full_", kept, artifacts)
+        del kept  # freed before the next headline run
     return headline
 
 
@@ -449,6 +458,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     if cfg.fold_count > cfg.train_size:  # refused before anything is written
         raise DataError(f"cannot make {cfg.fold_count} folds from {cfg.train_size} rows")
     check_classes(cfg, synth.benchmark_mixture().class_count)
+    check_fold_rows(cfg, cfg.train_size)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -471,13 +481,12 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
         "techniques": {},
     }
 
-    test_X, test_y = test_ds.features, test_ds.labels
     t0 = time.perf_counter()
-    headline = _headline_runs(train_ds, test_X, test_y, cfg, out_dir, artifacts)
+    headline = _headline_runs(train_ds, test_ds, cfg, out_dir, artifacts)
     stage_seconds["headline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    fold_outcomes = _paired_fold_runs(train_ds, test_X, test_y, cfg)
+    fold_outcomes = _paired_fold_runs(train_ds, test_ds, cfg)
     stage_seconds["folds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -519,6 +528,8 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Per-dataset fold comparison on local CSV copies; missing files are skipped."""
     if cfg.data_dir is None:
         raise ConfigError("uci protocol needs a data directory (--data-dir, or data_dir in a config file)")
+    if not cfg.data_dir.is_dir():  # refused before anything is written
+        raise DataError(f"data_dir {cfg.data_dir} is not a directory")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -545,6 +556,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
                 f"{name}: expected {expected_c} classes, found {ds.class_count}"
             )
         check_classes(cfg, ds.class_count)
+        check_fold_rows(cfg, train_size)
         notes = []
         if ds.feature_count != expected_m:
             notes.append(f"expected {expected_m} features, found {ds.feature_count}")
@@ -556,7 +568,7 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
             mcmc=dataclasses.replace(cfg.mcmc, min_leaf_rows=p_min),
             forest=dataclasses.replace(cfg.forest, min_leaf_rows=p_min),
         )
-        fold_outcomes = _paired_fold_runs(train_ds, test_ds.features, test_ds.labels, ds_cfg, f"{name} bayes")
+        fold_outcomes = _paired_fold_runs(train_ds, test_ds, ds_cfg, f"{name} ")
         ds_out = out_dir / name
         ds_out.mkdir(exist_ok=True)
         entry: dict = {

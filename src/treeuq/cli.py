@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import bench, envelope, forest, mcmc, synth
 from .bench import ConfigError
 from .data import Dataset, DataError, load_csv, read_key_values, read_text, write_csv
@@ -194,33 +192,42 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_test(args, train: Dataset) -> Dataset | None:
-    """The --test CSV, its labels read as the training data's classes;
-    refused unless it has the training data's feature count."""
-    if not args.test:
-        return None
-    test = load_csv(args.test, schema=args.schema, classes_from=train)
-    if test.feature_count != train.feature_count:
-        raise DataError(
-            f"{args.test} has {test.feature_count} feature columns, "
-            f"but the training data {args.train} has {train.feature_count}"
-        )
-    return test
-
-
-def _cmd_bayes(args) -> int:
+def _load(args) -> tuple[bench.ExperimentConfig, Dataset, Dataset | None]:
+    """The config, the --train data and the --test data (None without one,
+    its labels read as the training classes, its feature count the same),
+    checked before --out is made."""
     cfg = _config(args)
     train = load_csv(args.train, schema=args.schema)
     bench.check_classes(cfg, train.class_count)
-    test = _load_test(args, train)
-    mcfg = dataclasses.replace(cfg.mcmc, seed=cfg.seed)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    result = mcmc.run_restarts(train, mcfg, workers=cfg.workers)
+    test = None
+    if args.test:
+        test = load_csv(args.test, schema=args.schema, classes_from=train)
+        if test.feature_count != train.feature_count:
+            raise DataError(
+                f"{args.test} has {test.feature_count} feature columns, "
+                f"but the training data {args.train} has {train.feature_count}"
+            )
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, train, test
+
+
+def _write_summary(out: Path, summary: dict, outcome: bench.FoldOutcome | None) -> int:
+    """Write votes.csv and the vote accuracy of a run scored on --test, then
+    summary.json, print the summary and return exit code 0."""
+    if outcome is not None:
+        envelope.write_votes_csv(outcome.votes, out / "votes.csv")
+        summary["vote_accuracy"] = outcome.report.accuracy
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(summary, sort_keys=True))
+    return 0
+
+
+def _cmd_bayes(args) -> int:
+    cfg, train, test = _load(args)
+    outcome, result = bench.run_bayes_fold(train, test, cfg, cfg.seed)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    bench._emit_bayes_diagnostics(out, "", result, {}, train.feature_count)
-
+    bench._emit_bayes_diagnostics(cfg.out_dir, "", result, {}, train.feature_count)
     proposed, accepted = result.trace.move_counts()
     summary = {
         "samples": len(result.samples),
@@ -228,42 +235,17 @@ def _cmd_bayes(args) -> int:
         "proposed": proposed,
         "accepted": accepted,
     }
-    if test is not None:
-        probabilities, votes = mcmc.predict_average(result.samples, test.features, mcfg.dirichlet_alpha)
-        outcome = bench._fold_outcome(votes, probabilities, test.labels, result.samples.split_counts(), cfg, {})
-        envelope.write_votes_csv(outcome.votes, out / "votes.csv")
-        summary["vote_accuracy"] = outcome.report.accuracy
+    if outcome is not None:
         summary["soft_accuracy"] = outcome.soft_accuracy
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _write_summary(cfg.out_dir, summary, outcome)
 
 
 def _cmd_forest(args) -> int:
-    cfg = _config(args)
-    train = load_csv(args.train, schema=args.schema)
-    bench.check_classes(cfg, train.class_count)
-    test = _load_test(args, train)
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    evaluated = train if test is None else test
-    fcfg = dataclasses.replace(cfg.forest, seed=cfg.seed)
-    built = forest.build_forest(train, evaluated.features, evaluated.labels, fcfg, workers=cfg.workers)
-    bench._emit_forest_diagnostics(out, "", built, {})
-    sizes = [t.split_count for t in built.trees]
-    summary = {
-        "tree_count": len(built.trees),
-        "ensemble_acc_final": float(built.ensemble_acc[-1]),
-        "best_validation_acc": built.best_validation_acc,
-        "size_mean": float(np.mean(sizes)),
-    }
-    if test is not None:
-        outcome = bench._fold_outcome(built.votes, built.probabilities, test.labels, sizes, cfg, {})
-        envelope.write_votes_csv(outcome.votes, out / "votes.csv")
-        summary["vote_accuracy"] = outcome.report.accuracy
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    cfg, train, test = _load(args)
+    outcome, built = bench.run_forest_fold(train, train if test is None else test, cfg, cfg.seed)
+    bench._emit_forest_diagnostics(cfg.out_dir, "", built, {})
+    summary = dict(outcome.extras, tree_count=len(built.trees), size_mean=outcome.report.tree_size_mean)
+    return _write_summary(cfg.out_dir, summary, None if test is None else outcome)
 
 
 def _cmd_envelope(args) -> int:

@@ -439,17 +439,22 @@ def split_holdout_count(indices, labels, holdout_size: int, seed: int) -> SplitP
     return SplitPair(train=train, holdout=holdout)
 
 
-def split_validation(indices, labels, fraction: float, seed: int) -> SplitPair:
-    """Hold out round(fraction * len) indices, stratified by label.  A
-    fraction that holds out no row or every row is a setting error
-    (ValueError), named as the forest's validation_fraction."""
+def validation_holdout_count(fraction: float, size: int) -> int:
+    """The rows, fraction * size rounded half up, that a validation split
+    holds out of size; a fraction that holds out no row or every row is a
+    setting error (ValueError), named as the forest's validation_fraction."""
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"validation_fraction must lie in (0, 1), got {fraction}")
-    indices = np.asarray(indices, dtype=np.int64)
-    holdout_size = _round_half_up(fraction * len(indices))
-    if not 0 < holdout_size < len(indices):
+    holdout_size = _round_half_up(fraction * size)
+    if not 0 < holdout_size < size:
         raise ValueError(
-            f"validation_fraction {fraction} holds out {holdout_size} of {len(indices)} rows; "
+            f"validation_fraction {fraction} holds out {holdout_size} of {size} rows; "
             "it must hold out at least one and keep at least one"
         )
-    return split_holdout_count(indices, labels, holdout_size, seed)
+    return holdout_size
+
+
+def split_validation(indices, labels, fraction: float, seed: int) -> SplitPair:
+    """Hold out validation_holdout_count(fraction, len) indices, stratified by label."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return split_holdout_count(indices, labels, validation_holdout_count(fraction, len(indices)), seed)

@@ -64,6 +64,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="more than once: \\['sonar'\\]"):
             tiny_config(tmp_path, datasets=("sonar", "sonar"))
 
+    @pytest.mark.parametrize(
+        "technique, techniques", [("bayes", ("bayes",)), ("forest", ("forest",)), ("both", ("bayes", "forest"))]
+    )
+    def test_techniques_follow_technique(self, tmp_path, technique, techniques):
+        cfg = tiny_config(tmp_path, technique=technique)
+        assert cfg.techniques == techniques
+        with pytest.raises(AttributeError):
+            cfg.techniques = ("forest",)
+
     def test_pruning_factor_rule(self):
         assert pruning_factor(138) == 5  # sonar-sized
         assert pruning_factor(455) == 30  # wisconsin-sized
@@ -251,6 +260,24 @@ class TestSyntheticProtocol:
             assert path.read_bytes() == want, block
 
 
+class TestRunners:
+    def test_bayes_without_a_test_set_runs_the_same_chains(self, tmp_path):
+        """No test set: no outcome, and the very chains that a scored run
+        at the same seed samples."""
+        train, test = synth.canonical_datasets(seed=5, train_size=60, test_size=20)
+        cfg = tiny_config(tmp_path)
+        outcome, result = bench.run_bayes_fold(train, None, cfg, 11)
+        scored, kept = bench.run_bayes_fold(train, test, cfg, 11)
+        assert outcome is None and scored.votes.classifier_count == len(kept.samples)
+
+        def runs(chains):
+            return [(r.run_index, r.first, r.count, r.tree.feature, r.tree.threshold) for r in chains.samples.runs]
+
+        assert runs(result) == runs(kept)
+        for column, other in zip(result.trace, kept.trace):
+            np.testing.assert_array_equal(column, other)
+
+
 class TestUciProtocol:
     @pytest.fixture
     def run(self, uci_run):
@@ -276,6 +303,40 @@ class TestUciProtocol:
     def test_data_dir_required(self, tmp_path):
         with pytest.raises(ConfigError):
             bench.run_uci_protocol(tiny_config(tmp_path, data_dir=None))
+
+    @pytest.mark.parametrize("kind", ["missing", "regular_file"])
+    def test_data_dir_that_is_no_directory_refused_before_writing(self, tmp_path, capsys, kind):
+        data_dir, out = tmp_path / "data", tmp_path / "out"
+        if kind == "regular_file":
+            data_dir.write_text("not a directory\n")
+        rc = cli.main(["bench", "uci", "--data-dir", str(data_dir), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: data_dir {data_dir} is not a directory\n"
+        assert not out.exists()
+
+    def test_fold_chain_warnings_labelled_by_dataset(self, tmp_path, capsys):
+        """Constant features leave no split, so every fold's chains warn,
+        under `<name> bayes fold <i>`."""
+        root = tmp_path / "data"
+        root.mkdir()
+        y = np.arange(208) % 2
+        write_csv(Dataset(np.ones((208, 60)), y, 2, tuple(f"a{i}" for i in range(60))), root / "sonar.csv")
+        cfg = tiny_config(tmp_path / "out", data_dir=root, datasets=("sonar",), technique="bayes")
+        capsys.readouterr()
+        bench.run_uci_protocol(cfg)
+        warning = "no valid split under min_leaf_rows; chain holds the root-only model"
+        assert capsys.readouterr().err.splitlines() == [f"warning: sonar bayes fold {i}: {warning}" for i in range(3)]
+
+    def test_validation_fraction_checked_on_fold_rows(self, uci_data_dir, tmp_path, monkeypatch):
+        """sonar's folds give the forest 138 - 46 = 92 rows, of which 0.005
+        holds out none (of all 138 it would hold out one): refused before
+        any chain runs."""
+        cfg = tiny_config(tmp_path / "out", data_dir=uci_data_dir, datasets=("sonar",),
+                          forest=forest.ForestConfig(tree_count=2, validation_fraction=0.005))
+        monkeypatch.setattr(mcmc, "run_restarts", lambda *args, **kwargs: pytest.fail("a chain ran"))
+        with pytest.raises(ValueError, match="validation_fraction 0.005 holds out 0 of 92 rows"):
+            bench.run_uci_protocol(cfg)
+        assert not (tmp_path / "out" / "sonar").exists()
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         root = tmp_path / "data"
@@ -463,6 +524,22 @@ class TestCli:
         assert rc == 3
         assert "cannot make 5 folds from 3 rows" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fraction, rc", [("0.03", 2), ("0.032", 0)])
+    def test_validation_fraction_checked_on_fold_rows_before_writing(self, tmp_path, capsys, fraction, rc):
+        """21 rows in 5 folds give the forest 21 - 5 = 16 rows at the
+        fewest: 0.03 holds out none of them (of 17 or 21 it would hold out
+        one) and is refused before anything is written; 0.032 holds out
+        one and runs.  A Bayes-only run is not refused."""
+        out = tmp_path / "out"
+        small = ["--train-size", "21", "--restarts", "1", "--burn-in", "5", "--post-burn-in", "5", "--tree-count", "2"]
+        capsys.readouterr()
+        assert cli.main(["bench", "synthetic", *small, "--validation-fraction", fraction, "--out", str(out)]) == rc
+        if rc:
+            assert f"config error: validation_fraction {fraction} holds out 0 of 16 rows" in capsys.readouterr().err
+            assert not out.exists()
+        bayes = ["bench", "synthetic", *small, "--validation-fraction", fraction, "--technique", "bayes"]
+        assert cli.main([*bayes, "--out", str(tmp_path / "bayes")]) == 0
 
     @pytest.mark.parametrize("command", [["synth"], ["bench", "synthetic"]])
     @pytest.mark.parametrize("key", ["train_size", "test_size"])
