@@ -39,6 +39,10 @@ this script:
   - `treeuq forest --test` on the same CSVs;
   - `treeuq forest --test --tree-count 37 --min-leaf-rows 1` on them too:
     deep trees, and a tree count that no worker count divides evenly;
+  - `treeuq synth --test-size 2500`, then `treeuq bayes`, 2 restarts x
+    (500 + 500), and `treeuq forest --test --tree-count 20` on its CSVs: a
+    test set larger than one `tree.ROW_CHUNK`, predicted in chunks of
+    1,024, 1,024 and 452 rows;
   - `treeuq bench synthetic --config FILE`, the file setting move_probs,
     alpha, split_prior=depth:0.95:1.5, min_leaf_rows, tree_count, top_k
     and sweep=true: the config-file path into every kind of setting;
@@ -176,6 +180,11 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
            "--burn-in", "1000", "--post-burn-in", "1000", *common, "--out", "bayes_ties")
     treeuq(work, "forest", *csvs, *common, "--out", "forest")
     treeuq(work, "forest", *csvs, *common, "--tree-count", "37", "--min-leaf-rows", "1", "--out", "forest_deep")
+    treeuq(work, "synth", "--seed", str(seed), "--test-size", "2500", "--out", "synth_chunks")
+    chunked = ["--train", "synth_chunks/synthetic_train.csv", "--test", "synth_chunks/synthetic_test.csv"]
+    treeuq(work, "bayes", *chunked, "--restarts", "2", "--burn-in", "500", "--post-burn-in", "500", *common,
+           "--out", "bayes_chunks")
+    treeuq(work, "forest", *chunked, "--tree-count", "20", *common, "--out", "forest_chunks")
     (work / "bench.cfg").write_text(CONFIG, encoding="utf-8")
     treeuq(work, "bench", "synthetic", "--config", "bench.cfg", *common, "--out", "bench_config")
     treeuq(work, "bench", "synthetic", "--manifest", "bench/manifest.json", "--out", "bench_replay")

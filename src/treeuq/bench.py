@@ -155,12 +155,20 @@ def check_classes(cfg: ExperimentConfig, class_count: int) -> None:
 
 
 def check_fold_rows(cfg: ExperimentConfig, train_rows: int) -> None:
-    """Refuse a forest validation_fraction that holds out no row or every
-    row of the fewest rows a protocol on train_rows rows gives the forest:
-    a fold's, train_rows - ceil(train_rows / fold_count) as make_folds deals
-    them round-robin (ValueError)."""
+    """Refuse, before a protocol on train_rows rows writes anything, more
+    folds than rows (DataError), and a forest validation_fraction that
+    holds out no row or every row of the fewest rows the protocol gives the
+    forest: a fold's, train_rows - ceil(train_rows / fold_count) as
+    make_folds deals them round-robin (ValueError)."""
+    if cfg.fold_count > train_rows:
+        raise DataError(f"cannot make {cfg.fold_count} folds from {train_rows} rows")
     if "forest" in cfg.techniques:
-        validation_holdout_count(cfg.forest.validation_fraction, train_rows - -(-train_rows // cfg.fold_count))
+        fold_rows = train_rows - -(-train_rows // cfg.fold_count)
+        try:
+            validation_holdout_count(cfg.forest.validation_fraction, fold_rows)
+        except ValueError as exc:
+            raise ValueError(f"{exc} ({fold_rows} rows: the fewest a fold trains on at train_size {train_rows} "
+                             f"and fold_count {cfg.fold_count})") from None
 
 
 @dataclass
@@ -455,8 +463,6 @@ def _headline_runs(
 
 def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
-    if cfg.fold_count > cfg.train_size:  # refused before anything is written
-        raise DataError(f"cannot make {cfg.fold_count} folds from {cfg.train_size} rows")
     check_classes(cfg, synth.benchmark_mixture().class_count)
     check_fold_rows(cfg, cfg.train_size)
     out_dir = Path(cfg.out_dir)
@@ -530,6 +536,10 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
         raise ConfigError("uci protocol needs a data directory (--data-dir, or data_dir in a config file)")
     if not cfg.data_dir.is_dir():  # refused before anything is written
         raise DataError(f"data_dir {cfg.data_dir} is not a directory")
+    for name in cfg.datasets:  # the registry settings of every data set present, before anything is written
+        if (Path(cfg.data_dir) / f"{name}.csv").exists():
+            check_classes(cfg, UCI_TABLE[name][0])
+            check_fold_rows(cfg, UCI_TABLE[name][2])
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}
@@ -555,8 +565,6 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
             raise DataError(
                 f"{name}: expected {expected_c} classes, found {ds.class_count}"
             )
-        check_classes(cfg, ds.class_count)
-        check_fold_rows(cfg, train_size)
         notes = []
         if ds.feature_count != expected_m:
             notes.append(f"expected {expected_m} features, found {ds.feature_count}")

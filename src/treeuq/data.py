@@ -374,21 +374,14 @@ def make_folds(ds: Dataset, fold_count: int, seed: int) -> FoldPlan:
     if n < fold_count:
         raise DataError(f"cannot make {fold_count} folds from {n} rows")
     rng = np.random.default_rng(seed)
-    assignments = np.empty(n, dtype=np.int64)
     hist = ds.class_histogram()
     stratified = bool((hist >= fold_count).all() and (hist > 0).all())
-    if stratified:
-        pos = 0
-        for cls in range(ds.class_count):
-            idx = np.nonzero(ds.labels == cls)[0]
-            idx = rng.permutation(idx)
-            for i in idx:
-                assignments[i] = pos % fold_count
-                pos += 1
+    if stratified:  # the rows dealt round-robin, class by class, each class shuffled
+        order = np.concatenate([rng.permutation(np.flatnonzero(ds.labels == c)) for c in range(ds.class_count)])
     else:
         order = rng.permutation(n)
-        for pos, i in enumerate(order):
-            assignments[i] = pos % fold_count
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[order] = np.arange(n) % fold_count
     return FoldPlan(fold_count=fold_count, assignments=assignments, seed=seed, stratified=stratified)
 
 

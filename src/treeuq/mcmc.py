@@ -32,17 +32,17 @@ the rows of every other leaf as they are, so no proposal checks them
 again.  (A root-only chain on fewer rows than min_leaf_rows is the one
 exception, and no move from it is valid.)  Each node's training rows are
 one Python-int bitset (bit r set iff row r reaches the node).  Each
-chain builds its own `RowTables` from its data and prior: per feature
-the sorted distinct values and the bitsets of the rows at and below each
-value, one bitset per class, and the log-gamma terms for every count
-0..n.  The tables read -0.0 as 0.0, so every zero threshold the chain
-draws is 0.0.  `ChainState(tables, tree)` reads the split columns of a
-`tree.DecisionTree` (the chain's start is one of a single split), routes
-its rows with one `ChainState.reroute` from the root and reads its counts
-and log-likelihood from the tables; `ChainState.tree` gives the state
-back in that form.  A split is then `rows & below` and `rows ^ left`,
-counts are `int.bit_count`, a change routes its range in one forward pass
-that passes over every node whose rows it does not move, and the windowed
+chain builds its own `RowTables` from its data and prior: the
+`tree.RowSets` of its rows (per feature the sorted distinct values, -0.0
+read as 0.0, and the rows at and below each), one bitset per class, and
+the log-gamma terms for every count 0..n.  `ChainState(tables, tree)`
+reads the split columns of a `tree.DecisionTree` (the chain's start is
+one of a single split), gives every node its rows with one
+`RowSets.route` and reads its counts and log-likelihood from the tables;
+`ChainState.tree` gives the state back in that form.  A split is then
+`rows & below` and `rows ^ left`, counts are `int.bit_count`, a change
+routes its range in one forward pass that passes over every node whose
+rows it does not move, and the windowed
 change-rule step walks the per-value bitsets without a numpy call.  A
 rule redraw (birth, change-split, global change-rule) on a feature
 without ties (`RowTables.no_ties`) needs no numpy call either: the i-th
@@ -81,7 +81,6 @@ records pickle in a few milliseconds, so pooled chains return cheaply.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -92,7 +91,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, DataError
-from .tree import DecisionTree, ensemble_average, layout, resolve_alpha
+from .tree import DecisionTree, RowSets, ensemble_average, layout, resolve_alpha
 
 MOVE_BIRTH = "birth"
 MOVE_DEATH = "death"
@@ -431,40 +430,31 @@ def bits_of(rows: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-class RowTables:
-    """Lookup tables of one training set and prior; each chain builds its own.
+class RowTables(RowSets):
+    """The `tree.RowSets` of one training set, and its lookup tables for
+    one prior; each chain builds its own.
 
-    Per feature f: `columns[f]`, the column, contiguous; `values[f]`, its
-    sorted distinct values; `rank[f]`, a value -> position dict; `eq[f][j]`,
-    the rows whose value is values[f][j]; `le[f][j]`, the rows whose value
-    is at most that; `no_ties[f]`, whether its n values are distinct, so
-    that a row set's count of distinct values is its row count.
-    `class_bits[c]` holds the rows of class c.
+    Per feature f, beyond `values[f]` and `le[f]`: `columns[f]`, the
+    column, contiguous; `rank[f]`, a value -> position dict; `eq[f][j]`,
+    the rows whose value is values[f][j]; `no_ties[f]`, whether its n
+    values are distinct, so that a row set's count of distinct values is
+    its row count.  `class_bits[c]` holds the rows of class c.
     `lg_class[c][k]` = lgam(k + alpha_c) and `lg_total[k]` =
     lgam(k + sum(alpha)) for k = 0..n are `lgam` of the same float64
     inputs as `log_marginal_of_counts` evaluates, so sums over them in
     numpy's order (`log_lik`) reproduce its bits.
 
-    Each column is read as `column + 0.0`, which turns -0.0 into 0.0: a
-    feature's zeros are one value, whatever rows reach a node, so every
-    threshold drawn from the tables is a value of `values[f]`.  Routing is
-    unchanged, since -0.0 <= t exactly when 0.0 <= t.
+    Like `values`, each column is read as `column + 0.0`: a feature's
+    zeros are one value, whatever rows reach a node, so every threshold
+    drawn from the tables is a value of `values[f]`.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, class_count: int, alpha):
-        n, m = X.shape
-        self.n, self.class_count = n, class_count
-        self.columns = [X[:, f] + 0.0 for f in range(m)]
-        self.values, self.rank, self.eq, self.le = [], [], [], []
-        for column in self.columns:
-            values, inverse = np.unique(column, return_inverse=True)
-            eq = [0] * len(values)
-            for r, j in enumerate(inverse.tolist()):
-                eq[j] |= 1 << r
-            self.values.append(values.tolist())
-            self.rank.append({v: j for j, v in enumerate(self.values[-1])})
-            self.eq.append(eq)
-            self.le.append(list(accumulate(eq, operator.or_)))
+        super().__init__(X)
+        n, self.class_count = self.n, class_count
+        self.columns = [X[:, f] + 0.0 for f in range(X.shape[1])]
+        self.rank = [{v: j for j, v in enumerate(values)} for values in self.values]
+        self.eq = [[rows ^ lower for lower, rows in zip([0, *le], le)] for le in self.le]
         self.no_ties = [len(values) == n for values in self.values]
         self.class_bits = [bits_of(np.flatnonzero(y == c)) for c in range(class_count)]
         terms = DirichletTerms.of(resolve_alpha(alpha, class_count))
@@ -506,15 +496,6 @@ class RowTables:
             else:
                 hi = mid
         return self.values[feature][lo], rows & le[lo]
-
-    def below(self, feature: int, threshold: float) -> int:
-        """The rows with x_feature <= threshold."""
-        j = self.rank[feature].get(threshold)
-        if j is None:
-            j = bisect_right(self.values[feature], threshold) - 1
-            if j < 0:
-                return 0
-        return self.le[feature][j]
 
     def step(self, feature: int, rows: int, current: float, offset: int) -> float | None:
         """The change-rule window step: the value `offset` distinct values
@@ -563,10 +544,9 @@ class ChainState:
     `ChainState(tables, tree)` is the state at `tree` (None for the
     root-only tree) on the data and prior of `tables`.  The tree's split
     columns are all it reads, and `tree.layout` refuses a feature column
-    that is not one full binary tree: every position below the root
-    starts with no rows, one `reroute` of the root's rule with min_rows 0
-    routes them all, and its leaf class counts, log-gamma terms and
-    `log_lik` are read from the tables.
+    that is not one full binary tree; `tables.route` gives every position
+    its rows, and its leaf class counts, log-gamma terms and `log_lik` are
+    read from the tables.
 
     A node is its pre-order position.  The per-node lists are the
     `DecisionTree` columns (split feature, -1 for a leaf; threshold, 0.0 for
@@ -607,9 +587,7 @@ class ChainState:
         self.tables, self._tree = tables, None
         self._feature_column = None  # the snapshot's feature tuple, kept until the feature list changes
         self.feature, self.threshold = list(feature), list(threshold)
-        self.bits = [(1 << tables.n) - 1] + [0] * (len(feature) - 1)
-        if feature[0] >= 0:  # every position below the root has rows 0 so far: route them all
-            self.bits[1:] = self.reroute(0, feature[0], threshold[0], min_rows=0)[1]
+        self.bits = tables.route(feature, threshold)
         self._index_structure()
         classes, terms, totals = zip(*[tables.leaf(self.bits[nid]) for nid in self.leaf_ids])
         self.leaf_class, self.leaf_totals = list(classes), list(totals)

@@ -14,19 +14,21 @@ depth off the column.
 
 Routing convention: a point goes left iff ``x[feature] <= threshold``.
 
-Prediction has one path, `predict_trees`, shared by the posterior average
-and the forest.  Once per call it sorts the test rows by each feature and
-keeps the bitsets of the rows holding the k smallest values, for every k;
-a split (f, t) then sends `rows & prefix[f][bisect_right(sorted_f, t)]`
-left, exactly the rows with x <= t.  One pass over a tree's pre-order
-columns gives the row sets of its leaves, and one array the leaf of every
-row, rewritten only where rows changed leaf when the leaf count holds
-(consecutive chain samples differ in a few rows), rebuilt otherwise.
-The rows are held in chunks of ROW_CHUNK: a prefix bitset spans about
-its whole chunk, so with its int header, list slot and sorted value a
-row costs about ROW_CHUNK / 7.5 + 64 bytes per feature (200 at 1,024).
-Leaf posterior-mean tables are built PREDICT_BLOCK trees at a time:
-memory does not grow with the number of trees predicted.
+Rows have one bitset form, `RowSets`, for the sampler's training rows
+(`mcmc.RowTables`) and the test rows alike: per feature the sorted
+distinct values and the rows at or below each, so a split (f, t) sends
+`rows & below(f, t)` left, and one pass over a tree's pre-order columns
+(`RowSets.route`) gives every node its rows.  Prediction has one path,
+`predict_trees`, shared by the posterior average and the forest: it
+builds the test rows' `RowSets` once per call and keeps one array of every
+row's leaf, rewritten only where rows changed leaf when the leaf count
+holds (consecutive chain samples differ in a few rows), rebuilt otherwise.
+The rows are held in chunks of ROW_CHUNK: an `le` bitset spans about its
+chunk, so with its int header, list slot and value a row costs about
+ROW_CHUNK / 7.5 + 64 bytes per feature without ties (203 measured by
+`sys.getsizeof` at 1,024), less with them.  Leaf posterior-mean tables are
+built PREDICT_BLOCK trees at a time: memory does not grow with the number
+of trees predicted.
 """
 
 from __future__ import annotations
@@ -126,22 +128,62 @@ def resolve_alpha(alpha, class_count: int) -> np.ndarray:
 ROW_CHUNK = 1024  # test rows per `_PointTables`: about ROW_CHUNK / 7.5 + 64 bytes per row and feature
 
 
-class _PointTables:
-    """Rows of a finite X as bitsets (bit r set iff row r is in the set),
-    and their leaf in the tree placed last.
+class RowSets:
+    """The rows of a finite X as Python-int bitsets (bit r set iff row r is
+    in the set; `all` holds all `n` rows).  Per feature f: `values[f]`, the
+    column's sorted distinct values, each read as x + 0.0 so that -0.0 and
+    0.0 are one value (routing is unchanged: -0.0 <= t exactly when
+    0.0 <= t), and `le[f][j]`, the rows whose value is at most values[f][j]."""
 
-    Per feature f: `sorted[f]`, the column in ascending order, and
-    `prefix[f][k]`, the rows holding its k smallest values.  `at` is a
-    view of the caller's leaf-position array, one entry per row.
-    """
+    def __init__(self, X: np.ndarray):
+        self.n = X.shape[0]
+        self.all = (1 << self.n) - 1
+        self.values, self.le = [], []
+        for column in (X + 0.0).T:
+            values, counts = np.unique(column, return_counts=True)
+            prefix = list(accumulate((1 << r for r in np.argsort(column).tolist()), operator.or_, initial=0))
+            self.values.append(values.tolist())
+            self.le.append([prefix[k] for k in np.cumsum(counts).tolist()])
+
+    def below(self, feature: int, threshold: float) -> int:
+        """The rows with x_feature <= threshold."""
+        j = bisect_right(self.values[feature], threshold)
+        return self.le[feature][j - 1] if j else 0
+
+    def route(self, feature, threshold) -> list:
+        """The row set of every position of the tree of these pre-order
+        columns: one pass with a stack of the rows of the right children
+        still ahead, each split's step that of `below`, inline.  Raises
+        ValueError when X has too few columns for a split or the feature
+        column is not one full binary tree."""
+        values, le = self.values, self.le
+        rows, ahead, out = self.all, [], []
+        try:
+            for f, t in zip(feature, threshold):
+                out.append(rows)
+                if f >= 0:
+                    j = bisect_right(values[f], t)
+                    left = rows & le[f][j - 1] if j else 0
+                    ahead.append(rows ^ left)
+                    rows = left
+                elif ahead:
+                    rows = ahead.pop()
+                elif len(out) == len(feature):
+                    return out
+                else:
+                    break
+        except IndexError:
+            raise ValueError(f"X has too few columns ({len(values)}) for a split on feature {max(feature)}") from None
+        layout(feature)  # raises: the tree ends before or after the column does
+
+
+class _PointTables(RowSets):
+    """`RowSets` of a chunk of test rows, and their leaf in the tree placed
+    last: `at` is a view of the caller's leaf-position array, one entry per
+    row, and `leaves` the row sets of that tree's leaves, in pre-order."""
 
     def __init__(self, X: np.ndarray, at: np.ndarray):
-        self.n, self.width = X.shape
-        self.all = (1 << self.n) - 1
-        order = np.argsort(X, axis=0, kind="stable")
-        self.sorted = [X[order[:, f], f].tolist() for f in range(self.width)]
-        self.prefix = [list(accumulate((1 << r for r in order[:, f].tolist()), operator.or_, initial=0))
-                       for f in range(self.width)]
+        super().__init__(X)
         self.at, self.leaves = at, []
 
     def place(self, feature, threshold) -> None:
@@ -152,8 +194,8 @@ class _PointTables:
         A rewrite costs about 0.5 us a row, a rebuild about 11 us plus
         1.4 ns a row and leaf (2-core x86, Python 3.11, numpy 2.4), hence
         the bound 20 + n x leaves / 400."""
-        leaves, at = self._leaves(feature, threshold), self.at
-        moved = None
+        leaves = [rows for rows, f in zip(self.route(feature, threshold), feature) if f < 0]
+        at, moved = self.at, None
         if len(leaves) == len(self.leaves):
             moved = [(j, new & ~old) for j, (new, old) in enumerate(zip(leaves, self.leaves)) if new != old]
         if moved is None or sum(b.bit_count() for _, b in moved) > 20 + self.n * len(leaves) // 400:
@@ -168,29 +210,6 @@ class _PointTables:
                     at[low.bit_length() - 1] = j
                     b ^= low
         self.leaves = leaves
-
-    def _leaves(self, feature, threshold) -> list:
-        """The row sets of the tree's leaves, in pre-order: one pass over
-        its columns with a stack of the rows of the right children still
-        ahead, a split (f, t) sending `rows & prefix[f][bisect_right(
-        sorted[f], t)]`, exactly the rows with x <= t, left."""
-        rows, ahead, leaves = self.all, [], []
-        try:
-            for f, t in zip(feature, threshold):
-                if f >= 0:
-                    left = rows & self.prefix[f][bisect_right(self.sorted[f], t)]
-                    ahead.append(rows ^ left)
-                    rows = left
-                else:
-                    leaves.append(rows)
-                    if not ahead:
-                        break
-                    rows = ahead.pop()
-        except IndexError:
-            raise ValueError(f"X has too few columns ({self.width}) for a split on feature {max(feature)}") from None
-        if ahead or 2 * len(leaves) - 1 != len(feature):
-            layout(feature)  # raises: the column is not one full binary tree
-        return leaves
 
 
 def predict_trees(trees, X: np.ndarray, alpha):

@@ -327,16 +327,36 @@ class TestUciProtocol:
         warning = "no valid split under min_leaf_rows; chain holds the root-only model"
         assert capsys.readouterr().err.splitlines() == [f"warning: sonar bayes fold {i}: {warning}" for i in range(3)]
 
-    def test_validation_fraction_checked_on_fold_rows(self, uci_data_dir, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pima_and_sonar(self, uci_data_dir, tmp_path, monkeypatch):
+        """A data directory holding sonar and a pima-shaped pima (512 + 256
+        rows), in which no chain runs and no forest grows."""
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        (data_dir / "sonar.csv").write_bytes((uci_data_dir / "sonar.csv").read_bytes())
+        X = np.random.default_rng(3).normal(size=(768, 8))
+        write_csv(Dataset(X, (X[:, 0] > 0).astype(int), 2, tuple(f"a{i}" for i in range(8))), data_dir / "pima.csv")
+        monkeypatch.setattr(mcmc, "run_restarts", lambda *args, **kwargs: pytest.fail("a chain ran"))
+        monkeypatch.setattr(forest, "build_forest", lambda *args, **kwargs: pytest.fail("a forest grew"))
+        return data_dir
+
+    def test_validation_fraction_checked_on_fold_rows(self, pima_and_sonar, tmp_path):
         """sonar's folds give the forest 138 - 46 = 92 rows, of which 0.005
         holds out none (of all 138 it would hold out one): refused before
-        any chain runs."""
-        cfg = tiny_config(tmp_path / "out", data_dir=uci_data_dir, datasets=("sonar",),
+        anything is written, pima's folds (341 rows) included."""
+        cfg = tiny_config(tmp_path / "out", data_dir=pima_and_sonar, datasets=("pima", "sonar"),
                           forest=forest.ForestConfig(tree_count=2, validation_fraction=0.005))
-        monkeypatch.setattr(mcmc, "run_restarts", lambda *args, **kwargs: pytest.fail("a chain ran"))
         with pytest.raises(ValueError, match="validation_fraction 0.005 holds out 0 of 92 rows"):
             bench.run_uci_protocol(cfg)
-        assert not (tmp_path / "out" / "sonar").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_more_folds_than_registry_rows_refused_before_writing(self, pima_and_sonar, tmp_path):
+        """sonar's 138 registry training rows make no 140 folds: refused
+        before pima, which has rows enough, writes anything."""
+        cfg = tiny_config(tmp_path / "out", data_dir=pima_and_sonar, datasets=("pima", "sonar"), fold_count=140)
+        with pytest.raises(DataError, match="cannot make 140 folds from 138 rows"):
+            bench.run_uci_protocol(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_class_count_mismatch_rejected(self, tmp_path):
         root = tmp_path / "data"
@@ -350,8 +370,8 @@ class TestUciProtocol:
             bench.run_uci_protocol(cfg)
 
     def test_confidence_refused_before_the_dataset_runs(self, tmp_path):
-        """A confidence at or below 1/C is refused per dataset, before its
-        folds: nothing of sonar (2 classes) is written at 0.5."""
+        """A confidence at or below 1/C of a data set present is refused
+        before anything is written: nothing at 0.5 for sonar (2 classes)."""
         root = tmp_path / "data"
         root.mkdir()
         rng = np.random.default_rng(0)
@@ -361,7 +381,7 @@ class TestUciProtocol:
         cfg = tiny_config(tmp_path / "out", data_dir=root, datasets=("sonar",), confidence=0.5)
         with pytest.raises(ConfigError, match=r"confidence must lie in \(1/2, 1\] for 2 classes"):
             bench.run_uci_protocol(cfg)
-        assert not (tmp_path / "out" / "sonar").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_too_few_rows_rejected(self, tmp_path):
         root = tmp_path / "data"
@@ -536,7 +556,9 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["bench", "synthetic", *small, "--validation-fraction", fraction, "--out", str(out)]) == rc
         if rc:
-            assert f"config error: validation_fraction {fraction} holds out 0 of 16 rows" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"config error: validation_fraction {fraction} holds out 0 of 16 rows" in err
+            assert "16 rows: the fewest a fold trains on at train_size 21 and fold_count 5" in err
             assert not out.exists()
         bayes = ["bench", "synthetic", *small, "--validation-fraction", fraction, "--technique", "bayes"]
         assert cli.main([*bayes, "--out", str(tmp_path / "bayes")]) == 0

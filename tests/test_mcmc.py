@@ -715,11 +715,15 @@ def tied_chains(draw):
     return Dataset(X, y, classes, tuple(f"f{i}" for i in range(m))), cfg
 
 
-@given(tied_chains())
+@given(chain=tied_chains())
 @settings(max_examples=80, deadline=None)
-def test_bitset_kernel_matches_index_oracle_property(chain):
-    """On data with many ties (and zeros of both signs), for every split of
-    states reached by real steps: the bitset reroute agrees with the
+def test_bitset_kernel_matches_index_oracle_property(chain, random_tree_factory):
+    """On data with many ties (and zeros of both signs): `RowSets.below` is
+    the rows at or below each threshold (on a value, between two, below and
+    above them all), `RowTables.eq` the rows at each value, and
+    `RowSets.route` the row sets `fit_partition` gives every node of the
+    states reached by real steps and of random trees.  For every split of
+    those states, the bitset reroute agrees with the
     index-array one at every feature and threshold, and the window step with
     the searchsorted one at every current value and offset of windows 1-3.
 
@@ -732,11 +736,20 @@ def test_bitset_kernel_matches_index_oracle_property(chain):
     X, y, classes = ds.features, ds.labels, ds.class_count
     terms = mcmc.DirichletTerms.of(resolve_alpha(cfg.dirichlet_alpha, classes))
     state = make_state(ds, cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng, tree_rng = np.random.default_rng(cfg.seed), np.random.default_rng(cfg.seed + 1)
+    for f, (values, eq) in enumerate(zip(state.tables.values, state.tables.eq)):
+        assert eq == [mcmc.bits_of(np.flatnonzero(X[:, f] == v)) for v in values]
+        for threshold in values + [-9.0, -0.0, 0.25, 9.0]:
+            assert state.tables.below(f, threshold) == mcmc.bits_of(np.flatnonzero(X[:, f] <= threshold))
     for _ in range(4):
         for _ in range(15):
             mh_step(state, cfg, rng)
         tables, old = state.tables, index_view(state)
+        # random trees whose thresholds are values of X, lie between them or below them all
+        shifted = [columns(random_tree_factory(X + shift, y, classes, 6, tree_rng)) for shift in (0.0, 0.25, -9.0)]
+        for tree in (state.tree, *shifted):
+            parts = fit_partition(tree, X, y, classes)[1]
+            assert tables.route(tree.feature, tree.threshold) == [mcmc.bits_of(parts[p]) for p in range(len(parts))]
         for node in state.split_ids:
             for feature in range(X.shape[1]):
                 for threshold in tables.values[feature] + [-9.0, 0.25]:
