@@ -60,7 +60,12 @@ this script:
     CSV (768 rows, 8 features, 2 classes) drawn from the seed, its
     features multiples of 0.5 so that values tie, 3 folds, 2 restarts x
     (100 + 100) and 20 trees: the registry split, pruning factor 30, and
-    each fold's training rows reaching both techniques.
+    each fold's training rows reaching both techniques;
+  - `treeuq bench uci --datasets vehicle --technique forest` on a
+    vehicle-shaped CSV (846 rows, 18 features, 4 classes) drawn from the
+    seed, its features rounded to 3 decimals, 3 folds and 20 trees: a
+    forest of more than 2 classes, grown on the registry split with
+    pruning factor 30.
 
 FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
 file.  Each command's stderr is written next to its output directory as
@@ -124,15 +129,30 @@ def treeuq(work: Path, *args: str) -> None:
                        stdout=subprocess.DEVNULL, stderr=err)
 
 
+def write_table(path: Path, X: np.ndarray, y: np.ndarray) -> None:
+    """A CSV of features a0, a1, ... and a last `class` column."""
+    rows = [",".join([*(repr(float(x)) for x in row), str(label)]) for row, label in zip(X, y)]
+    header = ",".join([*(f"a{i}" for i in range(X.shape[1])), "class"])
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def write_pima_shaped(path: Path, seed: int) -> None:
     """768 rows of 8 features, each a multiple of 0.5, and a 0/1 label
     that the first two features set up to Gaussian noise."""
     rng = np.random.default_rng(seed)
     X = np.round(rng.normal(size=(768, 8)) * 2) / 2
     y = (X[:, 0] + X[:, 1] + rng.normal(size=768) > 0).astype(int)
-    rows = [",".join([*(repr(float(x)) for x in row), str(label)]) for row, label in zip(X, y)]
-    header = ",".join([*(f"a{i}" for i in range(8)), "class"])
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    write_table(path, X, y)
+
+
+def write_vehicle_shaped(path: Path, seed: int) -> None:
+    """846 rows of 18 features rounded to 3 decimals, and a label of 4
+    classes: the largest of the first four features, each plus half of
+    another and Gaussian noise."""
+    rng = np.random.default_rng([seed, 846])
+    X = np.round(rng.normal(size=(846, 18)), 3)
+    y = np.argmax(X[:, :4] + 0.5 * X[:, 4:8] + rng.normal(size=(846, 4)), axis=1)
+    write_table(path, X, y)
 
 
 def file_bytes(path: Path) -> bytes:
@@ -197,6 +217,9 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq(work, "bench", "uci", "--data-dir", "uci", "--datasets", "pima", "--technique", "both", "--fold-count", "3",
            "--restarts", "2", "--burn-in", "100", "--post-burn-in", "100", "--tree-count", "20", *common,
            "--out", "bench_uci")
+    write_vehicle_shaped(work / "uci" / "vehicle.csv", seed)
+    treeuq(work, "bench", "uci", "--data-dir", "uci", "--datasets", "vehicle", "--technique", "forest",
+           "--fold-count", "3", "--tree-count", "20", *common, "--out", "bench_uci_vehicle")
     lines = []
     for path in sorted(work.rglob("*")):
         if path.is_file():

@@ -154,20 +154,21 @@ def check_classes(cfg: ExperimentConfig, class_count: int) -> None:
     mcmc.DirichletTerms.of(resolve_alpha(cfg.mcmc.dirichlet_alpha, class_count))
 
 
-def check_fold_rows(cfg: ExperimentConfig, train_rows: int) -> None:
+def check_fold_rows(cfg: ExperimentConfig, train_rows: int, source: str = "train_size") -> None:
     """Refuse, before a protocol on train_rows rows writes anything, more
     folds than rows (DataError), and a forest validation_fraction that
     holds out no row or every row of the fewest rows the protocol gives the
     forest: a fold's, train_rows - ceil(train_rows / fold_count) as
-    make_folds deals them round-robin (ValueError)."""
+    make_folds deals them round-robin (ValueError).  The messages name
+    train_rows as source."""
     if cfg.fold_count > train_rows:
-        raise DataError(f"cannot make {cfg.fold_count} folds from {train_rows} rows")
+        raise DataError(f"cannot make {cfg.fold_count} folds from {train_rows} rows ({source} {train_rows})")
     if "forest" in cfg.techniques:
         fold_rows = train_rows - -(-train_rows // cfg.fold_count)
         try:
             validation_holdout_count(cfg.forest.validation_fraction, fold_rows)
         except ValueError as exc:
-            raise ValueError(f"{exc} ({fold_rows} rows: the fewest a fold trains on at train_size {train_rows} "
+            raise ValueError(f"{exc} ({fold_rows} rows: the fewest a fold trains on at {source} {train_rows} "
                              f"and fold_count {cfg.fold_count})") from None
 
 
@@ -538,8 +539,11 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
         raise DataError(f"data_dir {cfg.data_dir} is not a directory")
     for name in cfg.datasets:  # the registry settings of every data set present, before anything is written
         if (Path(cfg.data_dir) / f"{name}.csv").exists():
-            check_classes(cfg, UCI_TABLE[name][0])
-            check_fold_rows(cfg, UCI_TABLE[name][2])
+            try:
+                check_classes(cfg, UCI_TABLE[name][0])
+                check_fold_rows(cfg, UCI_TABLE[name][2], f"{name}'s registry train size")
+            except (ConfigError, DataError, ValueError) as exc:
+                raise type(exc)(f"{name}: {exc}") from None
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage_seconds: dict[str, float] = {}

@@ -107,9 +107,6 @@ class FoldPlan:
     def __post_init__(self):
         object.__setattr__(self, "assignments", _readonly(np.asarray(self.assignments, dtype=np.int64)))
 
-    def fold_indices(self, fold: int) -> np.ndarray:
-        return np.nonzero(self.assignments == fold)[0]
-
     def train_indices(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignments != fold)[0]
 

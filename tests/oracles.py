@@ -45,6 +45,8 @@ model of a tree, a node arena:
 - `bayes_error_estimate` (`BayesErrorEstimate`): the Monte-Carlo error rate
   of the mixture's Bayes-optimal rule, for `test_synth`'s `TestBayesError`
   and criterion 1.
+- `fold_indices`: the rows a `data.FoldPlan` assigns to one fold, for
+  `test_data`'s `TestMakeFolds`.
 """
 
 from __future__ import annotations
@@ -465,3 +467,8 @@ def bayes_error_estimate(spec: GaussianMixtureSpec, sample_count: int, seed: int
     rate = float(np.mean(predicted != batch.labels))
     stderr = float(np.sqrt(rate * (1.0 - rate) / sample_count))
     return BayesErrorEstimate(rate=rate, stderr=stderr, sample_count=sample_count)
+
+
+def fold_indices(plan, fold: int) -> np.ndarray:
+    """The rows of one fold of a `data.FoldPlan`, ascending."""
+    return np.nonzero(plan.assignments == fold)[0]

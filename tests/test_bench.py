@@ -358,6 +358,29 @@ class TestUciProtocol:
             bench.run_uci_protocol(cfg)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flags, rc, message",
+        [
+            (["--fold-count", "140"], 3, "data error: sonar: cannot make 140 folds from 138 rows "
+             "(sonar's registry train size 138)\n"),
+            (["--fold-count", "3", "--technique", "forest", "--validation-fraction", "0.005"], 2,
+             "config error: sonar: validation_fraction 0.005 holds out 0 of 92 rows"),
+            (["--fold-count", "3", "--technique", "forest", "--validation-fraction", "0.005"], 2,
+             "(92 rows: the fewest a fold trains on at sonar's registry train size 138 and fold_count 3)\n"),
+            (["--confidence", "0.5"], 2, "config error: pima: confidence must lie in (1/2, 1] for 2 classes, got 0.5\n"),
+        ],
+        ids=["fold_count", "validation_fraction", "validation_fraction_rows", "confidence"],
+    )
+    def test_registry_refusals_name_the_dataset(self, pima_and_sonar, tmp_path, capsys, flags, rc, message):
+        """A refusal from a data set's registry settings names the data set,
+        and says where a row count comes from when the user set none."""
+        out = tmp_path / "out"
+        capsys.readouterr()
+        argv = ["bench", "uci", "--data-dir", str(pima_and_sonar), "--datasets", "pima,sonar", *flags, "--out", str(out)]
+        assert cli.main(argv) == rc
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_class_count_mismatch_rejected(self, tmp_path):
         root = tmp_path / "data"
         root.mkdir()

@@ -14,6 +14,7 @@ from treeuq.data import (
     split_validation,
     write_csv,
 )
+from oracles import fold_indices
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -233,7 +234,7 @@ class TestMakeFolds:
         plan = make_folds(ds, 5, seed=1)
         assert plan.stratified
         for f in range(5):
-            idx = plan.fold_indices(f)
+            idx = fold_indices(plan, f)
             assert len(idx) == 2
             assert sorted(ds.labels[idx].tolist()) == [0, 1]
 
@@ -248,7 +249,7 @@ class TestMakeFolds:
         plan = make_folds(train, 5, seed=0)
         hist = train.class_histogram()
         for f in range(5):
-            idx = plan.fold_indices(f)
+            idx = fold_indices(plan, f)
             assert len(idx) == 50
             for c in range(train.class_count):
                 got = int(np.sum(train.labels[idx] == c))
@@ -280,7 +281,7 @@ class TestMakeFolds:
         assert (counts > 0).all()
         for f in range(5):
             for c in range(classes):
-                got = int(np.sum(labels[plan.fold_indices(f)] == c))
+                got = int(np.sum(labels[fold_indices(plan, f)] == c))
                 assert abs(got - n_per_class / 5) <= 1
 
 

@@ -165,9 +165,16 @@ def dataset_from(values, labels, second_feature=None):
     return Dataset(X, np.asarray(labels), 2, names)
 
 
+def value_ranks(X):
+    """Each row's place in each column of X sorted stably, as `grow_trees` ranks them."""
+    return np.argsort(np.argsort(X, axis=0, kind="stable"), axis=0, kind="stable")
+
+
 def candidate_splits(X, y, class_count, rows, min_leaf_rows) -> list:
     """`_candidate_arrays` on one row set, as (feature, threshold, gain) records, best gain first."""
-    features, thresholds, gains, _ = forest._candidate_arrays(X, y, class_count, [np.asarray(rows)], min_leaf_rows)
+    features, thresholds, gains, _ = forest._candidate_arrays(
+        X, y, class_count, [np.asarray(rows)], min_leaf_rows, value_ranks(X)
+    )
     return [SimpleNamespace(feature=f, threshold=t, gain=g) for f, t, g in zip(features, thresholds, gains)]
 
 
@@ -282,7 +289,9 @@ def growth_problems(draw):
     """Data on a coarse value grid (dense ties) and a forest config.
 
     The root holds 2 * min_leaf_rows - 1 rows (a leaf at once),
-    2 * min_leaf_rows rows (at most one valid threshold per feature) or more.
+    2 * min_leaf_rows rows (at most one valid threshold per feature) or more,
+    sorted or in a random order.  Some draws turn about half the zeros of X
+    into -0.0, which ties with 0.0.
     """
     class_count = draw(st.sampled_from([2, 3, 7]))
     min_leaf_rows = draw(st.sampled_from([1, 1, 2, 3, 5]))
@@ -292,8 +301,12 @@ def growth_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     total = root_rows + int(rng.integers(0, 10))
     X = rng.integers(0, draw(st.integers(1, 5)) + 1, size=(total, draw(st.integers(1, 3)))) * 0.5
+    if draw(st.booleans()):
+        X[(X == 0.0) & (rng.random(X.shape) < 0.5)] = -0.0
     y = rng.integers(0, class_count, size=total)
-    rows = np.sort(rng.choice(total, size=root_rows, replace=False))
+    rows = rng.choice(total, size=root_rows, replace=False)
+    if draw(st.booleans()):
+        rows = np.sort(rows)
     cfg = ForestConfig(
         tree_count=draw(st.sampled_from([1, 2, 6])),
         top_k=draw(st.sampled_from([1, 2, 3, 1000])),  # 1000: more than any node's candidates
@@ -346,13 +359,37 @@ class TestLockstepGrowth:
         row_sets = [np.sort(rng.choice(40, size=int(rng.integers(0, 41)), replace=False)) for _ in range(5)]
         row_sets.append(row_sets[0])
         features, thresholds, gains, bounds = forest._candidate_arrays(
-            X, y, class_count, row_sets, min_leaf_rows, top_k
+            X, y, class_count, row_sets, min_leaf_rows, value_ranks(X), top_k
         )
         for s, rows in enumerate(row_sets):
             f, t, g = _oracle_candidate_arrays(X, y, class_count, rows, min_leaf_rows)
             order = np.lexsort((t, f, -g))[:top_k]
             part = slice(bounds[s], bounds[s + 1])
             assert features[part].tobytes() == f[order].tobytes()
+            assert thresholds[part].tobytes() == t[order].tobytes()
+            assert gains[part].tobytes() == g[order].tobytes()
+
+
+    @pytest.mark.parametrize("top_k", [None, 1, 3])
+    def test_gains_tied_across_features_order_fully(self, top_k):
+        """Two identical columns give every candidate a twin of equal gain
+        and threshold in the other feature: the merge must still give the
+        order of one sort of everything by (segment, -gain, feature,
+        threshold), the first top_k per segment."""
+        rng = np.random.default_rng(17)
+        column = rng.integers(0, 8, size=60) * 0.5
+        X = np.stack([column, column], axis=1)
+        y = rng.integers(0, 3, size=60)
+        row_sets = [rng.permutation(60)[: int(size)] for size in (60, 45, 30, 12)]
+        features, thresholds, gains, bounds = forest._candidate_arrays(
+            X, y, 3, row_sets, 2, value_ranks(X), top_k
+        )
+        for s, rows in enumerate(row_sets):
+            f, t, g = _oracle_candidate_arrays(X, y, 3, rows, 2)
+            assert f.size and np.array_equal(np.sort(g[f == 0]), np.sort(g[f == 1]))  # every gain has its twin
+            order = np.lexsort((t, f, -g))[:top_k]
+            part = slice(bounds[s], bounds[s + 1])
+            assert features[part].tolist() == f[order].tolist()
             assert thresholds[part].tobytes() == t[order].tobytes()
             assert gains[part].tobytes() == g[order].tobytes()
 
