@@ -14,9 +14,11 @@ FILE gets, as JSON: every pair's metrics and failure counts; per metric
 its unit and direction (from the change checkout's BENCHMARK.json), each
 side's median, quartiles and spread (the change checkout's `run.py`
 `summarize`, as `run.py --all` reports them), the change's median
-relative to the parent's, and the number of pairs the change won
-(strictly better); and each side's environment stamp as run.py records
-it (CPU, Python, numpy, commit and a digest of `src/`).  The seed list
+relative to the parent's, the median and quartiles of the per-pair
+change/parent ratios (`paired_ratio`, taken as `summarize` takes each
+side's; null when every parent value is 0), and the number of pairs the
+change won (strictly better); and each side's environment stamp as
+run.py records it (CPU, Python, numpy, commit and a digest of `src/`).  The seed list
 is read by that `run.py`'s `parse_seeds`; nothing else outside the
 standard library is used.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -91,10 +94,17 @@ def main(argv=None) -> int:
         parent, change = ([p[side][name] for p in pairs] for side in ("parent", "change"))
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         base = stats["parent"][name]["median"]
+        ratios = [c / p for p, c in zip(parent, change) if p]  # a pair whose parent reads 0 has no ratio
+        paired = None
+        if ratios:
+            median = statistics.median(ratios)
+            q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else (median, 0, median)
+            paired = {"median": median, "q1": q1, "q3": q3}
         summary[name] = {
             "unit": metric["unit"], "better": metric["better"],
             "parent": stats["parent"][name], "change": stats["change"][name],
             "change_vs_parent": (stats["change"][name]["median"] - base) / base if base else None,
+            "paired_ratio": paired,
             "change_wins": wins, "pairs": len(pairs),
         }
     report = {

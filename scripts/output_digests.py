@@ -6,6 +6,12 @@
 For each seed, in a temporary directory, this runs the `src` tree next to
 this script:
   - `treeuq bench synthetic --sweep`;
+  - `treeuq envelope` on that run's five `bayes_fold<i>_votes.csv` (the
+    per-input reports and their summary) and on its fold-0 file alone (no
+    summary);
+  - `treeuq sweep` on its five `forest_fold<i>_votes.csv` (the aggregated
+    curve) and, with `--start 0.51 --stop 1 --step 0.01`, on its fold-0
+    file alone (the single curve);
   - `treeuq synth`, then `treeuq bayes` on its CSVs: 4 restarts x
     (2000 + 2000), sample rate 1;
   - `treeuq bayes --min-leaf-rows 1 --change-rule-window 1` on them too,
@@ -67,8 +73,8 @@ this script:
     forest of more than 2 classes, grown on the registry split with
     pruning factor 30.
 
-FILE gets one sorted line `<seed> <command>/<file> <sha256>` per output
-file.  Each command's stderr is written next to its output directory as
+FILE gets a first line `# python <version> numpy <version> workers <N>`,
+then one sorted line `<seed> <command>/<file> <sha256>` per output file.  Each command's stderr is written next to its output directory as
 `<out>.stderr` and digested like any other file, so the chain warnings of
 `bayes` and of the bench fold and full-train runs are pinned too; stdout is
 not kept, since `bench` prints wall-clock stage times there.  Each
@@ -169,6 +175,12 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     treeuq(work, "synth", "--seed", str(seed), "--out", "synth")
     csvs = ["--train", "synth/synthetic_train.csv", "--test", "synth/synthetic_test.csv"]
     treeuq(work, "bench", "synthetic", "--sweep", *common, "--out", "bench")
+    bayes_votes, forest_votes = ([f"bench/{tag}_fold{i}_votes.csv" for i in range(5)] for tag in ("bayes", "forest"))
+    treeuq(work, "envelope", *(a for v in bayes_votes for a in ("--votes", v)), "--out", "envelope")
+    treeuq(work, "envelope", "--votes", bayes_votes[0], "--out", "envelope_one")
+    treeuq(work, "sweep", *(a for v in forest_votes for a in ("--votes", v)), "--out", "sweep")
+    treeuq(work, "sweep", "--votes", forest_votes[0], "--start", "0.51", "--stop", "1", "--step", "0.01",
+           "--out", "sweep_one")
     treeuq(work, "bayes", *csvs, "--restarts", "4", "--burn-in", "2000", "--post-burn-in", "2000",
            "--sample-rate", "1", *common, "--out", "bayes")
     treeuq(work, "bayes", *csvs, "--min-leaf-rows", "1", "--change-rule-window", "1", "--restarts", "2",
@@ -228,18 +240,23 @@ def run_seed(seed: int, workers: int, work: Path) -> list[str]:
     return lines
 
 
+def toolchain(workers: int) -> str:
+    """The header line of FILE: the versions that the digests depend on."""
+    return f"# python {sys.version.split()[0]} numpy {np.__version__} workers {workers}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1-3", help="e.g. 1-3 or 1,4,7")
     ap.add_argument("--out", required=True, help="digest file to write")
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
-    lines = []
+    lines = [toolchain(args.workers)]
     for seed in parse_seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
             lines += run_seed(seed, args.workers, Path(tmp))
     Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} digests to {args.out}")
+    print(f"wrote {len(lines) - 1} digests to {args.out}")
     return 0
 
 

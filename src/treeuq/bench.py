@@ -8,6 +8,15 @@ derives from the experiment seed, so reports are byte-identical across
 reruns and across serial/parallel execution.  `run_bayes_fold` and
 `run_forest_fold` alone train a technique and score it, for the protocols'
 fold and full-train runs and for the `bayes` and `forest` commands.
+
+Each kind of output is written one way, for the protocols and the commands
+alike: `write_json` writes every JSON file (report.json, manifest.json and
+the commands' summary.json and envelope_report.json), and `write_synthetic`
+draws and writes the canonical train and test CSVs.  Both protocols start
+from one report frame (`_report_frame`: the output directory, empty stage
+times and artifacts, and the report header) and end in `_write_report`,
+which writes report.json and returns the manifest as the plain dict that
+manifest.json holds: config, artifacts, tool_version and stage_seconds.
 """
 
 from __future__ import annotations
@@ -172,15 +181,18 @@ def check_fold_rows(cfg: ExperimentConfig, train_rows: int, source: str = "train
                              f"and fold_count {cfg.fold_count})") from None
 
 
-@dataclass
-class RunManifest:
-    config: dict
-    artifacts: dict
-    tool_version: str
-    stage_seconds: dict
+def write_json(path: Path, payload) -> None:
+    """payload as UTF-8 JSON: indented, keys sorted, a final newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+def write_synthetic(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The canonical train and test sets at cfg's seed and sizes, written as
+    synthetic_train.csv and synthetic_test.csv into cfg.out_dir."""
+    train_ds, test_ds = synth.canonical_datasets(seed=cfg.seed, train_size=cfg.train_size, test_size=cfg.test_size)
+    write_csv(train_ds, cfg.out_dir / "synthetic_train.csv")
+    write_csv(test_ds, cfg.out_dir / "synthetic_test.csv")
+    return train_ds, test_ds
 
 
 def _fmt(x) -> str:
@@ -242,7 +254,7 @@ def _fold_outcome(votes, probabilities, labels, sizes, cfg: ExperimentConfig, ex
     """The vote matrix of one run's test points and their true labels, its
     envelope report with the mean and std of the tree sizes (split counts)
     and its soft accuracy."""
-    vm = envelope.VoteMatrix.build(votes, labels)
+    vm = envelope.VoteMatrix(votes, labels)
     sizes = np.array(sizes)
     report = dataclasses.replace(
         envelope.evaluate(vm, cfg.confidence),
@@ -363,12 +375,10 @@ def _write_trace_csv(path: Path, trace: mcmc.Trace) -> None:
             fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def _emit_bayes_diagnostics(
-    out_dir: Path, prefix: str, result: mcmc.ChainResult, artifacts: dict, feature_count: int
-) -> None:
+def _emit_bayes_diagnostics(out_dir: Path, prefix: str, result: mcmc.ChainResult, feature_count: int) -> dict:
     """Trace CSV, path-summary CSV, size histogram and a posterior-sample
     dump (thinned to about 200 trees) for one sampler run, each file name
-    starting with prefix."""
+    starting with prefix; return the file names."""
     trace_path = out_dir / f"{prefix}trace.csv"
     _write_trace_csv(trace_path, result.trace)
     rows, histogram = mcmc.posterior_path_summary(result.samples)
@@ -390,7 +400,7 @@ def _emit_bayes_diagnostics(
         [s.tree for s in kept],
         [{"run": s.run_index, "iteration": s.iteration} for s in kept],
     )
-    artifacts[f"{prefix}diagnostics"] = {
+    return {
         "trace": trace_path.name,
         "paths": path_path.name,
         "size_histogram": hist_path.name,
@@ -398,9 +408,9 @@ def _emit_bayes_diagnostics(
     }
 
 
-def _emit_forest_diagnostics(out_dir: Path, prefix: str, built: forest.Forest, artifacts: dict) -> None:
+def _emit_forest_diagnostics(out_dir: Path, prefix: str, built: forest.Forest) -> dict:
     """Convergence CSV, size histogram and a dump of every tree for one
-    forest, each file name starting with prefix."""
+    forest, each file name starting with prefix; return the file names."""
     conv_path = out_dir / f"{prefix}convergence.csv"
     _write_csv(
         conv_path,
@@ -416,7 +426,7 @@ def _emit_forest_diagnostics(out_dir: Path, prefix: str, built: forest.Forest, a
         built.trees,
         [{"index": i, "validation_acc": _fmt(a)} for i, a in enumerate(built.validation_acc)],
     )
-    artifacts[f"{prefix}diagnostics"] = {
+    return {
         "convergence": conv_path.name,
         "size_histogram": hist_path.name,
         "forest": forest_path.name,
@@ -428,68 +438,61 @@ def _emit_forest_diagnostics(out_dir: Path, prefix: str, built: forest.Forest, a
 # ---------------------------------------------------------------------------
 
 
-def _write_report(
-    out_dir: Path, report: dict, artifacts: dict, stage_seconds: dict, emit_start: float, cfg: ExperimentConfig
-) -> RunManifest:
+def _report_frame(cfg: ExperimentConfig, protocol: str, part: str) -> tuple[Path, dict, dict, dict]:
+    """Make cfg.out_dir; return it, empty stage times, empty artifacts and
+    the report header of protocol, with an empty `part`."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    report = {"schema_version": REPORT_SCHEMA_VERSION, "protocol": protocol, "confidence": cfg.confidence,
+              "seed": cfg.seed, part: {}}
+    return cfg.out_dir, {}, {}, report
+
+
+def _write_report(cfg: ExperimentConfig, report: dict, artifacts: dict, stage_seconds: dict, emit_start: float) -> dict:
     """Write report.json, close the emit stage begun at emit_start, then
     write and return the manifest of the report's protocol."""
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(cfg.out_dir / "report.json", report)
     artifacts["report"] = "report.json"
     stage_seconds["emit"] = time.perf_counter() - emit_start
-    manifest = RunManifest(
-        config=cfg.to_dict() | {"protocol": report["protocol"]},
-        artifacts=artifacts,
-        tool_version=__version__,
-        stage_seconds=stage_seconds,
-    )
-    manifest.write(out_dir / "manifest.json")
+    manifest = {
+        "config": cfg.to_dict() | {"protocol": report["protocol"]},
+        "artifacts": artifacts,
+        "tool_version": __version__,
+        "stage_seconds": stage_seconds,
+    }
+    write_json(cfg.out_dir / "manifest.json", manifest)
     return manifest
 
 
 def _headline_runs(
-    train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, out_dir: Path, artifacts: dict
+    train_ds: Dataset, test_ds: Dataset, cfg: ExperimentConfig, artifacts: dict
 ) -> dict[str, FoldOutcome]:
     """cfg's techniques on the full training set, each run's diagnostics
     written and its chains or forest dropped before the next run starts."""
     headline: dict[str, FoldOutcome] = {}
     for tag in cfg.techniques:
         headline[tag], kept = _run(tag, train_ds, test_ds, cfg, cfg.fold_count, f"{tag} full_train")
-        if tag == "bayes":
-            _emit_bayes_diagnostics(out_dir, "bayes_full_", kept, artifacts, train_ds.feature_count)
-        else:
-            _emit_forest_diagnostics(out_dir, "forest_full_", kept, artifacts)
+        artifacts[f"{tag}_full_diagnostics"] = (
+            _emit_bayes_diagnostics(cfg.out_dir, "bayes_full_", kept, train_ds.feature_count)
+            if tag == "bayes"
+            else _emit_forest_diagnostics(cfg.out_dir, "forest_full_", kept)
+        )
         del kept  # freed before the next headline run
     return headline
 
 
-def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
+def run_synthetic_protocol(cfg: ExperimentConfig) -> dict:
     """Canonical mixture benchmark: paired fold runs plus full-train headline runs."""
     check_classes(cfg, synth.benchmark_mixture().class_count)
     check_fold_rows(cfg, cfg.train_size)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage_seconds: dict[str, float] = {}
-    artifacts: dict = {}
+    out_dir, stage_seconds, artifacts, report = _report_frame(cfg, "synthetic", "techniques")
 
     t0 = time.perf_counter()
-    train_ds, test_ds = synth.canonical_datasets(
-        seed=cfg.seed, train_size=cfg.train_size, test_size=cfg.test_size
-    )
-    write_csv(train_ds, out_dir / "synthetic_train.csv")
-    write_csv(test_ds, out_dir / "synthetic_test.csv")
+    train_ds, test_ds = write_synthetic(cfg)
     artifacts["data"] = {"train": "synthetic_train.csv", "test": "synthetic_test.csv"}
     stage_seconds["data"] = time.perf_counter() - t0
 
-    report: dict = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "protocol": "synthetic",
-        "confidence": cfg.confidence,
-        "seed": cfg.seed,
-        "techniques": {},
-    }
-
     t0 = time.perf_counter()
-    headline = _headline_runs(train_ds, test_ds, cfg, out_dir, artifacts)
+    headline = _headline_runs(train_ds, test_ds, cfg, artifacts)
     stage_seconds["headline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -512,7 +515,7 @@ def run_synthetic_protocol(cfg: ExperimentConfig) -> RunManifest:
             "forest_mean_splits": f,
             "ratio": b / f if f else None,  # None: every forest tree is root-only
         }
-    return _write_report(out_dir, report, artifacts, stage_seconds, t0, cfg)
+    return _write_report(cfg, report, artifacts, stage_seconds, t0)
 
 
 def _uci_split(ds: Dataset, name: str, cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -531,35 +534,24 @@ def _uci_split(ds: Dataset, name: str, cfg: ExperimentConfig) -> tuple[Dataset, 
     return ds.subset(pair.train), ds.subset(pair.holdout)
 
 
-def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
+def run_uci_protocol(cfg: ExperimentConfig) -> dict:
     """Per-dataset fold comparison on local CSV copies; missing files are skipped."""
     if cfg.data_dir is None:
         raise ConfigError("uci protocol needs a data directory (--data-dir, or data_dir in a config file)")
     if not cfg.data_dir.is_dir():  # refused before anything is written
         raise DataError(f"data_dir {cfg.data_dir} is not a directory")
     for name in cfg.datasets:  # the registry settings of every data set present, before anything is written
-        if (Path(cfg.data_dir) / f"{name}.csv").exists():
+        if (cfg.data_dir / f"{name}.csv").exists():
             try:
                 check_classes(cfg, UCI_TABLE[name][0])
                 check_fold_rows(cfg, UCI_TABLE[name][2], f"{name}'s registry train size")
             except (ConfigError, DataError, ValueError) as exc:
                 raise type(exc)(f"{name}: {exc}") from None
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage_seconds: dict[str, float] = {}
-    artifacts: dict = {}
-    report: dict = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "protocol": "uci",
-        "confidence": cfg.confidence,
-        "seed": cfg.seed,
-        "datasets": {},
-    }
-
+    out_dir, stage_seconds, artifacts, report = _report_frame(cfg, "uci", "datasets")
     table_rows = []
     for name in cfg.datasets:
         t0 = time.perf_counter()
-        path = Path(cfg.data_dir) / f"{name}.csv"
+        path = cfg.data_dir / f"{name}.csv"
         if not path.exists():
             report["datasets"][name] = {"status": "skipped", "reason": f"missing file {path.name}"}
             continue
@@ -606,4 +598,4 @@ def run_uci_protocol(cfg: ExperimentConfig) -> RunManifest:
     header = ["dataset", "technique"] + [f"{col}_{stat}" for col, _ in _UCI_COLUMNS for stat in ("mean", "2sigma")]
     _write_csv(out_dir / "uci_table.csv", header, table_rows)
     artifacts["table"] = "uci_table.csv"
-    return _write_report(out_dir, report, artifacts, stage_seconds, t0, cfg)
+    return _write_report(cfg, report, artifacts, stage_seconds, t0)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth, bayes, forest, envelope, sweep, bench synthetic,
-bench uci.  Exit codes: 0 success, 2 configuration error, 3 data error
-or a path that cannot be read or written.
+bench uci.  Exit codes: 0 success, 2 configuration error, 3 data error,
+a path that cannot be read or written, or a run that does not fit in
+memory.
 The default output directory comes from $TREEUQ_OUT (falling back to
 ./runs); bench subcommands also accept --config pointing at a flat
 key=value file whose entries fill any flag not given on the command line.
@@ -21,9 +22,9 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import bench, envelope, forest, mcmc, synth
+from . import bench, envelope, forest, mcmc
 from .bench import ConfigError
-from .data import Dataset, DataError, load_csv, read_key_values, read_text, write_csv
+from .data import Dataset, DataError, load_csv, read_key_values, read_text
 
 
 def _default_out() -> str:
@@ -184,9 +185,7 @@ def _cmd_synth(args) -> int:
     cfg = _config(args)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    train, test = synth.canonical_datasets(seed=cfg.seed, train_size=cfg.train_size, test_size=cfg.test_size)
-    write_csv(train, out / "synthetic_train.csv")
-    write_csv(test, out / "synthetic_test.csv")
+    train, test = bench.write_synthetic(cfg)
     print(f"wrote {out/'synthetic_train.csv'} ({train.row_count} rows)")
     print(f"wrote {out/'synthetic_test.csv'} ({test.row_count} rows)")
     return 0
@@ -217,7 +216,7 @@ def _write_summary(out: Path, summary: dict, outcome: bench.FoldOutcome | None) 
     if outcome is not None:
         envelope.write_votes_csv(outcome.votes, out / "votes.csv")
         summary["vote_accuracy"] = outcome.report.accuracy
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    bench.write_json(out / "summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -227,7 +226,7 @@ def _cmd_bayes(args) -> int:
     outcome, result = bench.run_bayes_fold(train, test, cfg, cfg.seed)
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    bench._emit_bayes_diagnostics(cfg.out_dir, "", result, {}, train.feature_count)
+    bench._emit_bayes_diagnostics(cfg.out_dir, "", result, train.feature_count)
     proposed, accepted = result.trace.move_counts()
     summary = {
         "samples": len(result.samples),
@@ -243,26 +242,23 @@ def _cmd_bayes(args) -> int:
 def _cmd_forest(args) -> int:
     cfg, train, test = _load(args)
     outcome, built = bench.run_forest_fold(train, train if test is None else test, cfg, cfg.seed)
-    bench._emit_forest_diagnostics(cfg.out_dir, "", built, {})
+    bench._emit_forest_diagnostics(cfg.out_dir, "", built)
     summary = dict(outcome.extras, tree_count=len(built.trees), size_mean=outcome.report.tree_size_mean)
     return _write_summary(cfg.out_dir, summary, None if test is None else outcome)
 
 
 def _cmd_envelope(args) -> int:
-    confidence = _config(args).confidence
+    cfg = _config(args)
     matrices = [envelope.read_votes_csv(p) for p in args.votes]
-    reports = [envelope.evaluate(vm, confidence) for vm in matrices]
+    reports = [envelope.evaluate(vm, cfg.confidence) for vm in matrices]
     payload: dict = {
-        "confidence": confidence,
+        "confidence": cfg.confidence,
         "per_input": [dataclasses.asdict(r) for r in reports],
     }
     if len(reports) >= 2:
         payload["summary"] = bench._summary_dict(envelope.aggregate(reports))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "envelope_report.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    bench.write_json(cfg.out_dir / "envelope_report.json", payload)
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -311,7 +307,7 @@ def _cmd_bench(args) -> int:
     run = bench.run_synthetic_protocol if args.protocol == "synthetic" else bench.run_uci_protocol
     manifest = run(cfg)
     print(f"report: {cfg.out_dir / 'report.json'}")
-    print(f"stages (s): {json.dumps({k: round(v, 2) for k, v in manifest.stage_seconds.items()})}")
+    print(f"stages (s): {json.dumps({k: round(v, 2) for k, v in manifest['stage_seconds'].items()})}")
     return 0
 
 
@@ -375,6 +371,10 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:  # a path that cannot be read or written, e.g. a directory given as a file
         print(f"file error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}; --train-size, --test-size, --restarts and --tree-count set how much a run "
+              "holds", file=sys.stderr)
         return 3
 
 

@@ -96,12 +96,10 @@ class FoldPlan:
     """Deterministic fold assignment for cross-validation.
 
     ``stratified`` is False when some class had fewer members than
-    ``fold_count`` and the split fell back to an unstratified shuffle.
+    there are folds and the split fell back to an unstratified shuffle.
     """
 
-    fold_count: int
     assignments: np.ndarray
-    seed: int
     stratified: bool
 
     def __post_init__(self):
@@ -379,7 +377,7 @@ def make_folds(ds: Dataset, fold_count: int, seed: int) -> FoldPlan:
         order = rng.permutation(n)
     assignments = np.empty(n, dtype=np.int64)
     assignments[order] = np.arange(n) % fold_count
-    return FoldPlan(fold_count=fold_count, assignments=assignments, seed=seed, stratified=stratified)
+    return FoldPlan(assignments=assignments, stratified=stratified)
 
 
 def _round_half_up(x: float) -> int:

@@ -25,16 +25,14 @@ class VoteMatrix:
 
     votes: np.ndarray  # (n, C) ints, each row sums to N
     targets: np.ndarray  # (n,) true labels
-    classifier_count: int
-    class_count: int
 
     def __post_init__(self):
         votes = np.asarray(self.votes, dtype=np.int64)
         targets = np.asarray(self.targets, dtype=np.int64)
         object.__setattr__(self, "votes", votes)
         object.__setattr__(self, "targets", targets)
-        if votes.ndim != 2 or votes.shape[1] != self.class_count:
-            raise ValueError("votes must be an (n, class_count) matrix")
+        if votes.ndim != 2 or len(votes) == 0:
+            raise ValueError("votes must be an (n, class_count) matrix of at least one row")
         if targets.shape != (votes.shape[0],):
             raise ValueError("targets must have one entry per vote row")
         if self.classifier_count < 1:
@@ -44,15 +42,14 @@ class VoteMatrix:
         if targets.min() < 0 or targets.max() >= self.class_count:
             raise ValueError("target outside {0..class_count-1}")
 
-    @classmethod
-    def build(cls, votes: np.ndarray, targets: np.ndarray) -> "VoteMatrix":
-        votes = np.asarray(votes, dtype=np.int64)
-        return cls(
-            votes=votes,
-            targets=targets,
-            classifier_count=int(votes[0].sum()),
-            class_count=votes.shape[1],
-        )
+    @property
+    def classifier_count(self) -> int:
+        """N, the votes of one row (row 0's)."""
+        return int(self.votes[0].sum())
+
+    @property
+    def class_count(self) -> int:
+        return self.votes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -242,6 +239,6 @@ def read_votes_csv(path) -> VoteMatrix:
     except ValueError as exc:
         raise DataError(f"non-integer cell in votes file: {exc}") from None
     try:
-        return VoteMatrix.build(votes, targets)
+        return VoteMatrix(votes, targets)
     except ValueError as exc:
         raise DataError(str(exc)) from None

@@ -163,11 +163,11 @@ def test_criterion_5_envelope_stability_ordering(canonical_data):
             mcfg = replace(bench.DESK_MCMC, seed=seed * 100 + fold, min_leaf_rows=5)
             res = mcmc.run_restarts(sub, mcfg)
             _, votes = mcmc.predict_average(res.samples, test.features, 1.0)
-            vm = envelope.VoteMatrix.build(votes, test.labels)
+            vm = envelope.VoteMatrix(votes, test.labels)
             b_reports.append(envelope.evaluate(vm, 0.99))
             fcfg = forest.ForestConfig(tree_count=200, min_leaf_rows=5, seed=seed * 100 + fold + 50)
             built = forest.build_forest(sub, test.features, test.labels, fcfg)
-            vm = envelope.VoteMatrix.build(forest.forest_votes(built, test.features, 1.0), test.labels)
+            vm = envelope.VoteMatrix(forest.forest_votes(built, test.features, 1.0), test.labels)
             f_reports.append(envelope.evaluate(vm, 0.99))
         b = envelope.aggregate(b_reports)
         f = envelope.aggregate(f_reports)
@@ -398,7 +398,7 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
         classes = int(rng.integers(2, 5))
         voters = int(rng.integers(1, 60))
         votes = rng.multinomial(voters, np.ones(classes) / classes, size=40)
-        vm = envelope.VoteMatrix.build(votes, rng.integers(0, classes, size=40))
+        vm = envelope.VoteMatrix(votes, rng.integers(0, classes, size=40))
         rep = envelope.evaluate(vm, 0.99)
         ok_partition &= abs(rep.cc_rate + rep.u_rate + rep.ci_rate - 1.0) < 1e-12
         top = envelope.evaluate(vm, 1.0)
@@ -410,7 +410,7 @@ def test_criterion_8_property_suites(canonical_data, bayes_desk_run, forest_desk
     _criterion("8c", ok_bounds, "consistency lies in [1/C, 1] on random vote rows")
 
     # 8d: sweep monotonicity on the desk-run votes
-    vm = envelope.VoteMatrix.build(bayes_desk_run["votes"], test.labels)
+    vm = envelope.VoteMatrix(bayes_desk_run["votes"], test.labels)
     curve = envelope.sweep(vm)
     mono = bool(
         (np.diff(curve.u_rates) >= -1e-12).all() and (np.diff(curve.ci_rates) <= 1e-12).all()

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import weakref
@@ -150,7 +151,7 @@ class TestSyntheticProtocol:
             "forest_full_forest.txt",
         ):
             assert (out / name).exists(), name
-        assert manifest.stage_seconds.keys() >= {"data", "headline", "folds", "emit"}
+        assert manifest["stage_seconds"].keys() >= {"data", "headline", "folds", "emit"}
 
     def test_trace_csv_columns(self, run):
         out, _, _ = run
@@ -450,6 +451,35 @@ class TestCli:
 
         ds = load_csv(tmp_path / "synthetic_train.csv")
         assert ds.row_count == 30
+
+    def test_out_of_memory_is_exit_3_with_a_message(self, tmp_path, capsys, monkeypatch):
+        def unable(**_):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr(synth, "canonical_datasets", unable)
+        assert cli.main(["synth", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate 16.0 GiB; --train-size, --test-size")
+        assert "Traceback" not in err
+
+    def test_oversized_train_size_is_out_of_memory(self, tmp_path):
+        """2**31 + 1 training rows under a 2.5 GB address-space cap, set in
+        the child only: numpy cannot allocate them.  Uncapped, the same run
+        can take the host's memory."""
+        cap = 2_500_000_000
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "treeuq", "synth", "--train-size", str(2**31 + 1), "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            preexec_fn=limit_memory, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("out of memory: ")
+        assert "Traceback" not in done.stderr
 
     def test_missing_train_file_is_data_error(self, tmp_path):
         rc = cli.main(["bayes", "--train", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -961,6 +991,24 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"treeuq.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_outputs_match_the_committed_digests(tmp_path):
+    """Every output of `scripts/output_digests.py`'s seed-1 commands, at one
+    worker, hashes to its line in `tests/golden/output_digests.txt`.  That
+    file changes only with a declared output change."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests", root / "scripts" / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    stamp, *golden = (root / "tests" / "golden" / "output_digests.txt").read_text(encoding="utf-8").splitlines()
+    lines = digests.run_seed(1, 1, tmp_path)
+    expected, actual = (dict(line.rsplit(" ", 1) for line in side) for side in (golden, lines))
+    problems = [f"moved: {name}" for name in sorted(expected.keys() & actual.keys()) if expected[name] != actual[name]]
+    problems += [f"added: {name}" for name in sorted(actual.keys() - expected.keys())]
+    problems += [f"missing: {name}" for name in sorted(expected.keys() - actual.keys())]
+    assert not problems, "\n".join([f"golden file: {stamp}", f"this run:    {digests.toolchain(1)}", *problems])
+    assert lines == golden
 
 
 def test_tracer_hooks_count_predicted_samples(tmp_path):

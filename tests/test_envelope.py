@@ -28,7 +28,7 @@ vote_rows = st.lists(
 
 
 def matrix(votes, targets):
-    return VoteMatrix.build(np.asarray(votes), np.asarray(targets))
+    return VoteMatrix(np.asarray(votes), np.asarray(targets))
 
 
 def outcome(votes, target, threshold) -> str:
@@ -219,7 +219,7 @@ class TestSweep:
 class TestVoteMatrix:
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
-            VoteMatrix(votes=np.array([[3, 1], [2, 1]]), targets=np.array([0, 1]), classifier_count=4, class_count=2)
+            VoteMatrix(votes=np.array([[3, 1], [2, 1]]), targets=np.array([0, 1]))
 
     def test_target_range_validation(self):
         with pytest.raises(ValueError):
