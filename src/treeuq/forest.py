@@ -35,7 +35,6 @@ ones kept needs only a stable two-key sort by segment and gain.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,9 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tree_count < 1:
-            raise ValueError("tree_count must be at least 1")
+        if not 1 <= self.tree_count <= 1 << 31:
+            # a forest keeps every tree and two float64 accuracies per tree: 2**31 trees hold over 32 GB
+            raise ValueError(f"tree_count must lie in 1..2**31, got {self.tree_count}")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         if self.min_leaf_rows < 1:
@@ -342,6 +342,8 @@ def build_forest(
     chunks = [c for c in np.array_split(np.arange(cfg.tree_count), max(workers, 1)) if c.size]
     jobs = [(ds.features, ds.labels, ds.class_count, induction, cfg, chunk) for chunk in chunks]
     if len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a run asks for workers
+
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             trees = [tree for chunk_trees in pool.map(_chunk_job, jobs) for tree in chunk_trees]
     else:

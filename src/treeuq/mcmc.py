@@ -31,13 +31,15 @@ checks its two children, a death its merged leaf, and a change
 the rows of every other leaf as they are, so no proposal checks them
 again.  (A root-only chain on fewer rows than min_leaf_rows is the one
 exception, and no move from it is valid.)  Each node's training rows are
-one Python-int bitset (bit r set iff row r reaches the node).  Each
-chain builds its own `RowTables` from its data and prior: the
-`tree.RowSets` of its rows (per feature the sorted distinct values, -0.0
-read as 0.0, and the rows at and below each), one bitset per class, and
-the log-gamma terms for every count 0..n.  `ChainState(tables, tree)`
-reads the split columns of a `tree.DecisionTree` (the chain's start is
-one of a single split), gives every node its rows with one
+one Python-int bitset (bit r set iff row r reaches the node).  A chain
+reads, and never edits, a `RowTables` of its data and prior, so the
+serial chains of one `run_restarts` call share one (each pool job builds
+its own): the `tree.RowSets` of its rows (per feature the sorted
+distinct values, -0.0 read as 0.0, and the rows at and below each), one
+bitset per class, and the log-gamma terms for every count 0..n.
+`ChainState(tables, tree)` reads the split columns of a
+`tree.DecisionTree` (the chain's start is one of a single split), gives
+every node its rows with one
 `RowSets.route` and reads its counts and log-likelihood from the tables;
 `ChainState.tree` gives the state back in that form.  A split is then
 `rows & below` and `rows ^ left`, counts are `int.bit_count`, a change
@@ -76,13 +78,16 @@ its moves: `Trace.move_counts` and `acceptance_rate` read off it.
 re-places only the test rows that change leaf from one run to the next)
 and `posterior_path_summary` reads each run's path once.  A chain's
 records pickle in a few milliseconds, so pooled chains return cheaply.
+The pool class, `ProcessPoolExecutor`, is a module attribute imported on
+first use, so a serial run loads neither `concurrent.futures` nor
+`multiprocessing`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -160,6 +165,11 @@ class McmcConfig:
         for name in ("burn_in", "post_burn_in", "sample_rate", "restarts", "min_leaf_rows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # the trace stores run index and iteration as int32
+        if self.restarts > 1 << 31:
+            raise ValueError(f"restarts must be at most 2**31, got {self.restarts}")
+        if (iterations := self.burn_in + self.post_burn_in) > (1 << 31) - 1:
+            raise ValueError(f"burn_in + post_burn_in must be at most 2**31 - 1, got {iterations}")
         if self.sample_rate > self.post_burn_in:
             raise ValueError(f"sample_rate {self.sample_rate} exceeds post_burn_in {self.post_burn_in}: no sample")
         if self.max_leaves is not None and self.max_leaves < 2:
@@ -432,7 +442,8 @@ def bits_of(rows: np.ndarray) -> int:
 
 class RowTables(RowSets):
     """The `tree.RowSets` of one training set, and its lookup tables for
-    one prior; each chain builds its own.
+    one prior; a chain only reads them, so the serial chains of one
+    `run_restarts` call share one.
 
     Per feature f, beyond `values[f]` and `le[f]`: `columns[f]`, the
     column, contiguous; `rank[f]`, a value -> position dict; `eq[f][j]`,
@@ -950,7 +961,15 @@ def _derived_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, run_index)))
 
 
-def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
+def chain_tables(ds: Dataset, cfg: McmcConfig) -> RowTables:
+    """The `RowTables` of ds's rows under cfg's prior; refuses data that
+    lacks a class."""
+    if (np.bincount(ds.labels, minlength=ds.class_count) == 0).any():
+        raise DataError("every class must be present in the training data")
+    return RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
+
+
+def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0, tables: RowTables | None = None) -> ChainResult:
     """One restart: random single-split start, burn-in, then sampled post phase.
 
     The start is the root-only tree, with a warning, if no split leaves
@@ -959,11 +978,11 @@ def run_chain(ds: Dataset, cfg: McmcConfig, run_index: int = 0) -> ChainResult:
     Records every sample_rate-th post-burn-in tree, as runs (`Samples`),
     and a full per-iteration trace, as columns (`Trace`).  The private
     PRNG is derived from (cfg.seed, run_index), so runs are reproducible
-    regardless of execution order.
+    regardless of execution order.  `tables`, if given, must be
+    `chain_tables(ds, cfg)`; without it the chain builds its own.
     """
-    if (np.bincount(ds.labels, minlength=ds.class_count) == 0).any():
-        raise DataError("every class must be present in the training data")
-    tables = RowTables(ds.features, ds.labels, ds.class_count, cfg.dirichlet_alpha)
+    if tables is None:
+        tables = chain_tables(ds, cfg)
     rng = ChainRng(_derived_rng(cfg.seed, run_index))
     warnings, tree = (), None
     if (cap := _effective_max_leaves(cfg, tables.n)) < 2:
@@ -1007,20 +1026,34 @@ def _chain_job(args) -> ChainResult:
     return run_chain(ds, cfg, run_index)
 
 
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported on first access and then bound here,
+    so that reading or replacing it works as for any module attribute."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def run_restarts(ds: Dataset, cfg: McmcConfig, workers: int = 1) -> ChainResult:
     """Pool the samples of `cfg.restarts` independent chains.
 
     Chains own private PRNGs derived from (seed, run_index); results are
     merged in run order, so parallel and serial execution give identical
-    output.  Each distinct warning is kept once (restarts warn alike).
+    output.  Serial chains share one `chain_tables`; each pool job, one
+    chain, builds its own.  Each distinct warning is kept once (restarts
+    warn alike).
     """
-    jobs = [(ds, cfg, r) for r in range(cfg.restarts)]
     if workers > 1:
+        jobs = [(ds, cfg, r) for r in range(cfg.restarts)]
         # fork starts every worker at once, so no more than there are jobs
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_chain_job, jobs))
     else:
-        results = [_chain_job(job) for job in jobs]
+        tables = chain_tables(ds, cfg)
+        results = [run_chain(ds, cfg, r, tables) for r in range(cfg.restarts)]
     return ChainResult(
         samples=Samples([run for res in results for run in res.samples.runs], cfg.sample_rate),
         trace=Trace(*map(np.concatenate, zip(*(res.trace for res in results)))),

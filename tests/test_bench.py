@@ -441,6 +441,22 @@ class TestUciProtocol:
         assert (entry["train_rows"], entry["test_rows"]) == (138, 70)
 
 
+def run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    """`python -m treeuq argv` under a 2.5 GB address-space cap, set in the
+    child only, so that a run which would take the host's memory fails
+    there instead; stopped after 120 s."""
+    cap = 2_500_000_000
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "treeuq", *argv], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        preexec_fn=limit_memory, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestCli:
     def test_synth_roundtrip(self, tmp_path):
         rc = cli.main(
@@ -466,20 +482,61 @@ class TestCli:
         """2**31 + 1 training rows under a 2.5 GB address-space cap, set in
         the child only: numpy cannot allocate them.  Uncapped, the same run
         can take the host's memory."""
-        cap = 2_500_000_000
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        root = Path(__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "treeuq", "synth", "--train-size", str(2**31 + 1), "--out", str(tmp_path)],
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-            preexec_fn=limit_memory, capture_output=True, text=True, timeout=120,
-        )
+        done = run_capped(["synth", "--train-size", str(2**31 + 1), "--out", str(tmp_path)])
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("out of memory: ")
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["bayes", "--restarts", str(10**25)], f"restarts must be at most 2**31, got {10**25}"),
+            (["bayes", "--burn-in", str(2**31), "--post-burn-in", "1"],
+             f"burn_in + post_burn_in must be at most 2**31 - 1, got {2**31 + 1}"),
+            (["bench", "synthetic", "--restarts", "2", "--burn-in", "5", "--post-burn-in", "5", "--train-size", "40",
+              "--test-size", "20", "--fold-count", "2", "--tree-count", str(10**25)],
+             f"tree_count must lie in 1..2**31, got {10**25}"),
+        ],
+    )
+    def test_oversized_counts_refused_before_writing(self, tmp_path, command, message):
+        """A count that the int32 trace cannot index, or more trees than any
+        run holds, exits 2 before --out is made.  Such a run used to build
+        its job list until memory ran out, or to fail inside numpy after
+        writing the Bayes outputs, so it runs capped as above."""
+        cli.main(["synth", "--out", str(tmp_path), "--train-size", "40", "--test-size", "20"])
+        train = ["--train", str(tmp_path / "synthetic_train.csv")] if command[0] == "bayes" else []
+        done = run_capped([*command, *train, "--out", str(tmp_path / "out")])
+        assert (done.returncode, done.stderr) == (2, f"config error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_serial_runs_load_no_pool(self, tmp_path):
+        """At --workers 1, bayes, forest and bench synthetic import neither
+        `concurrent.futures` nor `multiprocessing`.  A fresh interpreter
+        runs them, since pytest may have loaded either module itself."""
+        script = """if True:
+            import sys
+            from treeuq import cli
+            out = sys.argv[1]
+            train, test = f"{out}/synthetic_train.csv", f"{out}/synthetic_test.csv"
+            chains = ["--restarts", "2", "--burn-in", "5", "--post-burn-in", "5", "--workers", "1"]
+            codes = [cli.main(argv) for argv in (
+                ["synth", "--out", out, "--train-size", "40", "--test-size", "20"],
+                ["bayes", "--train", train, "--test", test, "--out", f"{out}/bayes", *chains],
+                ["forest", "--train", train, "--test", test, "--out", f"{out}/forest", "--workers", "1",
+                 "--tree-count", "3"],
+                ["bench", "synthetic", "--out", f"{out}/bench", "--train-size", "40", "--test-size", "20",
+                 "--fold-count", "2", "--tree-count", "3", "--sweep", *chains],
+            )]
+            loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+            print(codes, loaded)
+        """
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
     def test_missing_train_file_is_data_error(self, tmp_path):
         rc = cli.main(["bayes", "--train", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -1035,3 +1092,23 @@ def test_tracer_hooks_count_predicted_samples(tmp_path):
         counters = dict(zip(recorded["counter_keys"].tolist(), recorded["counter_values"].tolist()))
     assert counters["predict.samples"] == 2 * 40
     assert 1 <= counters["predict.distinct"] <= 2 * 40
+
+
+def test_tracer_measures_the_pool_it_installs(tmp_path):
+    """The tracer subclasses `mcmc.ProcessPoolExecutor` and assigns its
+    measuring pool back; a traced `bayes --workers 2` run pools through it
+    and records the pickled size of both chains' results."""
+    root = Path(__file__).resolve().parents[1]
+    cli.main(["synth", "--out", str(tmp_path), "--train-size", "40", "--test-size", "20"])
+    spans = tmp_path / "spans.npz"
+    subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans), "--run-id", "pool", "cli",
+         "--", "bayes", "--train", str(tmp_path / "synthetic_train.csv"), "--restarts", "2", "--burn-in", "10",
+         "--post-burn-in", "10", "--workers", "2", "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1"),
+        check=True, capture_output=True, timeout=300,
+    )
+    with np.load(spans) as recorded:
+        counters = dict(zip(recorded["counter_keys"].tolist(), recorded["counter_values"].tolist()))
+    assert counters["pool.results"] == 2
+    assert counters["pool.result_bytes"] > 0

@@ -381,6 +381,14 @@ class TestLockstepGrowth:
             assert gains[part].tobytes() == g[order].tobytes()
 
 
+def test_tree_count_bound():
+    """More than 2**31 trees is refused at construction, as is none."""
+    ForestConfig(tree_count=2**31)
+    for count in (0, 2**31 + 1, 10**25):
+        with pytest.raises(ValueError, match=f"tree_count must lie in 1..2\\*\\*31, got {count}"):
+            ForestConfig(tree_count=count)
+
+
 class TestBuildForest:
     def test_single_tree_trace(self, canonical_data):
         train, test = canonical_data

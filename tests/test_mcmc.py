@@ -265,6 +265,20 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"change_rule_window must lie in 1..2\\*\\*31 .*got {window}"):
                 McmcConfig(change_rule_window=window)
 
+    def test_counts_fit_the_int32_trace(self):
+        """The trace stores run index and iteration as int32: 2**31
+        restarts and 2**31 - 1 iterations fit, one more of either is refused
+        at construction, not by numpy deep in a run."""
+        McmcConfig(restarts=2**31)
+        McmcConfig(burn_in=2**30, post_burn_in=2**30 - 1)
+        for restarts in (2**31 + 1, 10**25):
+            with pytest.raises(ValueError, match=f"restarts must be at most 2\\*\\*31, got {restarts}"):
+                McmcConfig(restarts=restarts)
+        for burn_in, post in ((2**30, 2**30), (2**31, 1), (1, 10**25)):
+            message = f"burn_in \\+ post_burn_in must be at most 2\\*\\*31 - 1, got {burn_in + post}"
+            with pytest.raises(ValueError, match=message):
+                McmcConfig(burn_in=burn_in, post_burn_in=post)
+
     def test_resolve_alpha_shapes(self):
         assert resolve_alpha(2.0, 3).tolist() == [2.0, 2.0, 2.0]
         assert resolve_alpha((1.0, 2.0), 2).tolist() == [1.0, 2.0]
@@ -1066,6 +1080,13 @@ def test_golden_predict_average():
     assert digests == GOLDEN_PREDICTION
 
 
+def assert_traces_equal(a: mcmc.Trace, b: mcmc.Trace) -> None:
+    """Every column of two traces holds the same dtype and values."""
+    for name, x, y in zip(mcmc.Trace._fields, a, b):
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
 class TestRunRestarts:
     def test_restart_count_and_ordering(self):
         ds = small_dataset(n=50, seed=3)
@@ -1090,7 +1111,51 @@ class TestRunRestarts:
         assert [serialize(s.tree) for s in serial.samples] == [
             serialize(s.tree) for s in parallel.samples
         ]
-        assert serial.trace.move_counts() == parallel.trace.move_counts()
+        assert_traces_equal(serial.trace, parallel.trace)
+
+    def test_serial_restarts_share_one_table(self, monkeypatch):
+        """A serial `run_restarts` builds `RowTables` once for all its
+        chains, and gives the samples and trace of the chains run alone,
+        each on tables of its own."""
+        built = []
+
+        class CountedTables(RowTables):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        ds = small_dataset(n=50, seed=3)
+        cfg = McmcConfig(burn_in=30, post_burn_in=30, restarts=3, min_leaf_rows=3, seed=5)
+        monkeypatch.setattr(mcmc, "RowTables", CountedTables)
+        pooled = run_restarts(ds, cfg)
+        assert len(built) == 1
+        alone = [run_chain(ds, cfg, r) for r in range(3)]
+        assert len(built) == 4
+        assert [serialize(s.tree) for s in pooled.samples] == [
+            serialize(s.tree) for res in alone for s in res.samples
+        ]
+        assert [(s.run_index, s.iteration) for s in pooled.samples] == [
+            (s.run_index, s.iteration) for res in alone for s in res.samples
+        ]
+        assert_traces_equal(pooled.trace, mcmc.Trace(*map(np.concatenate, zip(*(res.trace for res in alone)))))
+
+    def test_missing_class_refused_before_any_chain(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(mcmc, "run_chain", lambda *args: chains.append(args))
+        ds = small_dataset(n=30, seed=1)
+        one_class = Dataset(ds.features, np.zeros(30, dtype=np.int64), 2, ds.feature_names)
+        with pytest.raises(DataError, match="^every class must be present in the training data$"):
+            run_restarts(one_class, McmcConfig(burn_in=5, post_burn_in=5, restarts=3, seed=0))
+        assert chains == []
+
+    def test_pool_class_is_loaded_on_first_use(self):
+        """`mcmc.ProcessPoolExecutor` reads as the standard pool class, which
+        the benchmark tracer subclasses and assigns back."""
+        import concurrent.futures
+
+        assert mcmc.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+        with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
+            mcmc.ThreadPoolExecutor
 
     def test_pool_no_larger_than_the_restart_count(self, monkeypatch):
         """A pool forks all its workers at once, so run_restarts asks for no
